@@ -13,17 +13,43 @@ use serde::Value;
 /// scalars become text leaves; `null` fields are treated as absent. The
 /// grammar is synthesized from the resulting trees.
 pub struct JsonReader {
-    text: String,
+    input: Input,
     record_tag: String,
+}
+
+/// What a [`JsonReader`] reads: JSON text, or a document already parsed.
+enum Input {
+    Text(String),
+    Parsed(Value),
 }
 
 impl JsonReader {
     /// A reader over JSON text; listing roots are tagged `record`.
     pub fn new(text: impl Into<String>) -> Self {
+        JsonReader::over(Input::Text(text.into()))
+    }
+
+    /// A reader over a document the caller has already parsed (with
+    /// [`JsonReader::parse`], say), so the text is not parsed twice.
+    /// Reads exactly as [`JsonReader::new`] over that document's text.
+    pub fn from_value(value: Value) -> Self {
+        JsonReader::over(Input::Parsed(value))
+    }
+
+    fn over(input: Input) -> Self {
         JsonReader {
-            text: text.into(),
+            input,
             record_tag: "record".to_string(),
         }
+    }
+
+    /// Parses JSON text, failing with the error [`SourceReader::read`]
+    /// gives for the same text.
+    ///
+    /// # Errors
+    /// A [`SourceFormat::Json`] [`ReadError`] when the text is not JSON.
+    pub fn parse(text: &str) -> Result<Value, ReadError> {
+        serde_json::from_str(text).map_err(|e| err(format!("input is not valid JSON: {e}")))
     }
 
     /// Overrides the tag wrapped around each document (the listing root).
@@ -98,11 +124,17 @@ impl SourceReader for JsonReader {
     }
 
     fn read(&self) -> Result<SourceContents, ReadError> {
-        let value: Value = serde_json::from_str(&self.text)
-            .map_err(|e| err(format!("input is not valid JSON: {e}")))?;
-        let documents: Vec<&Value> = match &value {
+        let parsed;
+        let value = match &self.input {
+            Input::Text(text) => {
+                parsed = JsonReader::parse(text)?;
+                &parsed
+            }
+            Input::Parsed(value) => value,
+        };
+        let documents: Vec<&Value> = match value {
             Value::Seq(items) => items.iter().collect(),
-            Value::Map(_) => vec![&value],
+            Value::Map(_) => vec![value],
             other => {
                 return Err(err(format!(
                     "expected an object or an array of objects, got {other:?}"
@@ -178,6 +210,23 @@ mod tests {
             write_element(&contents.listings[0]),
             "<record><agent_phone>305</agent_phone><f2nd_floor>yes</f2nd_floor></record>"
         );
+    }
+
+    #[test]
+    fn a_parsed_document_reads_like_its_text() {
+        let text = r#"[{"area": "Miami", "beds": [2, 3]}, {"area": "Kent", "agent": null}]"#;
+        let from_text = JsonReader::new(text).read().expect("reads");
+        let value = JsonReader::parse(text).expect("parses");
+        let from_value = JsonReader::from_value(value).read().expect("reads");
+        assert_eq!(from_value.listings, from_text.listings);
+        assert_eq!(
+            from_value.dtd.to_dtd_syntax(),
+            from_text.dtd.to_dtd_syntax()
+        );
+
+        let e = JsonReader::parse("not json").expect_err("rejects");
+        let read = JsonReader::new("not json").read().expect_err("rejects");
+        assert_eq!(e, read);
     }
 
     #[test]

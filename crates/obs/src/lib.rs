@@ -760,8 +760,15 @@ pub fn try_collect<R>(f: impl FnOnce() -> R) -> Result<(R, MetricsSnapshot), Nes
     if IN_COLLECT.with(Cell::get) {
         return Err(NestedCollectError);
     }
-    static COLLECT_LOCK: Mutex<()> = Mutex::new(());
     let _guard = COLLECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    Ok(collect_locked(f))
+}
+
+/// Serializes collections process-wide.
+static COLLECT_LOCK: Mutex<()> = Mutex::new(());
+
+/// The body of [`try_collect`]; the caller holds [`COLLECT_LOCK`].
+fn collect_locked<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
     EPOCH.fetch_add(1, Ordering::SeqCst);
     {
         let mut agg = global().lock().unwrap_or_else(|e| e.into_inner());
@@ -778,7 +785,7 @@ pub fn try_collect<R>(f: impl FnOnce() -> R) -> Result<(R, MetricsSnapshot), Nes
         let agg = global().lock().unwrap_or_else(|e| e.into_inner());
         MetricsSnapshot::from_tables(&agg)
     };
-    Ok((result, snapshot))
+    (result, snapshot)
 }
 
 /// Snapshots the global aggregate **without** resetting it — the companion
@@ -1012,9 +1019,17 @@ mod tests {
 
     #[test]
     fn collect_restores_prior_enabled_state() {
-        assert!(!enabled());
-        let ((), _snap) = collect(|| assert!(enabled()));
-        assert!(!enabled());
+        // Other tests' collections flip `ENABLED` concurrently, so hold the
+        // collection lock while observing it and run the locked half of
+        // `collect` directly.
+        let _guard = COLLECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for prior in [false, true] {
+            set_enabled(prior);
+            let (during, _snap) = collect_locked(enabled);
+            assert!(during, "recording is on inside the collection");
+            assert_eq!(enabled(), prior, "prior state {prior} restored");
+        }
+        set_enabled(false);
     }
 
     #[test]

@@ -60,7 +60,11 @@ pub fn parse_match_request(body: &[u8]) -> Result<MatchRequest, ServeError> {
     let text = std::str::from_utf8(body).map_err(|_| bad("body is not valid UTF-8"))?;
     let value: Value =
         serde_json::from_str(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
+    match_request_from_value(&value)
+}
 
+/// [`parse_match_request`] over a body already parsed to a [`Value`].
+pub fn match_request_from_value(value: &Value) -> Result<MatchRequest, ServeError> {
     let model = match value.get("model") {
         None | Some(Value::Null) => None,
         Some(v) => Some(as_str(v, "\"model\"")?.to_string()),

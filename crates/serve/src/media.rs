@@ -18,8 +18,7 @@
 use crate::error::ServeError;
 use crate::http::Request;
 use crate::json::{self, MatchRequest};
-use lsd_core::{CsvReader, JsonReader, Source, SourceReader, SqlReader, XmlReader};
-use serde::Value;
+use lsd_core::{CsvReader, JsonReader, ReadError, Source, SourceReader, SqlReader, XmlReader};
 
 /// Strips parameters (`; charset=...`) and normalizes case, so
 /// `Text/CSV; charset=utf-8` negotiates as `text/csv`.
@@ -32,15 +31,6 @@ fn essence(content_type: &str) -> String {
         .to_ascii_lowercase()
 }
 
-/// Whether a JSON body is the native envelope (a top-level object with a
-/// `"source"` key) rather than a raw document.
-fn is_envelope(text: &str) -> bool {
-    matches!(
-        serde_json::from_str::<Value>(text),
-        Ok(Value::Map(entries)) if entries.iter().any(|(k, _)| k == "source")
-    )
-}
-
 /// Parses one matching request according to its `Content-Type`.
 ///
 /// # Errors
@@ -50,11 +40,12 @@ pub fn parse_request(request: &Request) -> Result<MatchRequest, ServeError> {
     let content_type = request.header("content-type").map(essence);
     match content_type.as_deref() {
         None | Some("") | Some("application/json") => {
-            let text = body_text(request)?;
-            if is_envelope(text) {
-                json::parse_match_request(&request.body)
+            // Parsed once: the envelope check and the chosen path share it.
+            let value = JsonReader::parse(body_text(request)?).map_err(|e| bad_request(&e))?;
+            if value.get("source").is_some() {
+                json::match_request_from_value(&value)
             } else {
-                from_reader(request, &JsonReader::new(text))
+                from_reader(request, &JsonReader::from_value(value))
             }
         }
         Some("application/xml" | "text/xml") => {
@@ -74,13 +65,17 @@ fn body_text(request: &Request) -> Result<&str, ServeError> {
     })
 }
 
+fn bad_request(e: &ReadError) -> ServeError {
+    ServeError::BadRequest {
+        detail: e.to_string(),
+    }
+}
+
 /// Runs a reader over the whole body; model and source name come from the
 /// `X-Lsd-Model` / `X-Lsd-Source` headers.
 fn from_reader(request: &Request, reader: &dyn SourceReader) -> Result<MatchRequest, ServeError> {
     let name = request.header("x-lsd-source").unwrap_or("request");
-    let source = Source::from_reader(name, reader).map_err(|e| ServeError::BadRequest {
-        detail: e.to_string(),
-    })?;
+    let source = Source::from_reader(name, reader).map_err(|e| bad_request(&e))?;
     Ok(MatchRequest {
         model: request.header("x-lsd-model").map(str::to_string),
         source,
@@ -145,6 +140,71 @@ mod tests {
             let parsed = parse_request(&request(Some(ct), body)).expect(ct);
             assert_eq!(parsed.source.format, format, "{ct}");
             assert_eq!(parsed.source.listings.len(), listings, "{ct}");
+        }
+    }
+
+    /// Everything a `MatchRequest` carries, in a form that compares
+    /// deterministically (the DTD's name index is a `HashMap`).
+    fn shape(parsed: &MatchRequest) -> String {
+        let s = &parsed.source;
+        format!(
+            "{:?} {} {:?} {:?} {:?} {:?} {:?}",
+            parsed.model,
+            s.name,
+            s.format,
+            s.dtd.declarations(),
+            s.dtd.attlists(),
+            s.listings,
+            s.inferred
+        )
+    }
+
+    /// The JSON body routes to the same `MatchRequest` as the text-level
+    /// envelope parser and the text-level JSON reader produce on their own.
+    #[test]
+    fn json_bodies_route_to_the_same_request_as_the_text_parsers() {
+        let envelope = r#"{"model": "m", "source": {"name": "s",
+            "dtd": "<!ELEMENT h (addr)> <!ELEMENT addr (#PCDATA)>",
+            "listings": ["<h><addr>Miami, FL</addr></h>"]}}"#;
+        let parsed = parse_request(&request(None, envelope)).expect("envelope parses");
+        let expected = json::parse_match_request(envelope.as_bytes()).expect("parses");
+        assert_eq!(shape(&parsed), shape(&expected));
+
+        for raw in [
+            r#"[{"area": "Miami", "beds": [2, 3]}, {"area": "Kent", "agent": null}]"#,
+            r#"{"area": "Miami", "contact": {"name": "Gail", "phone": "305 1212"}}"#,
+        ] {
+            let parsed = parse_request(&request(Some("application/json"), raw)).expect(raw);
+            let expected = MatchRequest {
+                model: None,
+                source: Source::from_reader("unit", &JsonReader::new(raw)).expect(raw),
+            };
+            assert_eq!(shape(&parsed), shape(&expected));
+        }
+    }
+
+    #[test]
+    fn rejected_json_bodies_keep_their_details() {
+        let cases = [
+            (
+                "not json",
+                "cannot read json source: input is not valid JSON: \
+                 expected a JSON value at byte 0",
+            ),
+            (r#"{"source": 5}"#, "missing \"source.dtd\""),
+            (r#"{"source": ["x"]}"#, "missing \"source.dtd\""),
+            (
+                r#"{"model": 1, "source": {}}"#,
+                "\"model\" must be a string",
+            ),
+        ];
+        for (body, detail) in cases {
+            match parse_request(&request(None, body)) {
+                Err(ServeError::BadRequest { detail: got }) => {
+                    assert!(got.starts_with(detail), "{body}: {got}")
+                }
+                other => panic!("{body}: expected a 400, got {other:?}"),
+            }
         }
     }
 

@@ -335,6 +335,37 @@ fn error_surface_maps_to_the_documented_statuses() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
+    let dir = model_dir("deep-json");
+    model_a().save_json(dir.join("m.json")).expect("saves");
+    let (handle, join) = boot(&dir, ServeConfig::default());
+    let addr = handle.addr();
+
+    // A million open brackets fit under the default 1 MiB body cap; the
+    // parser must stop at its depth limit rather than recurse off the
+    // connection thread's stack.
+    let deep = vec![b'['; 1_000_000];
+    assert!(deep.len() <= ServeConfig::default().max_body_bytes);
+    let response = http(
+        addr,
+        "POST",
+        "/v1/match",
+        &[("Content-Type", "application/json")],
+        &deep,
+    );
+    assert_eq!(response.status, 400, "body: {}", response.text());
+    assert!(response.text().contains("nesting"), "{}", response.text());
+
+    let after = post_match(addr);
+    assert_eq!(after.status, 200, "body: {}", after.text());
+    assert!(after.text().contains("\"mapping\""), "{}", after.text());
+
+    handle.shutdown();
+    join.join().expect("server exits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn queue_full_returns_503_and_deadline_returns_504_never_hang() {
     let dir = model_dir("backpressure");
     model_a().save_json(dir.join("m.json")).expect("saves");

@@ -12,14 +12,43 @@ pub use serde::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The nesting depth (arrays and objects) past which parsing stops with a
+/// [`Category::DepthLimit`] error, the same limit real `serde_json` uses.
+/// The parser recurses once per level, so this bounds its stack use on
+/// hostile input.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of failure an [`Error`] reports, mirroring
+/// `serde_json::error::Category`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Category {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// The input is JSON, but arrays and objects nest deeper than
+    /// [`MAX_DEPTH`].
+    DepthLimit,
+    /// The JSON is well-formed but does not fit the requested type.
+    Data,
+}
+
 /// A JSON (de)serialization error: a message, optionally with the byte
-/// offset where parsing failed.
+/// offset where parsing failed (parse errors end in `at byte N`).
 #[derive(Debug, Clone)]
-pub struct Error(String);
+pub struct Error {
+    category: Category,
+    message: String,
+}
+
+impl Error {
+    /// What kind of failure this is.
+    pub fn classify(&self) -> Category {
+        self.category
+    }
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(&self.message)
     }
 }
 
@@ -27,7 +56,10 @@ impl std::error::Error for Error {}
 
 impl From<serde::Error> for Error {
     fn from(e: serde::Error) -> Self {
-        Error(e.0)
+        Error {
+            category: Category::Data,
+            message: e.0,
+        }
     }
 }
 
@@ -217,6 +249,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -230,11 +263,20 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> Error {
-        Error(format!("{message} at byte {}", self.pos))
+        self.error_of(Category::Syntax, message)
+    }
+
+    fn error_of(&self, category: Category, message: &str) -> Error {
+        Error {
+            category,
+            message: format!("{message} at byte {}", self.pos),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -271,11 +313,26 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error_of(
+                Category::DepthLimit,
+                &format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -333,13 +390,25 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. Both
+            // stop bytes are ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| self.error("invalid UTF-8 in string"))?;
+            out.push_str(text);
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: one escape sequence.
                     self.pos += 1;
                     let escape = self.peek().ok_or_else(|| self.error("dangling escape"))?;
                     self.pos += 1;
@@ -372,16 +441,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.error("unknown escape sequence")),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // byte boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -498,5 +557,166 @@ mod tests {
         assert!(from_str::<Value>("{\"a\": }").is_err());
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("12 34").is_err());
+    }
+
+    #[test]
+    fn errors_are_classified() {
+        let syntax = from_str::<Value>("[1,").expect_err("truncated");
+        assert_eq!(syntax.classify(), Category::Syntax);
+        assert!(syntax.to_string().ends_with("at byte 3"), "{syntax}");
+        let data = from_str::<String>("1").expect_err("not a string");
+        assert_eq!(data.classify(), Category::Data);
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let value: Value = from_str(&nested(MAX_DEPTH)).expect("at the limit");
+        assert!(matches!(value, Value::Seq(_)));
+        let objects = "{\"k\":".repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        from_str::<Value>(&objects).expect("objects at the limit");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let e = from_str::<Value>(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(e.classify(), Category::DepthLimit);
+        // The offset suffix is what diagnostics read the caret position from.
+        assert!(
+            e.to_string().ends_with(&format!("at byte {MAX_DEPTH}")),
+            "{e}"
+        );
+
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH) + "1";
+        let e = from_str::<Value>(&mixed).expect_err("too deep");
+        assert_eq!(e.classify(), Category::DepthLimit);
+    }
+
+    #[test]
+    fn a_million_open_brackets_error_instead_of_overflowing_the_stack() {
+        for open in ["[", "{\"k\":"] {
+            let body = open.repeat(1_000_000);
+            let e = from_str::<Value>(&body).expect_err("too deep");
+            assert_eq!(e.classify(), Category::DepthLimit, "{open}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // About 1 MB of mixed one-, two-, three- and four-byte characters,
+        // with an escape every few dozen bytes so both the run copy and the
+        // escape path are exercised. A parser that rescans the rest of the
+        // buffer per character takes minutes on this input.
+        let unit = "plain ascii text, café, 東京, 🎈 and a \"quote\"\n";
+        let text: String = unit.repeat(1_000_000 / unit.len());
+        let body = to_string(&text).expect("serializes");
+        assert!(body.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        let back: String = from_str(&body).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(back, text);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a 1 MB string took {elapsed:?} to parse"
+        );
+    }
+
+    #[test]
+    fn every_escape_parses() {
+        let back: String =
+            from_str(r#""\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \u6771 \ud83c\udf88""#)
+                .expect("parses");
+        assert_eq!(back, "\" \\ / \u{8} \u{c} \n \r \t A é 東 🎈");
+        for bad in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\ud83c""#,
+            r#""\ud83c\u0041""#,
+            r#""\"#,
+        ] {
+            assert!(from_str::<String>(bad).is_err(), "{bad}");
+        }
+    }
+
+    mod properties {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Any char, weighted so every UTF-8 width, every control character
+        /// and every character the writer escapes turn up often.
+        fn any_char() -> impl Strategy<Value = char> {
+            const SPECIAL: [char; 8] = ['"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}'];
+            prop_oneof![
+                (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i] as u32),
+                0u32..0x80,
+                0x80u32..0x800,
+                0x800u32..0x10000,
+                0x10000u32..0x11_0000,
+            ]
+            .prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}'))
+        }
+
+        /// Writes `c` as one or two `\uXXXX` escapes (a surrogate pair
+        /// above the BMP).
+        fn escape_utf16(c: char, out: &mut String) {
+            let mut units = [0u16; 2];
+            for unit in c.encode_utf16(&mut units) {
+                out.push_str(&format!("\\u{unit:04X}"));
+            }
+        }
+
+        /// Fragments that steer random input into every parser branch.
+        fn json_token() -> impl Strategy<Value = String> {
+            const TOKENS: [&str; 24] = [
+                "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud83c", "\\udf88", "\\n",
+                "true", "fals", "null", "-", "0", "12", ".5", "e+", " ", "é", "🎈", "\u{1}",
+            ];
+            prop_oneof![
+                (0usize..TOKENS.len()).prop_map(|i| TOKENS[i].to_string()),
+                any_char().prop_map(String::from),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn strings_roundtrip(chars in prop::collection::vec(any_char(), 0..48)) {
+                let s: String = chars.into_iter().collect();
+                let text = to_string(&s).expect("serializes");
+                prop_assert_eq!(from_str::<String>(&text).expect("parses"), s);
+            }
+
+            #[test]
+            fn utf16_escapes_parse_back(
+                chars in prop::collection::vec((any_char(), any::<bool>()), 0..32)
+            ) {
+                let mut text = String::from("\"");
+                for &(c, escaped) in &chars {
+                    if escaped {
+                        escape_utf16(c, &mut text);
+                    } else {
+                        let mut quoted = String::new();
+                        write_string(&c.to_string(), &mut quoted);
+                        text.push_str(&quoted[1..quoted.len() - 1]);
+                    }
+                }
+                text.push('"');
+                let s: String = chars.iter().map(|&(c, _)| c).collect();
+                prop_assert_eq!(from_str::<String>(&text).expect("parses"), s);
+            }
+
+            #[test]
+            fn arbitrary_input_never_panics(
+                tokens in prop::collection::vec(json_token(), 0..64)
+            ) {
+                let text: String = tokens.concat();
+                // Either outcome is fine; a panic fails the test.
+                let _ = from_str::<Value>(&text);
+            }
+        }
     }
 }

@@ -6,6 +6,15 @@ use lsd::core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd::datagen::DomainId;
 use lsd::obs::SpanRecord;
 use lsd::{ExecPolicy, Lsd, LsdBuilder, LsdConfig, Source, TrainedSource};
+use std::sync::{Mutex, MutexGuard};
+
+/// Recording is process-wide: while one test's collection runs, every
+/// other thread's probes record into it, including another test's
+/// uncollected training. The tests here therefore run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn to_source(gs: &lsd::datagen::GeneratedSource) -> Source {
     Source::from_xml(gs.name.clone(), gs.dtd.clone(), gs.listings.clone())
@@ -42,6 +51,7 @@ fn build_trained() -> (Lsd, Vec<Source>) {
 
 #[test]
 fn match_report_counts_search_work_and_learner_time() {
+    let _serial = serial();
     let (lsd, targets) = build_trained();
     let (outcome, report) = lsd.match_source_with_report(&targets[0]).unwrap();
     assert!(outcome.result.feasible);
@@ -74,6 +84,7 @@ fn match_report_counts_search_work_and_learner_time() {
 
 #[test]
 fn train_report_counts_folds_and_learner_time() {
+    let _serial = serial();
     let domain = DomainId::FacultyListings.generate(6, 3);
     let builder = LsdBuilder::new(&domain.mediated).with_config(LsdConfig::default());
     let n = builder.labels().len();
@@ -137,6 +148,7 @@ fn assert_well_formed(spans: &[SpanRecord]) {
 
 #[test]
 fn span_tree_is_well_formed() {
+    let _serial = serial();
     let (lsd, targets) = build_trained();
     let (_, report) = lsd
         .match_batch_with_report(&targets, &ExecPolicy::with_threads(4))
@@ -169,6 +181,7 @@ fn span_tree_is_well_formed() {
 
 #[test]
 fn chrome_trace_is_well_formed_across_thread_counts() {
+    let _serial = serial();
     let (lsd, targets) = build_trained();
     for threads in [1usize, 4] {
         let (_, report) = lsd
@@ -218,6 +231,7 @@ fn chrome_trace_is_well_formed_across_thread_counts() {
 
 #[test]
 fn report_events_round_trip_through_jsonl() {
+    let _serial = serial();
     let (lsd, targets) = build_trained();
     let (_, report) = lsd
         .match_batch_with_report(&targets, &ExecPolicy::with_threads(2))
@@ -240,6 +254,7 @@ fn report_events_round_trip_through_jsonl() {
 
 #[test]
 fn deterministic_metrics_agree_across_thread_counts() {
+    let _serial = serial();
     let (lsd, targets) = build_trained();
     let (outcomes1, report1) = lsd
         .match_batch_with_report(&targets, &ExecPolicy::with_threads(1))
