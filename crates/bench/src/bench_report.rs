@@ -207,8 +207,9 @@ pub fn validate_bench_match(text: &str) -> Result<(), String> {
 /// Version stamp written into (and demanded from) `BENCH_serve.json`.
 /// Version 2 added the `tracing` section: traceparent-echo checks, the
 /// flight-recorder retrieval check, and the rolling-window quantiles
-/// scraped from `/metrics`.
-pub const BENCH_SERVE_SCHEMA_VERSION: i64 = 2;
+/// scraped from `/metrics`. Version 3 dropped the `batching` section when
+/// the server stopped coalescing requests.
+pub const BENCH_SERVE_SCHEMA_VERSION: i64 = 3;
 
 /// Everything the serve load driver measured, ready to render as
 /// `BENCH_serve.json`.
@@ -230,12 +231,6 @@ pub struct ServeBenchRun {
     pub wall_ns: u64,
     /// `(status, count)` across all load-phase responses.
     pub statuses: Vec<(u16, u64)>,
-    /// Batches the server processed (from `/healthz`).
-    pub batches: u64,
-    /// Jobs the server processed (sum of batch sizes).
-    pub batched_requests: u64,
-    /// Largest batch the server coalesced.
-    pub max_batch: u64,
     /// Every 200 body was byte-identical to a direct `match_source` call.
     pub byte_identical: bool,
     /// Connections that failed at the transport level (must be 0).
@@ -269,9 +264,9 @@ fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// Renders a load-driver run as the `BENCH_serve.json` document (schema
-/// version 2): request latency quantiles (exact, from the full sample set,
+/// version 3): request latency quantiles (exact, from the full sample set,
 /// unlike the log2-bucket estimates inside the server), throughput, status
-/// counts, the server's batching counters, the pass/fail checks the
+/// counts, the pass/fail checks the
 /// acceptance criteria gate on, and the tracing checks plus rolling-window
 /// quantiles scraped from the live server.
 pub fn bench_serve_json(run: &ServeBenchRun) -> String {
@@ -332,22 +327,6 @@ pub fn bench_serve_json(run: &ServeBenchRun) -> String {
         ),
         ("statuses", statuses),
         (
-            "batching",
-            obj(vec![
-                ("batches", int(run.batches)),
-                ("requests", int(run.batched_requests)),
-                ("max_batch", int(run.max_batch)),
-                (
-                    "mean_batch",
-                    Value::Float(if run.batches == 0 {
-                        0.0
-                    } else {
-                        run.batched_requests as f64 / run.batches as f64
-                    }),
-                ),
-            ]),
-        ),
-        (
             "checks",
             obj(vec![
                 ("byte_identical", Value::Bool(run.byte_identical)),
@@ -370,7 +349,7 @@ pub fn bench_serve_json(run: &ServeBenchRun) -> String {
     serde_json::to_string_pretty(&root).expect("Value serialization cannot fail")
 }
 
-/// Checks a `BENCH_serve.json` document against schema version 2. Returns
+/// Checks a `BENCH_serve.json` document against schema version 3. Returns
 /// the first problem found, phrased with its JSON path.
 pub fn validate_bench_serve(text: &str) -> Result<(), String> {
     let root: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
@@ -418,11 +397,6 @@ pub fn validate_bench_serve(text: &str) -> Result<(), String> {
         if !matches!(count, Value::Int(_)) {
             return Err(format!("$.statuses.{status}: expected integer count"));
         }
-    }
-
-    let batching = require(&root, "batching", "$")?;
-    for key in ["batches", "requests", "max_batch", "mean_batch"] {
-        require_number(batching, key, "$.batching")?;
     }
 
     let checks = require(&root, "checks", "$")?;
@@ -616,9 +590,6 @@ mod tests {
             latencies_ns: (1..=256).map(|i| i * 1_000).collect(),
             wall_ns: 2_000_000,
             statuses: vec![(200, 255), (503, 1)],
-            batches: 40,
-            batched_requests: 255,
-            max_batch: 8,
             byte_identical: true,
             dropped_connections: 0,
             backpressure_503: 1,

@@ -30,9 +30,9 @@
 //! retrievable from `GET /debug/traces?trace_id=...`. The rolling-window
 //! p50/p95/p99 are scraped from `/metrics` into the report.
 //!
-//! The run is written as `BENCH_serve.json` (schema version 2: exact
-//! p50/p95/p99 latency, throughput, status counts, batching counters,
-//! check outcomes, tracing checks and window quantiles), validated
+//! The run is written as `BENCH_serve.json` (schema version 3: exact
+//! p50/p95/p99 latency, throughput, status counts, check outcomes,
+//! tracing checks and window quantiles), validated
 //! in-process before the driver exits. Any failed check exits nonzero.
 //!
 //! [`Lsd::match_source`]: lsd_core::Lsd::match_source
@@ -545,25 +545,8 @@ fn main() -> ExitCode {
     handle.shutdown();
     join.join().ok();
 
-    let mut batches = 0u64;
-    let mut batched_requests = 0u64;
-    let mut max_batch = 0u64;
     match health {
-        Ok(response) if response.status == 200 => {
-            let text = String::from_utf8_lossy(&response.body).to_string();
-            let stat = |key: &str| -> u64 {
-                serde_json::from_str::<Value>(&text)
-                    .ok()
-                    .and_then(|v| match v.get(key) {
-                        Some(Value::Int(n)) => Some(*n as u64),
-                        _ => None,
-                    })
-                    .unwrap_or(0)
-            };
-            batches = stat("batches");
-            batched_requests = stat("requests_processed");
-            max_batch = stat("max_batch");
-        }
+        Ok(response) if response.status == 200 => {}
         Ok(response) => probe_failures.push(format!("/healthz returned {}", response.status)),
         Err(e) => probe_failures.push(format!("/healthz failed: {e}")),
     }
@@ -660,9 +643,6 @@ fn main() -> ExitCode {
         latencies_ns,
         wall_ns,
         statuses: status_counts.into_iter().collect(),
-        batches,
-        batched_requests,
-        max_batch,
         byte_identical,
         dropped_connections,
         backpressure_503,
@@ -686,7 +666,7 @@ fn main() -> ExitCode {
     let total = run.latencies_ns.len();
     eprintln!(
         "{total} responses, {dropped_connections} dropped, {mismatches} mismatches, \
-         {batches} batches (max {max_batch}), {backpressure_503} backpressure 503s"
+         {backpressure_503} backpressure 503s"
     );
     eprintln!("report written to {out}");
 

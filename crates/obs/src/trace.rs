@@ -13,12 +13,12 @@
 //!   trace id, and the closed record is mirrored into the trace's span
 //!   list. Scopes nest and restore the previous context on drop, so a
 //!   worker can flip between jobs cheaply.
-//! * **Explicit attachment** — work that covers *several* requests at once
-//!   (the serve worker pool coalesces many jobs into one `match_batch`
-//!   micro-batch) cannot sit inside a single scope. [`attach`] appends a
-//!   synthetic [`SpanRecord`] (built with [`synthetic_span`]) to any live
-//!   trace, so one batch execution shows up in every member request's
-//!   span tree with its true start and duration.
+//! * **Explicit attachment** — an interval that starts on one thread and
+//!   ends on another (a serve job's queue wait, from enqueue on the
+//!   connection thread to claim on a worker) cannot sit inside a single
+//!   guard. [`attach`] appends a synthetic [`SpanRecord`] (built with
+//!   [`synthetic_span`]) to any live trace, so the interval shows up in
+//!   the request's span tree with its true start and duration.
 //!
 //! Traces are tracked between [`begin`] and [`finish`]; `finish` returns
 //! the collected spans (sorted by start time) for the caller to render,

@@ -1,8 +1,8 @@
 //! Structured JSONL access log: one JSON object per completed request.
 //!
 //! Each line carries the request's trace id, route, status, resolved model
-//! and the micro-timings collected along the pipeline (queue wait, batch
-//! residency, match time, end-to-end total — all nanoseconds), so a log
+//! and the micro-timings collected along the pipeline (queue wait, match time,
+//! end-to-end total — all nanoseconds), so a log
 //! line is enough to decide whether to go pull the full span tree from
 //! `GET /debug/traces?trace_id=...`.
 //!
@@ -44,9 +44,8 @@ pub struct AccessEntry {
     /// Time spent queued before a worker claimed the job (ns; 0 for
     /// inline-answered routes).
     pub queue_ns: u64,
-    /// Time from batch claim to reply (ns; 0 for inline routes).
-    pub batch_ns: u64,
-    /// Time inside the `match_batch` call that served this job (ns).
+    /// Time inside the `match_source` call that served this job (ns; 0 for
+    /// inline routes).
     pub match_ns: u64,
     /// End-to-end time on the connection thread (ns).
     pub total_ns: u64,
@@ -107,7 +106,6 @@ mod tests {
             status,
             model: "real-estate-1".to_string(),
             queue_ns: 1_000,
-            batch_ns: 2_000,
             match_ns: 1_500,
             total_ns: 5_000,
         }
@@ -130,7 +128,7 @@ mod tests {
             };
             for want in [
                 "unix_ms", "trace_id", "route", "method", "path", "status", "model", "queue_ns",
-                "batch_ns", "match_ns", "total_ns",
+                "match_ns", "total_ns",
             ] {
                 assert!(fields.iter().any(|(k, _)| k == want), "missing {want}");
             }

@@ -3,7 +3,7 @@
 //! Responses are rendered through the deterministic `serde_json` writer
 //! (sorted maps, shortest-roundtrip floats), so the same
 //! [`MatchOutcome`] always produces the same bytes — the property the
-//! batching tests and the load driver's byte-identical check rely on.
+//! determinism tests and the load driver's byte-identical check rely on.
 
 use crate::error::ServeError;
 use lsd_core::{Correction, Explanation, MatchOutcome, Source};

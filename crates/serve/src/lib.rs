@@ -11,9 +11,9 @@
 //!   the model they started with.
 //! * **Request pipeline** ([`RequestQueue`] + workers) — a bounded queue
 //!   with explicit backpressure (`503` + `Retry-After` when full), a worker
-//!   pool that coalesces concurrent single-source requests into
-//!   deterministic [`Lsd::match_batch`] calls (micro-batching), and
-//!   per-request queue deadlines (`504` instead of unbounded waiting).
+//!   pool in which each worker runs one [`Lsd::match_source`] call per
+//!   request under that request's trace, and per-request queue deadlines
+//!   (`504` instead of unbounded waiting).
 //! * **Endpoints** — `POST /v1/match`, `POST /v1/explain` (provenance via
 //!   `explain_all`), `GET /v1/models`, `PUT /v1/models/{name}` (hot-swap),
 //!   `GET /healthz`, `GET /metrics` (Prometheus text dump of the `lsd-obs`
@@ -33,7 +33,7 @@
 //! ```
 //!
 //! [`Lsd::ensure_servable`]: lsd_core::Lsd::ensure_servable
-//! [`Lsd::match_batch`]: lsd_core::Lsd::match_batch
+//! [`Lsd::match_source`]: lsd_core::Lsd::match_source
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

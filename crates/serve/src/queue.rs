@@ -1,20 +1,16 @@
-//! The bounded request queue and the micro-batching workers.
+//! The bounded request queue and the worker pool that drains it.
 //!
 //! Connection threads parse requests and push [`Job`]s; worker threads pop
-//! them in batches and run the matching pipeline. The queue is the server's
-//! only buffer and it is *bounded*: when full, `push` fails immediately
-//! with [`ServeError::QueueFull`] (rendered as `503` + `Retry-After`) so
-//! overload surfaces as explicit backpressure instead of latency collapse.
+//! them one at a time and run the matching pipeline. The queue is the
+//! server's only buffer and it is *bounded*: when full, `push` fails
+//! immediately with [`ServeError::QueueFull`] (rendered as `503` +
+//! `Retry-After`) so overload surfaces as explicit backpressure instead of
+//! latency collapse.
 //!
-//! # Micro-batching
-//!
-//! A worker that pops a job does not process it immediately: it keeps
-//! popping until it holds `max_batch` jobs or `max_batch_delay` has passed
-//! since the first pop, then runs one [`Lsd::match_batch`] call per model
-//! in the batch. Concurrent single-source requests therefore coalesce into
-//! batch calls, at a bounded latency cost for the first request in the
-//! batch. `match_batch` is deterministic (byte-identical to serial
-//! matching), so batching is invisible in response bodies.
+//! A worker matches one job under the job's own [`TraceScope`], so the
+//! pipeline's spans (`match.source`, `match.stage1`, ...) land in the
+//! request's trace beneath a `serve.match` span. Concurrency comes from
+//! the worker pool: each `match_source` call runs single-threaded.
 //!
 //! # Deadlines
 //!
@@ -27,12 +23,12 @@
 use crate::error::ServeError;
 use crate::json;
 use crate::registry::ModelEntry;
-use lsd_core::{ExecPolicy, Source};
+use lsd_core::Source;
 use lsd_obs::{trace, TraceContext, TraceScope};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-job micro-timings, written by the worker *before* it replies (the
 /// reply-channel send/recv pair orders the writes before the connection
@@ -41,10 +37,7 @@ use std::time::{Duration, Instant};
 pub struct JobTimings {
     /// Nanoseconds the job waited in the queue before a worker claimed it.
     pub queue_ns: AtomicU64,
-    /// Nanoseconds from batch claim to this job's reply.
-    pub batch_ns: AtomicU64,
-    /// Nanoseconds inside the `match_batch` (or fallback `match_source`)
-    /// call that served this job.
+    /// Nanoseconds inside the `match_source` call that served this job.
     pub match_ns: AtomicU64,
 }
 
@@ -76,13 +69,12 @@ pub struct Job {
     /// still queued (reply `504` now), claimed means the result is coming
     /// (wait out the processing grace).
     pub claimed: Arc<AtomicBool>,
-    /// The request's trace context; batch-level spans are attached to it
-    /// even though one `match_batch` call covers many traces.
+    /// The request's trace context; the worker re-enters it while matching.
     pub trace: TraceContext,
     /// When the job entered the queue, on the span timeline
     /// ([`lsd_obs::now_ns`]) — the start of the synthetic queue-wait span.
     pub enqueued_ns: u64,
-    /// Where the worker publishes queue/batch/match micro-timings.
+    /// Where the worker publishes queue/match micro-timings.
     pub timings: Arc<JobTimings>,
     /// Where the rendered body (or error) is sent.
     pub reply: mpsc::SyncSender<Result<String, ServeError>>,
@@ -98,20 +90,8 @@ pub struct ServeStats {
     pub rejected_full: AtomicU64,
     /// Jobs dropped with `504` after their queue deadline passed.
     pub expired: AtomicU64,
-    /// Batches processed.
-    pub batches: AtomicU64,
-    /// Jobs processed (sum of batch sizes).
+    /// Jobs a worker claimed and matched.
     pub processed: AtomicU64,
-    /// Largest batch processed so far.
-    pub max_batch: AtomicU64,
-}
-
-impl ServeStats {
-    fn note_batch(&self, size: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.processed.fetch_add(size, Ordering::Relaxed);
-        self.max_batch.fetch_max(size, Ordering::Relaxed);
-    }
 }
 
 struct Inner {
@@ -207,38 +187,14 @@ impl RequestQueue {
         }
     }
 
-    /// Pops the next batch: blocks for the first job, then keeps popping
-    /// until `max_batch` jobs are held or `max_batch_delay` has elapsed.
-    /// Returns `None` when the queue is empty *and* shutting down — the
-    /// worker's signal to exit after the queue has drained.
-    fn pop_batch(&self, max_batch: usize, max_batch_delay: Duration) -> Option<Vec<Job>> {
+    /// Pops the next job, blocking while the queue is empty. Returns `None`
+    /// when the queue is empty *and* shutting down — the worker's signal to
+    /// exit after the queue has drained.
+    fn pop(&self) -> Option<Job> {
         let mut inner = self.inner.lock().ok()?;
         loop {
-            if let Some(first) = inner.jobs.pop_front() {
-                let mut batch = vec![first];
-                let batch_deadline = Instant::now() + max_batch_delay;
-                while batch.len() < max_batch {
-                    if let Some(job) = inner.jobs.pop_front() {
-                        batch.push(job);
-                        continue;
-                    }
-                    if inner.shutting_down {
-                        break; // Draining: don't linger for stragglers.
-                    }
-                    let remaining = batch_deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        break;
-                    }
-                    let (guard, timeout) = self
-                        .ready
-                        .wait_timeout(inner, remaining)
-                        .unwrap_or_else(|e| e.into_inner());
-                    inner = guard;
-                    if timeout.timed_out() && inner.jobs.is_empty() {
-                        break;
-                    }
-                }
-                return Some(batch);
+            if let Some(job) = inner.jobs.pop_front() {
+                return Some(job);
             }
             if inner.shutting_down {
                 return None;
@@ -248,145 +204,66 @@ impl RequestQueue {
     }
 }
 
-/// Renders one finished outcome for its job and replies. Send failures are
-/// ignored: the client may have timed out and gone away.
-fn reply(job: &Job, result: Result<String, ServeError>) {
+/// Processes one job: an expired job gets `504`; a live one is matched and
+/// rendered under its request's trace scope. Send failures on the reply
+/// channel are ignored: the client may have timed out and gone away.
+fn process_job(job: Job, stats: &ServeStats) {
+    // Publish the queue wait before replying so even a 504's access-log
+    // line shows where the deadline went.
+    let wait = lsd_obs::now_ns().saturating_sub(job.enqueued_ns);
+    job.timings.queue_ns.store(wait, Ordering::Relaxed);
+    note_queue_wait(&job, wait);
+    if job.deadline <= Instant::now() {
+        stats.expired.fetch_add(1, Ordering::Relaxed);
+        lsd_obs::counter_add("serve.requests_expired", "", 1);
+        let _ = job.reply.send(Err(ServeError::DeadlineExceeded {
+            deadline_ms: job.deadline_ms,
+        }));
+        return;
+    }
+    job.claimed.store(true, Ordering::SeqCst);
+    stats.processed.fetch_add(1, Ordering::Relaxed);
+    // Always 1: kept because load drivers read the histogram's mean.
+    lsd_obs::record_value("serve.batch_size", "", 1);
+
+    // Scope and span close before the reply: the connection thread
+    // finishes the request's trace as soon as it has the result.
+    let result = {
+        let _scope = TraceScope::enter(job.trace);
+        let label = match job.kind {
+            JobKind::Match => "match",
+            JobKind::Explain => "explain",
+        };
+        let _span = lsd_obs::span!("serve.match", label);
+        let match_start = Instant::now();
+        let outcome = job.model.lsd.match_source(&job.source);
+        // The relaxed store is published by the reply send below.
+        job.timings
+            .match_ns
+            .store(match_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        outcome
+            .map(|outcome| match job.kind {
+                JobKind::Match => json::match_body(&job.model.name, &outcome),
+                JobKind::Explain => json::explain_body(&job.model.name, &outcome),
+            })
+            .map_err(ServeError::from)
+    };
+    lsd_obs::counter_add(
+        if result.is_ok() {
+            "serve.requests_ok"
+        } else {
+            "serve.requests_failed"
+        },
+        "",
+        1,
+    );
     let _ = job.reply.send(result);
 }
 
-/// Processes one batch: expired jobs get `504`, the rest are grouped by
-/// model and run through one [`Lsd::match_batch`] call per group. A failed
-/// group call falls back to per-source matching so one bad source cannot
-/// poison its batch-mates.
-fn process_batch(batch: Vec<Job>, stats: &ServeStats) {
-    let started = Instant::now();
-    let claim_ns = lsd_obs::now_ns();
-    let now = Instant::now();
-    let (live, expired): (Vec<Job>, Vec<Job>) = batch.into_iter().partition(|j| j.deadline > now);
-    for job in &expired {
-        stats.expired.fetch_add(1, Ordering::Relaxed);
-        lsd_obs::counter_add("serve.requests_expired", "", 1);
-        // Publish the queue wait before replying so the 504's access-log
-        // line shows where the deadline went.
-        let wait = claim_ns.saturating_sub(job.enqueued_ns);
-        job.timings.queue_ns.store(wait, Ordering::Relaxed);
-        note_queue_wait(job, wait);
-        reply(
-            job,
-            Err(ServeError::DeadlineExceeded {
-                deadline_ms: job.deadline_ms,
-            }),
-        );
-    }
-    if live.is_empty() {
-        return;
-    }
-    for job in &live {
-        job.claimed.store(true, Ordering::SeqCst);
-        let wait = claim_ns.saturating_sub(job.enqueued_ns);
-        job.timings.queue_ns.store(wait, Ordering::Relaxed);
-        note_queue_wait(job, wait);
-    }
-
-    stats.note_batch(live.len() as u64);
-    lsd_obs::record_value("serve.batch_size", "", live.len() as u64);
-
-    // Group batch-mates by model identity (hot swaps can interleave jobs
-    // for different generations of the same name).
-    let mut groups: Vec<(Arc<ModelEntry>, Vec<Job>)> = Vec::new();
-    for job in live {
-        match groups
-            .iter_mut()
-            .find(|(model, _)| Arc::ptr_eq(model, &job.model))
-        {
-            Some((_, jobs)) => jobs.push(job),
-            None => groups.push((Arc::clone(&job.model), vec![job])),
-        }
-    }
-
-    for (model, jobs) in groups {
-        let sources: Vec<Source> = jobs.iter().map(|j| j.source.clone()).collect();
-        let match_start = Instant::now();
-        let match_start_ns = lsd_obs::now_ns();
-        // The batch engine is deterministic at any thread count; serial
-        // policy keeps each worker single-threaded so concurrency comes
-        // from the worker pool, not nested thread pools.
-        let outcome = model.lsd.match_batch(&sources, &ExecPolicy::serial());
-        let match_ns = match_start.elapsed().as_nanos() as u64;
-        // One `match_batch` call served every trace in the group: a single
-        // thread-local scope cannot cover them, so the micro-batch span is
-        // attached to each member trace explicitly (with the group size as
-        // a label so the tree shows the coalescing).
-        for job in &jobs {
-            let batch_label: &'static str = if jobs.len() == 1 {
-                "single"
-            } else {
-                "coalesced"
-            };
-            trace::attach(
-                job.trace.trace_id,
-                trace::synthetic_span(
-                    "serve.match_batch",
-                    batch_label,
-                    match_start_ns,
-                    match_ns,
-                    job.trace.trace_id,
-                    None,
-                ),
-            );
-        }
-        match outcome {
-            Ok(outcomes) => {
-                for (job, outcome) in jobs.iter().zip(outcomes) {
-                    // Render under the job's scope so any span the renderer
-                    // opens lands in the right trace.
-                    let _scope = TraceScope::enter(job.trace);
-                    let body = match job.kind {
-                        JobKind::Match => json::match_body(&model.name, &outcome),
-                        JobKind::Explain => json::explain_body(&model.name, &outcome),
-                    };
-                    finish_timings(job, match_ns, started);
-                    lsd_obs::counter_add("serve.requests_ok", "", 1);
-                    reply(job, Ok(body));
-                }
-            }
-            Err(_) => {
-                // One source in the batch is bad; re-run each alone so only
-                // the offender fails. Single-trace calls can use a real
-                // scope, so the pipeline's own spans get trace-tagged.
-                for job in &jobs {
-                    let _scope = TraceScope::enter(job.trace);
-                    let single_start = Instant::now();
-                    let result = model
-                        .lsd
-                        .match_source(&job.source)
-                        .map(|outcome| match job.kind {
-                            JobKind::Match => json::match_body(&model.name, &outcome),
-                            JobKind::Explain => json::explain_body(&model.name, &outcome),
-                        })
-                        .map_err(ServeError::from);
-                    finish_timings(job, single_start.elapsed().as_nanos() as u64, started);
-                    lsd_obs::counter_add(
-                        if result.is_ok() {
-                            "serve.requests_ok"
-                        } else {
-                            "serve.requests_failed"
-                        },
-                        "",
-                        1,
-                    );
-                    reply(job, result);
-                }
-            }
-        }
-    }
-    let batch_elapsed = started.elapsed();
-    lsd_obs::record_duration("serve.batch_ns", "", batch_elapsed);
-    lsd_obs::window_record_duration("serve.batch_ns", "", batch_elapsed);
-}
-
 /// Attaches the synthetic queue-wait span to the job's trace and feeds the
-/// wait into the cumulative + rolling registries.
+/// wait into the cumulative + rolling registries. The wait crosses threads
+/// (enqueued on the connection thread, claimed on a worker), so no
+/// [`lsd_obs::SpanGuard`] can cover it.
 fn note_queue_wait(job: &Job, wait_ns: u64) {
     trace::attach(
         job.trace.trace_id,
@@ -403,21 +280,11 @@ fn note_queue_wait(job: &Job, wait_ns: u64) {
     lsd_obs::window_record("serve.queue_wait_ns", "", wait_ns);
 }
 
-/// Publishes the worker-side micro-timings. Must run before [`reply`]: the
-/// sync-channel send/recv pair is the fence that makes these relaxed
-/// stores visible to the connection thread.
-fn finish_timings(job: &Job, match_ns: u64, batch_started: Instant) {
-    job.timings.match_ns.store(match_ns, Ordering::Relaxed);
-    job.timings
-        .batch_ns
-        .store(batch_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// One worker's run loop: pop batches until shutdown drains the queue, then
+/// One worker's run loop: pop jobs until shutdown drains the queue, then
 /// flush this thread's metric shard and exit.
-pub fn worker_loop(queue: &RequestQueue, max_batch: usize, max_batch_delay: Duration) {
-    while let Some(batch) = queue.pop_batch(max_batch.max(1), max_batch_delay) {
-        process_batch(batch, &queue.stats);
+pub fn worker_loop(queue: &RequestQueue) {
+    while let Some(job) = queue.pop() {
+        process_job(job, &queue.stats);
         lsd_obs::flush();
     }
     lsd_obs::flush();
@@ -426,6 +293,7 @@ pub fn worker_loop(queue: &RequestQueue, max_batch: usize, max_batch_delay: Dura
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn dummy_job(reply: mpsc::SyncSender<Result<String, ServeError>>) -> Job {
         // A job that will never be processed in these tests — queue
@@ -500,7 +368,7 @@ mod tests {
         let worker = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
-                worker_loop(&queue, 4, Duration::from_millis(1));
+                worker_loop(&queue);
             })
         };
         queue.begin_shutdown();
@@ -514,12 +382,12 @@ mod tests {
         job.deadline = Instant::now() - Duration::from_millis(1);
         job.deadline_ms = 1;
         let stats = ServeStats::default();
-        process_batch(vec![job], &stats);
+        process_job(job, &stats);
         match rx.recv().expect("reply") {
             Err(ServeError::DeadlineExceeded { deadline_ms }) => assert_eq!(deadline_ms, 1),
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
         assert_eq!(stats.expired.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.batches.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.processed.load(Ordering::Relaxed), 0);
     }
 }

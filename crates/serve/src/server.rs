@@ -42,10 +42,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity; pushes beyond it fail with `503`.
     pub queue_capacity: usize,
-    /// Maximum jobs coalesced into one `match_batch` call.
-    pub max_batch: usize,
-    /// How long a worker holding a partial batch waits for more jobs.
-    pub max_batch_delay: Duration,
     /// Queue deadline for requests that send no `X-Deadline-Ms` header.
     pub default_deadline: Duration,
     /// Ceiling on client-requested deadlines.
@@ -79,8 +75,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 128,
-            max_batch: 8,
-            max_batch_delay: Duration::from_millis(2),
             default_deadline: Duration::from_secs(10),
             max_deadline: Duration::from_secs(60),
             processing_grace: Duration::from_secs(60),
@@ -216,13 +210,7 @@ impl Server {
         let workers: Vec<_> = (0..shared.config.workers)
             .map(|_| {
                 let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    worker_loop(
-                        &shared.queue,
-                        shared.config.max_batch,
-                        shared.config.max_batch_delay,
-                    )
-                })
+                std::thread::spawn(move || worker_loop(&shared.queue))
             })
             .collect();
         let retrainer = shared.feedback.as_ref().map(|_| {
@@ -234,12 +222,15 @@ impl Server {
             })
         });
 
-        let mut connections = Vec::new();
+        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Reap closed connections so a long-lived server holds handles
+            // only for the ones still open.
+            connections.retain(|connection| !connection.is_finished());
             let shared = Arc::clone(shared);
             shared.active_connections.fetch_add(1, Ordering::SeqCst);
             connections.push(std::thread::spawn(move || {
@@ -387,16 +378,8 @@ fn healthz_body(shared: &Shared) -> String {
             int(stats.expired.load(Ordering::Relaxed)),
         ),
         (
-            "batches".to_string(),
-            int(stats.batches.load(Ordering::Relaxed)),
-        ),
-        (
             "requests_processed".to_string(),
             int(stats.processed.load(Ordering::Relaxed)),
-        ),
-        (
-            "max_batch".to_string(),
-            int(stats.max_batch.load(Ordering::Relaxed)),
         ),
     ]);
     serde_json::to_string(&doc).unwrap_or_else(|_| "{\"status\":\"ok\"}".to_string())
@@ -552,7 +535,6 @@ fn finish_request_trace(
             status,
             model: obs.model.borrow().clone(),
             queue_ns: obs.timings.queue_ns.load(Ordering::Relaxed),
-            batch_ns: obs.timings.batch_ns.load(Ordering::Relaxed),
             match_ns: obs.timings.match_ns.load(Ordering::Relaxed),
             total_ns,
         });
@@ -603,8 +585,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     error_response(&ServeError::ShuttingDown)
                 } else {
                     // The scope tags every span this thread opens (and the
-                    // root span below) with the request's trace; batch
-                    // workers re-enter it per job on their side.
+                    // root span below) with the request's trace; the
+                    // worker re-enters it for the job on its side.
                     let _scope = TraceScope::enter(ctx);
                     let _root = lsd_obs::span!("serve.request", label);
                     match route(shared, &request, &obs) {

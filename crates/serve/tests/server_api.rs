@@ -366,6 +366,44 @@ fn deeply_nested_json_is_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_xml_and_dtd_are_400s_and_the_server_keeps_serving() {
+    let dir = model_dir("deep-xml");
+    model_a().save_json(dir.join("m.json")).expect("saves");
+    let (handle, join) = boot(&dir, ServeConfig::default());
+    let addr = handle.addr();
+
+    // Both bodies fit under the default 1 MiB cap; each parser must stop
+    // at `lsd_xml::MAX_DEPTH` rather than recurse off the thread's stack.
+    let deep_xml = "<a>".repeat(300_000);
+    let levels = 200_000;
+    let dtd = format!("<!ELEMENT a {}b{}>", "(".repeat(levels), ")".repeat(levels));
+    let deep_dtd = format!(r#"{{"source": {{"name": "deep", "dtd": "{dtd}", "listings": []}}}}"#);
+    for (content_type, body) in [
+        ("application/xml", deep_xml.as_bytes()),
+        ("application/json", deep_dtd.as_bytes()),
+    ] {
+        assert!(body.len() <= ServeConfig::default().max_body_bytes);
+        let response = http(
+            addr,
+            "POST",
+            "/v1/match",
+            &[("Content-Type", content_type)],
+            body,
+        );
+        assert_eq!(response.status, 400, "{content_type}: {}", response.text());
+        assert!(response.text().contains("nesting"), "{}", response.text());
+    }
+
+    let after = post_match(addr);
+    assert_eq!(after.status, 200, "body: {}", after.text());
+    assert!(after.text().contains("\"mapping\""), "{}", after.text());
+
+    handle.shutdown();
+    join.join().expect("server exits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn queue_full_returns_503_and_deadline_returns_504_never_hang() {
     let dir = model_dir("backpressure");
     model_a().save_json(dir.join("m.json")).expect("saves");
@@ -726,8 +764,8 @@ fn sampled_traces_are_retrievable_from_debug_traces_with_span_tree() {
     );
     assert_eq!(matched.status, 200, "body: {}", matched.text());
 
-    // Single-trace lookup: the full span tree, including the queue wait
-    // and the micro-batch execution recorded by the worker pool.
+    // Single-trace lookup: the full span tree, including the queue wait,
+    // the worker's match span and the pipeline's own spans beneath it.
     let lookup = http(
         addr,
         "GET",
@@ -742,8 +780,14 @@ fn sampled_traces_are_retrievable_from_debug_traces_with_span_tree() {
         "{body}"
     );
     assert!(body.contains("\"reason\":\"slow\""), "{body}");
-    for span in ["serve.request", "serve.queue_wait", "serve.match_batch"] {
-        assert!(body.contains(span), "span {span} in tree: {body}");
+    for span in [
+        "serve.request",
+        "serve.queue_wait",
+        "serve.match",
+        "match.source",
+    ] {
+        let name = format!("\"name\":\"{span}\"");
+        assert!(body.contains(&name), "span {span} in tree: {body}");
     }
 
     // The listing endpoint reports the recorder's accounting and the most
@@ -809,7 +853,7 @@ fn access_log_is_valid_jsonl_with_per_request_timings() {
         };
         for want in [
             "unix_ms", "trace_id", "route", "method", "path", "status", "model", "queue_ns",
-            "batch_ns", "match_ns", "total_ns",
+            "match_ns", "total_ns",
         ] {
             assert!(fields.iter().any(|(k, _)| k == want), "missing {want}");
         }

@@ -11,7 +11,7 @@
 use crate::error::XmlError;
 use crate::span::Span;
 use crate::tree::Element;
-use crate::Result;
+use crate::{Result, MAX_DEPTH};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
@@ -614,7 +614,7 @@ impl<'a> DtdParser<'a> {
             self.pos += 3;
             ContentModel::Any
         } else if self.peek() == Some(b'(') {
-            self.parse_group()?
+            self.parse_group(1)?
         } else {
             return Err(XmlError::InvalidDtd {
                 message: format!(
@@ -750,8 +750,12 @@ impl<'a> DtdParser<'a> {
 
     /// Parses a parenthesized group: `(#PCDATA)`, `(#PCDATA | a | b)*`,
     /// `(cp, cp, ...)` or `(cp | cp | ...)`, plus an occurrence suffix.
-    fn parse_group(&mut self) -> Result<ContentModel> {
+    /// `depth` counts enclosing groups, this one included.
+    fn parse_group(&mut self, depth: usize) -> Result<ContentModel> {
         debug_assert_eq!(self.peek(), Some(b'('));
+        if depth > MAX_DEPTH {
+            return Err(XmlError::NestingTooDeep { offset: self.pos });
+        }
         self.pos += 1;
         self.skip_ws();
         if self.starts_with("#PCDATA") {
@@ -790,7 +794,7 @@ impl<'a> DtdParser<'a> {
             return Ok(ContentModel::Mixed(names));
         }
 
-        let mut parts = vec![self.parse_cp()?];
+        let mut parts = vec![self.parse_cp(depth)?];
         self.skip_ws();
         let separator = match self.peek() {
             Some(b',') => Some(b','),
@@ -808,7 +812,7 @@ impl<'a> DtdParser<'a> {
         if let Some(sep) = separator {
             while self.peek() == Some(sep) {
                 self.pos += 1;
-                parts.push(self.parse_cp()?);
+                parts.push(self.parse_cp(depth)?);
                 self.skip_ws();
             }
             if matches!(self.peek(), Some(b',') | Some(b'|')) {
@@ -834,11 +838,12 @@ impl<'a> DtdParser<'a> {
         })
     }
 
-    /// Parses a content particle: a name or nested group with a suffix.
-    fn parse_cp(&mut self) -> Result<ContentModel> {
+    /// Parses a content particle of a group `depth` levels deep: a name or
+    /// a nested group with a suffix.
+    fn parse_cp(&mut self, depth: usize) -> Result<ContentModel> {
         self.skip_ws();
         if self.peek() == Some(b'(') {
-            self.parse_group()
+            self.parse_group(depth + 1)
         } else {
             let name = self.parse_name()?;
             let occ = self.parse_occurrence();
@@ -1111,5 +1116,36 @@ mod tests {
     fn pcdata_star_accepted() {
         let dtd = parse_dtd("<!ELEMENT a (#PCDATA)*>").unwrap();
         assert_eq!(dtd.decl("a").unwrap().content, ContentModel::Pcdata);
+    }
+
+    fn nested_groups(depth: usize) -> String {
+        format!(
+            "<!ELEMENT a {}b{}>\n<!ELEMENT b (#PCDATA)>",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn groups_nested_up_to_the_limit_parse() {
+        let dtd = parse_dtd(&nested_groups(MAX_DEPTH)).unwrap();
+        assert_eq!(
+            dtd.decl("a").unwrap().content,
+            ContentModel::Name("b".into(), Occurrence::One)
+        );
+    }
+
+    #[test]
+    fn groups_nested_past_the_limit_are_a_typed_error() {
+        let prefix = "<!ELEMENT a ".len();
+        assert_eq!(
+            parse_dtd(&nested_groups(MAX_DEPTH + 1)).unwrap_err(),
+            XmlError::NestingTooDeep {
+                offset: prefix + MAX_DEPTH
+            }
+        );
+        // Far past the limit: an error, not a stack overflow.
+        let deep = parse_dtd(&nested_groups(200_000)).unwrap_err();
+        assert!(matches!(deep, XmlError::NestingTooDeep { .. }), "{deep}");
     }
 }

@@ -34,6 +34,12 @@ pub enum XmlError {
         /// The entity name, without `&`/`;`.
         entity: String,
     },
+    /// Elements, or DTD content-model groups, nest deeper than
+    /// [`crate::MAX_DEPTH`] levels.
+    NestingTooDeep {
+        /// Byte offset of the first construct past the limit.
+        offset: usize,
+    },
     /// Trailing non-whitespace content after the root element.
     TrailingContent {
         /// Byte offset where the trailing content starts.
@@ -98,6 +104,13 @@ impl fmt::Display for XmlError {
             }
             XmlError::UnknownEntity { offset, entity } => {
                 write!(f, "unknown entity &{entity}; at offset {offset}")
+            }
+            XmlError::NestingTooDeep { offset } => {
+                write!(
+                    f,
+                    "nesting deeper than {} levels at offset {offset}",
+                    crate::MAX_DEPTH
+                )
             }
             XmlError::TrailingContent { offset } => {
                 write!(f, "trailing content after root element at offset {offset}")

@@ -51,5 +51,11 @@ pub use span::{Location, Span};
 pub use tree::{Document, Element, Node};
 pub use writer::{escape_text, write_element, write_element_pretty};
 
+/// The nesting depth past which parsing stops with
+/// [`XmlError::NestingTooDeep`]: elements in a document, or parenthesized
+/// groups in a DTD content model. Both parsers recurse once per level, so
+/// this bounds their stack use on hostile input.
+pub const MAX_DEPTH: usize = 256;
+
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, XmlError>;

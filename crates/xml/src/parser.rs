@@ -9,14 +9,14 @@
 
 use crate::error::XmlError;
 use crate::tree::{Document, Element, Node};
-use crate::Result;
+use crate::{Result, MAX_DEPTH};
 
 /// Parses a complete XML document. Exactly one root element is required;
 /// anything but whitespace/comments/PIs around it is an error.
 pub fn parse_document(input: &str) -> Result<Document> {
     let mut p = Parser::new(input);
     p.skip_prolog()?;
-    let root = match p.parse_element()? {
+    let root = match p.parse_element(1)? {
         Some(root) => root,
         None => return Err(XmlError::NoRootElement),
     };
@@ -32,7 +32,7 @@ pub fn parse_document(input: &str) -> Result<Document> {
 pub fn parse_fragment(input: &str) -> Result<Element> {
     let mut p = Parser::new(input);
     p.skip_misc()?;
-    let el = p.parse_element()?.ok_or(XmlError::NoRootElement)?;
+    let el = p.parse_element(1)?.ok_or(XmlError::NoRootElement)?;
     p.skip_misc()?;
     if !p.at_end() {
         return Err(XmlError::TrailingContent { offset: p.pos });
@@ -140,11 +140,15 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Parses one element starting at `<`. Returns `Ok(None)` if the input
-    /// does not start with an open tag.
-    fn parse_element(&mut self) -> Result<Option<Element>> {
+    /// Parses one element starting at `<`, `depth` levels deep (the root
+    /// is level 1). Returns `Ok(None)` if the input does not start with an
+    /// open tag.
+    fn parse_element(&mut self, depth: usize) -> Result<Option<Element>> {
         if self.peek() != Some(b'<') {
             return Ok(None);
+        }
+        if depth > MAX_DEPTH {
+            return Err(XmlError::NestingTooDeep { offset: self.pos });
         }
         self.pos += 1;
         let name = self.parse_name("element name")?;
@@ -223,7 +227,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?.expect("peeked '<'");
+                let child = self.parse_element(depth + 1)?.expect("peeked '<'");
                 element.children.push(Node::Element(child));
             } else if self.at_end() {
                 return Err(XmlError::UnexpectedEof {
@@ -534,5 +538,24 @@ mod tests {
         }
         let e = parse_fragment(&s).unwrap();
         assert_eq!(e.depth(), 200);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let nested = |depth: usize| "<n>".repeat(depth) + "x" + &"</n>".repeat(depth);
+        assert_eq!(
+            parse_fragment(&nested(MAX_DEPTH)).unwrap().depth(),
+            MAX_DEPTH
+        );
+        assert_eq!(
+            parse_document(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            XmlError::NestingTooDeep {
+                offset: 3 * MAX_DEPTH
+            }
+        );
+        // 300 000 open tags: an error, not a stack overflow.
+        let deep = parse_document(&"<a>".repeat(300_000)).unwrap_err();
+        assert!(matches!(deep, XmlError::NestingTooDeep { .. }), "{deep}");
+        assert!(deep.to_string().contains("nesting"), "{deep}");
     }
 }
