@@ -178,7 +178,9 @@ impl ConstraintHandler {
             .collect();
 
         // Hard type constraints prune labels whose data is incompatible
-        // (cheap pre-processing, Section 7).
+        // (cheap pre-processing, Section 7). Each tag's numeric fraction is
+        // computed at most once, on first use.
+        let mut numeric_fractions: Vec<Option<Option<f64>>> = vec![None; ctx.tags.len()];
         for c in constraints {
             let ConstraintKind::Hard = c.kind else {
                 continue;
@@ -192,7 +194,9 @@ impl ConstraintHandler {
                 continue;
             };
             for (t, cands) in candidates.iter_mut().enumerate() {
-                let Some(frac) = ctx.data.numeric_fraction(&ctx.tags[t]) else {
+                let fraction = numeric_fractions[t]
+                    .get_or_insert_with(|| ctx.data.numeric_fraction(&ctx.tags[t]));
+                let Some(frac) = *fraction else {
                     continue;
                 };
                 let incompatible = if want_numeric { frac < 0.5 } else { frac > 0.5 };

@@ -6,7 +6,7 @@
 //! values (colors); poor on short numeric elements.
 
 use crate::instance::Instance;
-use crate::learners::BaseLearner;
+use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
 use lsd_text::{tokenize, Whirl, WhirlConfig};
 
@@ -84,6 +84,11 @@ impl BaseLearner for ContentMatcher {
     fn predict(&self, instance: &Instance) -> Prediction {
         let toks = Self::tokens(instance);
         Prediction::from_scores(self.whirl.classify(toks.iter().map(String::as_str)))
+    }
+
+    /// Predicts from the instance text alone.
+    fn reads(&self) -> Reads {
+        Reads::Text
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {

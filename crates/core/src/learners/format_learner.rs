@@ -13,7 +13,7 @@
 //! code-like fields whose *shape*, not vocabulary, is the signal.
 
 use crate::instance::Instance;
-use crate::learners::BaseLearner;
+use crate::learners::{BaseLearner, Reads};
 use lsd_learn::{NaiveBayes, NaiveBayesConfig, Prediction};
 
 /// Naive Bayes over character-class patterns of the instance's values.
@@ -124,6 +124,11 @@ impl BaseLearner for FormatLearner {
 
     fn predict(&self, instance: &Instance) -> Prediction {
         self.model.predict_tokens(&Self::tokens(instance))
+    }
+
+    /// Predicts from the instance text alone.
+    fn reads(&self) -> Reads {
+        Reads::Text
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {

@@ -25,6 +25,23 @@ use crate::instance::Instance;
 use crate::persist::SavedLearner;
 use lsd_learn::{Classifier, Prediction};
 
+/// What part of an [`Instance`] a learner's prediction depends on — the
+/// contract that lets the matcher predict once per distinct input.
+///
+/// Within one match, every instance whose declared input is equal gets
+/// the prediction made for the first of them, so a learner must declare
+/// no less than it reads. [`Reads::Instance`] (the default) makes no
+/// promise and gets one call per instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reads {
+    /// Only the tag path ([`Instance::path`]).
+    Path,
+    /// Only the subtree text ([`Instance::text`]).
+    Text,
+    /// Anything: the element subtree, its path and `sub_labels`.
+    Instance,
+}
+
 /// A base learner: trains on labelled [`Instance`]s and predicts
 /// confidence-score distributions for new ones.
 ///
@@ -42,6 +59,14 @@ pub trait BaseLearner: Send + Sync {
 
     /// Predicts the label distribution for one instance.
     fn predict(&self, instance: &Instance) -> Prediction;
+
+    /// What [`Self::predict`] reads of an instance. Matching memoises
+    /// predictions by it (see [`Reads`]). The default, [`Reads::Instance`],
+    /// is always correct: a custom learner is called once per instance
+    /// unless it declares a narrower input.
+    fn reads(&self) -> Reads {
+        Reads::Instance
+    }
 
     /// A fresh, untrained learner with the same configuration — used by the
     /// meta-learner's cross-validation, which must train per-fold copies.
@@ -87,5 +112,186 @@ impl Classifier<Instance> for Box<dyn BaseLearner> {
 
     fn predict(&self, example: &Instance) -> Prediction {
         BaseLearner::predict(self.as_ref(), example)
+    }
+}
+
+/// Each built-in learner's [`BaseLearner::reads`] is true: predictions are
+/// equal whenever the declared input is, whatever else differs.
+#[cfg(test)]
+mod reads_contract {
+    use super::*;
+    use lsd_xml::{parse_fragment, Element};
+    use std::collections::HashMap;
+
+    /// Labels: 0 ADDRESS, 1 PHONE, 2 DESCRIPTION, 3 CONTACT, 4 OTHER.
+    const N: usize = 5;
+
+    fn path(tags: &[&str]) -> Vec<String> {
+        tags.iter().map(|t| t.to_string()).collect()
+    }
+
+    fn leaf(tags: &[&str], text: &str) -> Instance {
+        let tag = tags.last().expect("non-empty path");
+        Instance::new(Element::text_leaf(*tag, text), path(tags))
+    }
+
+    fn nested(tags: &[&str], xml: &str) -> Instance {
+        Instance::new(parse_fragment(xml).expect("well-formed"), path(tags))
+    }
+
+    fn labels() -> HashMap<String, usize> {
+        HashMap::from([
+            ("location".to_string(), 0),
+            ("phone".to_string(), 1),
+            ("comments".to_string(), 2),
+        ])
+    }
+
+    fn trained(mut learner: Box<dyn BaseLearner>) -> Box<dyn BaseLearner> {
+        let contact = |name: &str, phone: &str| {
+            nested(
+                &["house", "contact"],
+                &format!("<contact><name>{name}</name><phone>{phone}</phone></contact>"),
+            )
+            .with_sub_labels(labels())
+        };
+        let data = [
+            (leaf(&["house", "location"], "Miami, FL"), 0),
+            (leaf(&["house", "area"], "Boston, MA"), 0),
+            (leaf(&["house", "phone"], "(305) 729 0831"), 1),
+            (leaf(&["house", "agent-phone"], "(617) 253 1429"), 1),
+            (leaf(&["house", "comments"], "Great view of the bay"), 2),
+            (
+                leaf(&["house", "description"], "Fantastic yard, close to river"),
+                2,
+            ),
+            (contact("Kate Richardson", "(206) 523 4719"), 3),
+            (contact("Mike Smith", "(512) 555 6666"), 3),
+            (leaf(&["house", "id"], "A-17"), 4),
+        ];
+        let refs: Vec<(&Instance, usize)> = data.iter().map(|(i, l)| (i, *l)).collect();
+        learner.train(&refs);
+        learner
+    }
+
+    fn bits(learner: &dyn BaseLearner, instance: &Instance) -> Vec<u64> {
+        let pred = learner.predict(instance);
+        pred.scores().iter().map(|s| s.to_bits()).collect()
+    }
+
+    const TEXTS: [&str; 5] = [
+        "Miami, FL",
+        "(305) 111 2222",
+        "great view of the bay",
+        "Kate (305) 111 2222",
+        "",
+    ];
+
+    /// Same text under other tags, paths and labels — and as the subtree
+    /// text of a non-leaf — gives the same prediction.
+    fn assert_reads_only_text(learner: Box<dyn BaseLearner>) {
+        assert_eq!(learner.reads(), Reads::Text);
+        let learner = trained(learner);
+        for text in TEXTS {
+            let base = bits(learner.as_ref(), &leaf(&["house", "location"], text));
+            let variants = [
+                leaf(&["listing", "contact", "phone"], text),
+                leaf(&["x"], text),
+                leaf(&["house", "comments"], text).with_sub_labels(labels()),
+            ];
+            for variant in &variants {
+                assert_eq!(bits(learner.as_ref(), variant), base, "text {text:?}");
+            }
+        }
+        let contact = nested(
+            &["house", "contact"],
+            "<contact><name>Kate</name><phone>(305) 111 2222</phone></contact>",
+        )
+        .with_sub_labels(labels());
+        assert_eq!(
+            bits(learner.as_ref(), &contact),
+            bits(learner.as_ref(), &leaf(&["agent"], "Kate (305) 111 2222"))
+        );
+    }
+
+    #[test]
+    fn name_matcher_reads_only_the_path() {
+        let learner = trained(Box::new(NameMatcher::new(N, HashMap::new())));
+        assert_eq!(learner.reads(), Reads::Path);
+        let paths: [&[&str]; 3] = [
+            &["house", "location"],
+            &["house", "contact", "phone"],
+            &["house"],
+        ];
+        for tags in paths {
+            let base = bits(learner.as_ref(), &leaf(tags, "Miami, FL"));
+            for text in TEXTS {
+                let other = leaf(tags, text).with_sub_labels(labels());
+                assert_eq!(bits(learner.as_ref(), &other), base, "path {tags:?}");
+            }
+            let tag = tags.last().expect("non-empty path");
+            let subtree = nested(tags, &format!("<{tag}><a>1</a><b>x y</b></{tag}>"));
+            assert_eq!(bits(learner.as_ref(), &subtree), base, "path {tags:?}");
+        }
+    }
+
+    #[test]
+    fn content_matcher_reads_only_the_text() {
+        assert_reads_only_text(Box::new(ContentMatcher::new(N)));
+    }
+
+    #[test]
+    fn naive_bayes_reads_only_the_text() {
+        assert_reads_only_text(Box::new(NaiveBayesLearner::new(N)));
+    }
+
+    #[test]
+    fn format_learner_reads_only_the_text() {
+        assert_reads_only_text(Box::new(FormatLearner::new(N)));
+    }
+
+    #[test]
+    fn stats_learner_reads_only_the_text() {
+        assert_reads_only_text(Box::new(StatsLearner::new(N)));
+    }
+
+    #[test]
+    fn recognizers_read_only_the_text() {
+        assert_reads_only_text(Box::new(state_abbrev_recognizer(N, 0)));
+        assert_reads_only_text(Box::new(Recognizer::new("phone", N, 1, |t| {
+            t.starts_with('(')
+        })));
+    }
+
+    /// The XML learner reads the whole instance, but a leaf only by its
+    /// text: the matcher's stage-2 leaf memo rests on this.
+    #[test]
+    fn xml_learner_reads_a_leaf_only_by_its_text() {
+        let learner = trained(Box::new(XmlLearner::new(N)));
+        assert_eq!(learner.reads(), Reads::Instance);
+        for text in TEXTS {
+            let base = bits(learner.as_ref(), &leaf(&["house", "location"], text));
+            let other_labels = HashMap::from([("location".to_string(), 2), ("x".to_string(), 1)]);
+            let variants = [
+                leaf(&["listing", "contact", "phone"], text),
+                leaf(&["x"], text).with_sub_labels(labels()),
+                leaf(&["house", "location"], text).with_sub_labels(other_labels),
+            ];
+            for variant in &variants {
+                assert_eq!(bits(learner.as_ref(), variant), base, "text {text:?}");
+            }
+        }
+        // A non-leaf is read through its children's labels.
+        let contact = |labels: HashMap<String, usize>| {
+            nested(
+                &["house", "contact"],
+                "<contact><name>Kate</name><phone>(305) 111 2222</phone></contact>",
+            )
+            .with_sub_labels(labels)
+        };
+        assert_ne!(
+            bits(learner.as_ref(), &contact(labels())),
+            bits(learner.as_ref(), &contact(HashMap::new()))
+        );
     }
 }

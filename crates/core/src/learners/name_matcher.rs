@@ -8,7 +8,7 @@
 //! or vacuous names (`item`, `listing`).
 
 use crate::instance::Instance;
-use crate::learners::BaseLearner;
+use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
 use lsd_text::{char_ngrams, tokenize_name, NeighborCombination, Whirl, WhirlConfig};
 use std::collections::HashMap;
@@ -145,6 +145,11 @@ impl BaseLearner for NameMatcher {
     fn predict(&self, instance: &Instance) -> Prediction {
         let toks = self.tokens(instance);
         Prediction::from_scores(self.whirl.classify(toks.iter().map(String::as_str)))
+    }
+
+    /// Predicts from the tag path alone.
+    fn reads(&self) -> Reads {
+        Reads::Path
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {

@@ -9,7 +9,7 @@
 
 use crate::counties::is_county_name;
 use crate::instance::Instance;
-use crate::learners::BaseLearner;
+use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
 use std::sync::Arc;
 
@@ -95,6 +95,11 @@ impl BaseLearner for Recognizer {
             scores[self.target] = 0.0;
         }
         Prediction::from_scores(scores)
+    }
+
+    /// Predicts from the instance text alone.
+    fn reads(&self) -> Reads {
+        Reads::Text
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {

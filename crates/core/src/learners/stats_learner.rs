@@ -13,7 +13,7 @@
 //! learner set is extensible.
 
 use crate::instance::Instance;
-use crate::learners::BaseLearner;
+use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
 
 /// Number of numeric features extracted per instance.
@@ -185,6 +185,11 @@ impl BaseLearner for StatsLearner {
             })
             .collect();
         Prediction::from_log_scores(&log_scores)
+    }
+
+    /// Predicts from the instance text alone.
+    fn reads(&self) -> Reads {
+        Reads::Text
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {

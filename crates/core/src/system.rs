@@ -24,7 +24,7 @@ use crate::error::LsdError;
 use crate::explain::RejectionReason;
 use crate::feedback::Feedback;
 use crate::instance::{build_source_data, extract_instances, Instance};
-use crate::learners::{BaseLearner, XmlLearner};
+use crate::learners::{BaseLearner, Reads, XmlLearner};
 use crate::meta::MetaLearner;
 use crate::readers::{ReadError, SourceFormat, SourceReader};
 use crate::report::{MatchReport, TrainReport};
@@ -910,15 +910,27 @@ impl Lsd {
         })?;
         let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
 
-        // Extract and (deterministically) subsample the instance columns.
+        // Extract and (deterministically) subsample the instance columns,
+        // one per tag in schema order, and read each instance's text once.
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut columns = extract_instances(&source.listings);
-        for tag in &tags {
-            if let Some(instances) = columns.get_mut(tag) {
-                subsample(instances, self.config.max_match_instances_per_tag, &mut rng);
-            }
-        }
-        let empty: Vec<Instance> = Vec::new();
+        let mut columns: Vec<Vec<Instance>> = {
+            let mut extracted = extract_instances(&source.listings);
+            tags.iter()
+                .map(|tag| {
+                    let mut instances = extracted.remove(tag).unwrap_or_default();
+                    subsample(
+                        &mut instances,
+                        self.config.max_match_instances_per_tag,
+                        &mut rng,
+                    );
+                    instances
+                })
+                .collect()
+        };
+        let texts: Vec<Vec<String>> = columns
+            .iter()
+            .map(|instances| instances.iter().map(Instance::text).collect())
+            .collect();
 
         // Per-learner wall-time accumulators, flushed once per source so
         // the per-instance loop never touches the metrics registry.
@@ -939,24 +951,37 @@ impl Lsd {
         };
 
         // Stage 1: first-pass predictions from everything but the XML
-        // learner.
+        // learner. Each learner predicts once per distinct input it reads
+        // (see `Reads`); repeats within this source reuse that prediction.
         let stage1_learners: Vec<usize> = (0..num_learners)
             .filter(|i| Some(*i) != self.xml_index)
             .collect();
-        let mut stage1_instance_preds: HashMap<&str, Vec<Vec<Prediction>>> = HashMap::new();
+        let mut stage1_instance_preds: Vec<Vec<Vec<Prediction>>> = Vec::with_capacity(tags.len());
         let mut tag_predictions: Vec<Prediction> = Vec::with_capacity(tags.len());
         let mut instances_examined: Vec<usize> = Vec::with_capacity(tags.len());
         {
             let _stage = lsd_obs::span!("match.stage1");
-            for tag in &tags {
-                let instances = columns.get(tag.as_str()).unwrap_or(&empty);
+            let stage1_reads: Vec<Reads> = stage1_learners
+                .iter()
+                .map(|&j| self.learners[j].reads())
+                .collect();
+            let mut stage1_memos: Vec<PredictMemo> = stage1_learners
+                .iter()
+                .map(|_| PredictMemo::default())
+                .collect();
+            for (instances, texts) in columns.iter().zip(&texts) {
                 instances_examined.push(instances.len());
                 let per_instance: Vec<Vec<Prediction>> = instances
                     .iter()
-                    .map(|inst| {
+                    .zip(texts)
+                    .map(|(inst, text)| {
                         stage1_learners
                             .iter()
-                            .map(|&j| timed_predict(j, inst))
+                            .zip(&stage1_reads)
+                            .zip(&mut stage1_memos)
+                            .map(|((&j, &reads), memo)| {
+                                memo.predict(reads, inst, text, || timed_predict(j, inst))
+                            })
                             .collect()
                     })
                     .collect();
@@ -969,7 +994,7 @@ impl Lsd {
                     self.labels.len(),
                     self.config.converter,
                 ));
-                stage1_instance_preds.insert(tag.as_str(), per_instance);
+                stage1_instance_preds.push(per_instance);
             }
         }
 
@@ -977,24 +1002,37 @@ impl Lsd {
         // structural context, and the meta-learner re-combines everything.
         // Its per-instance predictions are kept so the per-learner views
         // below need no second predict pass.
-        let mut xml_instance_preds: HashMap<&str, Vec<Prediction>> = HashMap::new();
+        let mut xml_instance_preds: Vec<Vec<Prediction>> = vec![Vec::new(); tags.len()];
         if let Some(xml_idx) = self.xml_index {
             let _stage = lsd_obs::span!("match.stage2");
-            let stage1_labels: HashMap<String, usize> = tags
+            let mut stage1_labels: HashMap<String, usize> = tags
                 .iter()
                 .zip(&tag_predictions)
                 .map(|(t, p)| (t.clone(), p.best_label()))
                 .collect();
-            for (ti, tag) in tags.iter().enumerate() {
-                let instances = columns.get(tag.as_str()).unwrap_or(&empty);
-                let stage1 = &stage1_instance_preds[tag.as_str()];
+            // A leaf's XML-learner tokens come from its direct text alone
+            // (`XmlLearner::walk` reads neither the tag name nor the labels
+            // without child elements), so leaves are memoised by text.
+            let mut leaf_memo = PredictMemo::default();
+            for (ti, (instances, texts)) in columns.iter_mut().zip(&texts).enumerate() {
+                let stage1 = &stage1_instance_preds[ti];
                 let mut xml_preds: Vec<Prediction> = Vec::with_capacity(instances.len());
                 let combined: Vec<Prediction> = instances
-                    .iter()
+                    .iter_mut()
+                    .zip(texts)
                     .zip(stage1)
-                    .map(|(inst, s1_preds)| {
-                        let ctx_inst = inst.clone().with_sub_labels(stage1_labels.clone());
-                        let xml_pred = timed_predict(xml_idx, &ctx_inst);
+                    .map(|((inst, text), s1_preds)| {
+                        let xml_pred = if inst.element.is_leaf() {
+                            leaf_memo
+                                .predict(Reads::Text, inst, text, || timed_predict(xml_idx, inst))
+                        } else {
+                            // Lend the one label map to this instance for
+                            // the call instead of copying it per instance.
+                            inst.sub_labels = std::mem::take(&mut stage1_labels);
+                            let pred = timed_predict(xml_idx, inst);
+                            stage1_labels = std::mem::take(&mut inst.sub_labels);
+                            pred
+                        };
                         // Reassemble the full prediction vector in learner
                         // order (stage-1 learners + XML learner).
                         let mut all: Vec<Prediction> = Vec::with_capacity(num_learners);
@@ -1012,25 +1050,26 @@ impl Lsd {
                     .collect();
                 tag_predictions[ti] =
                     convert_column_with(&combined, self.labels.len(), self.config.converter);
-                xml_instance_preds.insert(tag.as_str(), xml_preds);
+                xml_instance_preds[ti] = xml_preds;
             }
         }
+
+        // Nothing below reads the instances: free them now, not after the
+        // constraint search, to keep peak memory down.
+        drop((columns, texts));
 
         // Per-learner tag-level views: each learner's instance column run
         // through the same converter as the combined pipeline. This is the
         // evidence behind `candidates()` and `explain_source`, captured from
         // the predictions already made above.
-        let per_learner: Vec<Vec<Prediction>> = tags
+        let per_learner: Vec<Vec<Prediction>> = stage1_instance_preds
             .iter()
-            .map(|tag| {
-                let stage1 = &stage1_instance_preds[tag.as_str()];
+            .zip(&xml_instance_preds)
+            .map(|(stage1, xml_preds)| {
                 (0..num_learners)
                     .map(|j| {
                         let column: Vec<Prediction> = if Some(j) == self.xml_index {
-                            xml_instance_preds
-                                .get(tag.as_str())
-                                .cloned()
-                                .unwrap_or_default()
+                            xml_preds.clone()
                         } else {
                             let pos = stage1_learners
                                 .iter()
@@ -1269,6 +1308,49 @@ pub struct TagExplanation {
 
 /// Truncates `instances` to at most `cap` elements chosen uniformly
 /// (deterministically under the caller's RNG). `cap == 0` keeps everything.
+/// One learner's predictions within a match, keyed by what it reads (see
+/// [`Reads`]): a repeated path or text reuses the first prediction.
+#[derive(Default)]
+struct PredictMemo {
+    by_path: HashMap<Vec<String>, Prediction>,
+    by_text: HashMap<String, Prediction>,
+}
+
+impl PredictMemo {
+    /// The prediction for `inst` (whose text is `text`): memoised under
+    /// `reads`, made by `predict` on a miss.
+    fn predict(
+        &mut self,
+        reads: Reads,
+        inst: &Instance,
+        text: &str,
+        predict: impl FnOnce() -> Prediction,
+    ) -> Prediction {
+        match reads {
+            Reads::Path => memoised(&mut self.by_path, inst.path.as_slice(), predict),
+            Reads::Text => memoised(&mut self.by_text, text, predict),
+            Reads::Instance => predict(),
+        }
+    }
+}
+
+fn memoised<K, Q>(
+    memo: &mut HashMap<K, Prediction>,
+    key: &Q,
+    predict: impl FnOnce() -> Prediction,
+) -> Prediction
+where
+    K: std::borrow::Borrow<Q> + std::hash::Hash + Eq,
+    Q: ToOwned<Owned = K> + std::hash::Hash + Eq + ?Sized,
+{
+    if let Some(pred) = memo.get(key) {
+        return pred.clone();
+    }
+    let pred = predict();
+    memo.insert(key.to_owned(), pred.clone());
+    pred
+}
+
 fn subsample(instances: &mut Vec<Instance>, cap: usize, rng: &mut ChaCha8Rng) {
     if cap == 0 || instances.len() <= cap {
         return;

@@ -102,30 +102,43 @@ impl NaiveBayes {
         }
     }
 
-    /// `log P(w|c)` with Laplace smoothing over the vocabulary.
-    fn log_token_prob(&self, token: &str, label: usize) -> f64 {
-        let v = self.vocab_size() as f64 + 1.0; // +1 for the unseen-token bucket
-        let count = self.token_counts.get(token).map_or(0.0, |c| c[label]);
-        ((count + self.config.smoothing)
-            / (self.class_token_totals[label] + self.config.smoothing * v))
-            .ln()
-    }
-
     /// Predicts the class distribution for a token bag.
+    ///
+    /// Scores token by token: one `token_counts` lookup per token, then
+    /// each label's `log P(w|c)` term (Laplace smoothing over the
+    /// vocabulary, division then `ln`) is added to that label's running
+    /// sum. Each sum starts from `-0.0` and folds in token order, exactly
+    /// as `Iterator::sum` would per label, and `log P(c)` is added last —
+    /// so the scores are bit-identical to summing per label.
     pub fn predict_tokens(&self, tokens: &[String]) -> Prediction {
         if self.total_docs == 0.0 {
             return Prediction::uniform(self.num_labels);
         }
-        let log_scores: Vec<f64> = (0..self.num_labels)
-            .map(|c| {
-                self.log_prior(c)
-                    + tokens
-                        .iter()
-                        .map(|t| self.log_token_prob(t, c))
-                        .sum::<f64>()
-            })
+        Prediction::from_log_scores(&self.log_scores(tokens))
+    }
+
+    /// `log P(c) + Σ log P(w|c)` per label for a token bag (see
+    /// [`Self::predict_tokens`]).
+    fn log_scores(&self, tokens: &[String]) -> Vec<f64> {
+        let smoothing = self.config.smoothing;
+        let v = self.vocab_size() as f64 + 1.0; // +1 for the unseen-token bucket
+        let denominators: Vec<f64> = self
+            .class_token_totals
+            .iter()
+            .map(|&total| total + smoothing * v)
             .collect();
-        Prediction::from_log_scores(&log_scores)
+        let mut sums = vec![-0.0f64; self.num_labels];
+        for token in tokens {
+            let counts = self.token_counts.get(token);
+            for (c, (sum, &denominator)) in sums.iter_mut().zip(&denominators).enumerate() {
+                let count = counts.map_or(0.0, |counts| counts[c]);
+                *sum += ((count + smoothing) / denominator).ln();
+            }
+        }
+        sums.iter()
+            .enumerate()
+            .map(|(c, &sum)| self.log_prior(c) + sum)
+            .collect()
     }
 }
 
@@ -145,9 +158,54 @@ impl Classifier<[String]> for NaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn toks(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The per-label formula `predict_tokens` replaced: for each label,
+    /// `log P(c) + Σ log P(w|c)`, hashing every token once per label.
+    fn reference_log_scores(nb: &NaiveBayes, tokens: &[String]) -> Vec<f64> {
+        let log_token_prob = |token: &str, label: usize| {
+            let v = nb.vocab_size() as f64 + 1.0;
+            let count = nb.token_counts.get(token).map_or(0.0, |c| c[label]);
+            ((count + nb.config.smoothing)
+                / (nb.class_token_totals[label] + nb.config.smoothing * v))
+                .ln()
+        };
+        (0..nb.num_labels)
+            .map(|c| nb.log_prior(c) + tokens.iter().map(|t| log_token_prob(t, c)).sum::<f64>())
+            .collect()
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    proptest! {
+        /// Token-by-token scoring equals the per-label formula bit for
+        /// bit, including empty bags, repeated and unseen tokens, and
+        /// labels with no training documents (`log P(c) = -inf`).
+        #[test]
+        fn token_by_token_scoring_is_bit_identical(
+            // Small vocabularies: tokens repeat within a bag, and queries
+            // (over a wider alphabet) mix seen and unseen tokens.
+            docs in prop::collection::vec((prop::collection::vec("[a-h]", 0..8), 0usize..5), 1..12),
+            queries in prop::collection::vec(prop::collection::vec("[a-l]", 0..10), 1..6),
+            smoothing in prop_oneof![Just(1.0f64), Just(0.5), Just(0.01)],
+        ) {
+            let mut nb = NaiveBayes::new(5, NaiveBayesConfig { smoothing });
+            for (tokens, label) in &docs {
+                nb.add_example(tokens, *label);
+            }
+            for query in &queries {
+                prop_assert_eq!(
+                    bits(&nb.log_scores(query)),
+                    bits(&reference_log_scores(&nb, query))
+                );
+            }
+        }
     }
 
     fn trained() -> NaiveBayes {

@@ -19,6 +19,12 @@
 //! the reply channel with a timeout — so even a stalled pipeline (or a
 //! `workers = 0` test configuration) cannot hang a client past its
 //! deadline.
+//!
+//! # Panics
+//!
+//! A panic while matching or rendering one job (say, in a custom learner)
+//! is caught: that job is answered `500`, [`ServeStats::panicked`] and the
+//! `serve.worker_panics` counter go up, and the worker takes the next job.
 
 use crate::error::ServeError;
 use crate::json;
@@ -26,6 +32,7 @@ use crate::registry::ModelEntry;
 use lsd_core::Source;
 use lsd_obs::{trace, TraceContext, TraceScope};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -92,6 +99,9 @@ pub struct ServeStats {
     pub expired: AtomicU64,
     /// Jobs a worker claimed and matched.
     pub processed: AtomicU64,
+    /// Jobs whose match or render panicked (answered `500`; the worker
+    /// carries on with the next job).
+    pub panicked: AtomicU64,
 }
 
 struct Inner {
@@ -227,8 +237,10 @@ fn process_job(job: Job, stats: &ServeStats) {
     lsd_obs::record_value("serve.batch_size", "", 1);
 
     // Scope and span close before the reply: the connection thread
-    // finishes the request's trace as soon as it has the result.
-    let result = {
+    // finishes the request's trace as soon as it has the result. A panic
+    // in the pipeline or the renderer (say, in a custom learner) becomes
+    // this job's `500`, not the death of the worker.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
         let _scope = TraceScope::enter(job.trace);
         let label = match job.kind {
             JobKind::Match => "match",
@@ -247,7 +259,15 @@ fn process_job(job: Job, stats: &ServeStats) {
                 JobKind::Explain => json::explain_body(&job.model.name, &outcome),
             })
             .map_err(ServeError::from)
-    };
+    }))
+    .unwrap_or_else(|_| {
+        // The default panic hook has already logged the message.
+        stats.panicked.fetch_add(1, Ordering::Relaxed);
+        lsd_obs::counter_add("serve.worker_panics", "", 1);
+        Err(ServeError::Internal {
+            detail: "the matcher panicked on this request".to_string(),
+        })
+    });
     lsd_obs::counter_add(
         if result.is_ok() {
             "serve.requests_ok"
@@ -373,6 +393,78 @@ mod tests {
         };
         queue.begin_shutdown();
         worker.join().expect("worker exits");
+    }
+
+    /// A learner that panics on any instance whose text is `boom`.
+    struct PanicsOnBoom;
+
+    impl lsd_core::learners::BaseLearner for PanicsOnBoom {
+        fn name(&self) -> &'static str {
+            "panics-on-boom"
+        }
+
+        fn train(&mut self, _examples: &[(&lsd_core::Instance, usize)]) {}
+
+        fn predict(&self, instance: &lsd_core::Instance) -> lsd_learn::Prediction {
+            assert!(instance.text() != "boom", "learner hit a boom");
+            lsd_learn::Prediction::uniform(2)
+        }
+
+        fn fresh(&self) -> Box<dyn lsd_core::learners::BaseLearner> {
+            Box::new(PanicsOnBoom)
+        }
+    }
+
+    fn source(text: &str) -> Source {
+        let dtd = lsd_xml::parse_dtd("<!ELEMENT a (#PCDATA)>").expect("dtd");
+        let listing = lsd_xml::parse_fragment(&format!("<a>{text}</a>")).expect("listing");
+        Source::from_xml("q", dtd, vec![listing])
+    }
+
+    #[test]
+    fn a_panicking_match_is_a_500_and_the_worker_keeps_serving() {
+        let mediated = lsd_xml::parse_dtd("<!ELEMENT A (#PCDATA)>").expect("dtd");
+        let mut lsd = lsd_core::LsdBuilder::new(&mediated)
+            .add_learner(Box::new(PanicsOnBoom))
+            .build()
+            .expect("builds");
+        let train = lsd_core::TrainedSource {
+            source: source("calm"),
+            mapping: std::collections::HashMap::from([("a".to_string(), "A".to_string())]),
+        };
+        lsd.train(std::slice::from_ref(&train)).expect("trains");
+        let model = Arc::new(ModelEntry {
+            name: "m".into(),
+            lsd,
+            generation: 1,
+        });
+
+        let queue = Arc::new(RequestQueue::new(8, 1));
+        let (tx, rx) = mpsc::sync_channel(8);
+        for text in ["boom", "boom", "boom", "calm"] {
+            let mut job = dummy_job(tx.clone());
+            job.source = source(text);
+            job.model = Arc::clone(&model);
+            queue.push(job).expect("fits");
+        }
+        let worker = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || worker_loop(&queue))
+        };
+        // A dead worker would leave the rest queued: time out, never hang.
+        let reply = || rx.recv_timeout(Duration::from_secs(60)).expect("reply");
+        for _ in 0..3 {
+            match reply() {
+                Err(e @ ServeError::Internal { .. }) => assert_eq!(e.status(), 500),
+                other => panic!("expected a 500, got {other:?}"),
+            }
+        }
+        let served = reply().expect("the calm job is served");
+        assert!(served.contains("\"mapping\""), "{served}");
+        queue.begin_shutdown();
+        worker.join().expect("worker exits normally");
+        assert_eq!(queue.stats.panicked.load(Ordering::Relaxed), 3);
+        assert_eq!(queue.stats.processed.load(Ordering::Relaxed), 4);
     }
 
     #[test]

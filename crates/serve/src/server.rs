@@ -381,6 +381,10 @@ fn healthz_body(shared: &Shared) -> String {
             "requests_processed".to_string(),
             int(stats.processed.load(Ordering::Relaxed)),
         ),
+        (
+            "worker_panics".to_string(),
+            int(stats.panicked.load(Ordering::Relaxed)),
+        ),
     ]);
     serde_json::to_string(&doc).unwrap_or_else(|_| "{\"status\":\"ok\"}".to_string())
 }
