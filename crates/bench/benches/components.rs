@@ -8,10 +8,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsd_core::learners::{BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner};
 use lsd_core::{
     extract_instances, Instance, LsdBuilder, LsdConfig, MetaLearner, SearchAlgorithm, SearchConfig,
-    Source, TrainedSource,
+    Source, SourceWalk, TrainedSource,
 };
 use lsd_datagen::{DomainId, GeneratedDomain};
 use lsd_learn::cross_validation_predictions;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -295,8 +297,25 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("xml_parse_listing", |b| {
         b.iter(|| lsd_xml::parse_fragment(black_box(&listing_xml)).expect("parses"))
     });
+    // What matching does with a source's listings: one walk, a seeded
+    // subsample of each tag's occurrences, owned instances only for the
+    // kept ones, and the constraint data from the same walk.
+    let gs = &domain.sources[0];
+    let tags: Vec<&str> = gs.dtd.element_names().collect();
+    let cap = LsdConfig::default().max_match_instances_per_tag;
     c.bench_function("extract_instances_100_listings", |b| {
-        b.iter(|| extract_instances(black_box(&domain.sources[0].listings)))
+        b.iter(|| {
+            let walk = SourceWalk::new(black_box(&gs.listings));
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            let kept: Vec<Vec<Instance>> = tags
+                .iter()
+                .map(|tag| {
+                    let ids = walk.sample(tag, cap, &mut rng);
+                    ids.iter().map(|&id| walk.instance(id)).collect()
+                })
+                .collect();
+            (kept, walk.source_data(tags.iter().copied()))
+        })
     });
     let stemmer = lsd_text::PorterStemmer::new();
     c.bench_function("tokenize_and_stem_description", |b| {

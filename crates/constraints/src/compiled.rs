@@ -380,6 +380,8 @@ pub struct Evaluator<'a> {
     assignment_cost: Vec<Vec<f64>>,
     /// Per tag: the cheapest assignment cost (heuristic building block).
     best_cost: Vec<f64>,
+    /// Labels every complete mapping must place.
+    mandatory_labels: Vec<usize>,
     /// Lazily cached FD refutations keyed by (determinant tags, dependent
     /// tag).
     fd_cache: RefCell<HashMap<(Vec<usize>, usize), bool>>,
@@ -526,9 +528,26 @@ impl<'a> Evaluator<'a> {
             numeric_fraction,
             assignment_cost,
             best_cost,
+            mandatory_labels: set.mandatory_labels(),
             fd_cache: RefCell::new(HashMap::new()),
             evaluations: Cell::new(0),
         }
+    }
+
+    /// The matching context this evaluator was built for.
+    pub fn context(&self) -> &'a MatchingContext<'a> {
+        self.ctx
+    }
+
+    /// Per tag: the fraction of its extracted values that are numeric, if
+    /// it has any data (see [`crate::SourceData::numeric_fraction`]).
+    pub fn numeric_fraction(&self, tag: usize) -> Option<f64> {
+        self.numeric_fraction[tag]
+    }
+
+    /// The set's [`CompiledConstraintSet::mandatory_labels`].
+    pub fn mandatory_labels(&self) -> &[usize] {
+        &self.mandatory_labels
     }
 
     /// Number of [`Evaluator::evaluate`] calls so far.

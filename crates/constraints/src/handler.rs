@@ -14,10 +14,10 @@
 //! `ExactlyOne` constraints are re-inserted so pruning cannot make the
 //! problem artificially infeasible.
 
-use crate::compiled::CompiledConstraintSet;
+use crate::compiled::{CompiledConstraintSet, Evaluator};
 use crate::constraint::{ConstraintKind, DomainConstraint, Predicate};
 use crate::evaluate::MatchingContext;
-use crate::search::{search_mapping_compiled, MappingResult, SearchConfig};
+use crate::search::{search_mapping_evaluated, MappingResult, SearchConfig};
 use lsd_learn::LabelSet;
 
 /// The constraint handler: domain constraints + search configuration.
@@ -122,7 +122,12 @@ impl ConstraintHandler {
         feedback: &[DomainConstraint],
     ) -> MappingResult {
         let domain = self.compiled(ctx.labels);
-        self.find_mapping_precompiled(ctx, &domain, feedback)
+        let set = if feedback.is_empty() {
+            domain
+        } else {
+            domain.with_extra(ctx.labels, feedback)
+        };
+        self.find_mapping_evaluated(&Evaluator::with_compiled(ctx, &set), feedback)
     }
 
     /// Resolves the domain constraints against a label set once, so the
@@ -132,35 +137,39 @@ impl ConstraintHandler {
         CompiledConstraintSet::compile(labels, &self.constraints)
     }
 
-    /// [`Self::find_mapping_with_feedback`] over a constraint set already
-    /// compiled by [`Self::compiled`]. Feedback constraints (per-source by
-    /// definition) are compiled on the spot and layered on top.
-    pub fn find_mapping_precompiled(
+    /// [`Self::find_mapping_with_feedback`] over an evaluator the caller
+    /// built and keeps, e.g. to explain the result against it afterwards.
+    /// The evaluator must be over the effective constraint set: the set
+    /// from [`Self::compiled`], plus `feedback` via
+    /// [`CompiledConstraintSet::with_extra`] when there is any. `feedback`
+    /// is still needed here because candidate pruning reads the uncompiled
+    /// feedback constraints.
+    pub fn find_mapping_evaluated(
         &self,
-        ctx: &MatchingContext<'_>,
-        domain: &CompiledConstraintSet,
+        evaluator: &Evaluator<'_>,
         feedback: &[DomainConstraint],
     ) -> MappingResult {
+        let ctx = evaluator.context();
         let order = refinement_order(ctx);
-        if feedback.is_empty() {
-            let candidates = self.prepare_candidates(ctx, &self.constraints);
-            return search_mapping_compiled(ctx, domain, &candidates, &order, self.config);
-        }
-        let mut all: Vec<DomainConstraint> =
-            Vec::with_capacity(self.constraints.len() + feedback.len());
-        all.extend(self.constraints.iter().cloned());
-        all.extend(feedback.iter().cloned());
-        let candidates = self.prepare_candidates(ctx, &all);
-        let extended = domain.with_extra(ctx.labels, feedback);
-        search_mapping_compiled(ctx, &extended, &candidates, &order, self.config)
+        let candidates = if feedback.is_empty() {
+            self.prepare_candidates(evaluator, &self.constraints)
+        } else {
+            let mut all: Vec<DomainConstraint> =
+                Vec::with_capacity(self.constraints.len() + feedback.len());
+            all.extend(self.constraints.iter().cloned());
+            all.extend(feedback.iter().cloned());
+            self.prepare_candidates(evaluator, &all)
+        };
+        search_mapping_evaluated(evaluator, &candidates, &order, self.config)
     }
 
     /// Builds the pruned candidate label sets per tag.
     fn prepare_candidates(
         &self,
-        ctx: &MatchingContext<'_>,
+        evaluator: &Evaluator<'_>,
         constraints: &[DomainConstraint],
     ) -> Vec<Vec<usize>> {
+        let ctx = evaluator.context();
         let other = ctx.labels.other();
         let mut candidates: Vec<Vec<usize>> = ctx
             .predictions
@@ -178,9 +187,8 @@ impl ConstraintHandler {
             .collect();
 
         // Hard type constraints prune labels whose data is incompatible
-        // (cheap pre-processing, Section 7). Each tag's numeric fraction is
-        // computed at most once, on first use.
-        let mut numeric_fractions: Vec<Option<Option<f64>>> = vec![None; ctx.tags.len()];
+        // (cheap pre-processing, Section 7), reading the numeric fractions
+        // the evaluator computed once per tag.
         for c in constraints {
             let ConstraintKind::Hard = c.kind else {
                 continue;
@@ -194,9 +202,7 @@ impl ConstraintHandler {
                 continue;
             };
             for (t, cands) in candidates.iter_mut().enumerate() {
-                let fraction = numeric_fractions[t]
-                    .get_or_insert_with(|| ctx.data.numeric_fraction(&ctx.tags[t]));
-                let Some(frac) = *fraction else {
+                let Some(frac) = evaluator.numeric_fraction(t) else {
                     continue;
                 };
                 let incompatible = if want_numeric { frac < 0.5 } else { frac > 0.5 };

@@ -36,7 +36,7 @@ pub use constraint::{ConstraintKind, DomainConstraint, Predicate};
 pub use evaluate::{evaluate_partial, MatchingContext, INFEASIBLE};
 pub use handler::ConstraintHandler;
 pub use search::{
-    search_mapping, search_mapping_compiled, MappingResult, SearchAlgorithm, SearchConfig,
+    search_mapping, search_mapping_evaluated, MappingResult, SearchAlgorithm, SearchConfig,
     SearchEvents, SearchStats,
 };
 pub use source_data::SourceData;

@@ -240,7 +240,7 @@ struct Deadlines {
 
 impl Deadlines {
     /// `mandatory` lists the label indices demanded by hard `ExactlyOne`
-    /// constraints (see [`CompiledConstraintSet::mandatory_labels`]).
+    /// constraints (see [`Evaluator::mandatory_labels`]).
     fn new(mandatory: &[usize], candidates: &[Vec<usize>], order: &[usize]) -> Self {
         let mut due = vec![Vec::new(); order.len()];
         let mut unplaceable = false;
@@ -277,24 +277,31 @@ pub fn search_mapping(
     config: SearchConfig,
 ) -> MappingResult {
     let set = CompiledConstraintSet::compile(ctx.labels, constraints);
-    search_mapping_compiled(ctx, &set, candidates, order, config)
+    search_mapping_evaluated(
+        &Evaluator::with_compiled(ctx, &set),
+        candidates,
+        order,
+        config,
+    )
 }
 
-/// [`search_mapping`] over a pre-compiled constraint set. The batch engine
-/// compiles the domain constraints once and calls this per source, sharing
-/// one `&CompiledConstraintSet` across worker threads.
-pub fn search_mapping_compiled(
-    ctx: &MatchingContext<'_>,
-    set: &CompiledConstraintSet,
+/// [`search_mapping`] over an evaluator the caller built (for one source,
+/// from a constraint set compiled once and shared read-only across worker
+/// threads) and keeps, so the same evaluator can also serve work after the
+/// search, such as the pipeline's decision provenance. Only this search's
+/// evaluations are counted in `search.evaluations`.
+pub fn search_mapping_evaluated(
+    evaluator: &Evaluator<'_>,
     candidates: &[Vec<usize>],
     order: &[usize],
     config: SearchConfig,
 ) -> MappingResult {
+    let ctx = evaluator.context();
     debug_assert_eq!(candidates.len(), ctx.tags.len());
     debug_assert_eq!(order.len(), ctx.tags.len());
     let _span = lsd_obs::span!("constraints.search");
-    let evaluator = Evaluator::with_compiled(ctx, set);
-    let deadlines = Deadlines::new(&set.mandatory_labels(), candidates, order);
+    let evaluations_before = evaluator.evaluations();
+    let deadlines = Deadlines::new(evaluator.mandatory_labels(), candidates, order);
     let mut scratch = evaluator.scratch();
     let mut events = SearchEvents::new(ctx.tags.len(), ctx.labels.len());
     let result = if deadlines.unplaceable {
@@ -303,7 +310,7 @@ pub fn search_mapping_compiled(
         match config.algorithm {
             SearchAlgorithm::AStar { max_expansions } => astar(
                 ctx,
-                &evaluator,
+                evaluator,
                 &deadlines,
                 &mut scratch,
                 candidates,
@@ -314,7 +321,7 @@ pub fn search_mapping_compiled(
             ),
             SearchAlgorithm::Beam { width } => beam(
                 ctx,
-                &evaluator,
+                evaluator,
                 &deadlines,
                 &mut scratch,
                 candidates,
@@ -324,7 +331,7 @@ pub fn search_mapping_compiled(
             ),
             SearchAlgorithm::Greedy => greedy(
                 ctx,
-                &evaluator,
+                evaluator,
                 &deadlines,
                 &mut scratch,
                 candidates,
@@ -334,7 +341,7 @@ pub fn search_mapping_compiled(
         }
     };
     let mut result =
-        result.unwrap_or_else(|| fallback_argmax(ctx, &evaluator, &mut scratch, candidates));
+        result.unwrap_or_else(|| fallback_argmax(ctx, evaluator, &mut scratch, candidates));
     result.events = events;
     // One flush per search call: counters were accumulated in the local
     // `SearchStats` / evaluator cell, so the hot loop never touches the
@@ -344,7 +351,11 @@ pub fn search_mapping_compiled(
         lsd_obs::counter_add("search.nodes_expanded", "", result.stats.expansions as u64);
         lsd_obs::counter_add("search.nodes_generated", "", result.stats.generated as u64);
         lsd_obs::counter_add("search.nodes_pruned", "", result.stats.pruned as u64);
-        lsd_obs::counter_add("search.evaluations", "", evaluator.evaluations());
+        lsd_obs::counter_add(
+            "search.evaluations",
+            "",
+            evaluator.evaluations() - evaluations_before,
+        );
         lsd_obs::gauge_max(
             "search.fd_cache_entries",
             "",

@@ -204,6 +204,23 @@ pub(crate) fn is_placeholder(value: &str) -> bool {
 
 /// True if a value is numeric after stripping `$ , % #` and whitespace.
 pub(crate) fn is_numeric_value(value: &str) -> bool {
+    // `f64::from_str` accepts only digits, `.`, signs, an exponent and the
+    // letters of `inf`/`infinity`/`nan` (any case): reject any other
+    // character before building the cleaned copy. Long free-text values
+    // fail on their first letters.
+    let parsable = |c: char| {
+        c.is_ascii_digit()
+            || matches!(
+                c.to_ascii_lowercase(),
+                '.' | '+' | '-' | 'e' | 'i' | 'n' | 'f' | 't' | 'y' | 'a'
+            )
+    };
+    if !value
+        .chars()
+        .all(|c| parsable(c) || matches!(c, '$' | ',' | '%' | '#') || c.is_whitespace())
+    {
+        return false;
+    }
     let cleaned: String = value
         .chars()
         .filter(|c| !matches!(c, '$' | ',' | '%' | '#') && !c.is_whitespace())
@@ -325,5 +342,39 @@ mod tests {
         assert!(!is_numeric_value("three"));
         assert!(!is_numeric_value(""));
         assert!(!is_numeric_value("$"));
+    }
+
+    #[test]
+    fn numeric_prefilter_agrees_with_parsing() {
+        let reference = |value: &str| {
+            let cleaned: String = value
+                .chars()
+                .filter(|c| !matches!(c, '$' | ',' | '%' | '#') && !c.is_whitespace())
+                .collect();
+            !cleaned.is_empty() && cleaned.parse::<f64>().is_ok()
+        };
+        let alphabet = [
+            '1', '.', 'e', 'E', '-', '+', 'i', 'n', 'f', 'a', 't', 'y', 'N', 'I', '$', ',', ' ',
+            'x', 'é', '٣', '\u{a0}',
+        ];
+        let mut values: Vec<String> = vec![
+            "inf".into(),
+            "-Infinity".into(),
+            "NaN".into(),
+            "+.5e-3".into(),
+            "1_000".into(),
+            "0x10".into(),
+            "$ 1,250.00 %".into(),
+        ];
+        for a in alphabet {
+            for b in alphabet {
+                for c in alphabet {
+                    values.push([a, b, c].iter().collect());
+                }
+            }
+        }
+        for v in &values {
+            assert_eq!(is_numeric_value(v), reference(v), "{v:?}");
+        }
     }
 }

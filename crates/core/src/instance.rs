@@ -8,7 +8,9 @@
 //! below it.
 
 use lsd_constraints::SourceData;
-use lsd_xml::Element;
+use lsd_xml::{Element, Node};
+use rand::seq::SliceRandom;
+use rand::RngCore;
 use std::collections::HashMap;
 
 /// One occurrence of a source tag in a listing.
@@ -55,48 +57,188 @@ impl Instance {
     }
 }
 
-/// Extracts one [`Instance`] per element occurrence from a set of listings,
-/// grouped by tag name. The listing root elements themselves are included
-/// (their tag is a schema element too), each with a single-entry path.
-pub fn extract_instances(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
-    let mut columns: HashMap<String, Vec<Instance>> = HashMap::new();
-    for listing in listings {
-        let mut stack: Vec<(Vec<String>, &Element)> = vec![(vec![listing.name.clone()], listing)];
-        while let Some((path, element)) = stack.pop() {
-            columns
-                .entry(element.name.clone())
-                .or_default()
-                .push(Instance::new(element.clone(), path.clone()));
-            for child in element.child_elements() {
-                let mut child_path = path.clone();
-                child_path.push(child.name.clone());
-                stack.push((child_path, child));
-            }
-        }
-    }
-    columns
+/// One borrowed pass over a source's listings: every element occurrence,
+/// with its tag, root path and deep text, and no element cloned. Matching,
+/// training and the constraint [`SourceData`] all read the same walk;
+/// only the occurrences that subsampling keeps become owned [`Instance`]s
+/// (see [`SourceWalk::sample`] and [`SourceWalk::instance`]).
+///
+/// Occurrences are identified by `usize` ids. Each column lists its ids in
+/// *extraction order*: listing by listing, a stack-based depth-first walk
+/// that visits the last child first. That order fixes which instances a
+/// seeded subsample keeps, so it must not change.
+pub struct SourceWalk<'a> {
+    /// Occurrences in document pre-order, listing after listing.
+    nodes: Vec<WalkNode<'a>>,
+    /// The id of each listing's root occurrence.
+    roots: Vec<usize>,
+    /// Per tag, its occurrence ids in extraction order.
+    columns: HashMap<&'a str, Vec<usize>>,
 }
 
-/// Builds the row-aligned [`SourceData`] used by column constraints: one
-/// row per listing, each tag's cell holding the concatenated text of that
-/// tag's occurrences in the listing.
+struct WalkNode<'a> {
+    element: &'a Element,
+    parent: Option<usize>,
+    /// One past the id of this subtree's last occurrence.
+    end: usize,
+    /// All text in the subtree, as [`Element::deep_text`] joins it.
+    text: String,
+}
+
+impl<'a> SourceWalk<'a> {
+    /// Walks `listings` once. Each occurrence's deep text is joined from
+    /// its direct text runs and its children's deep texts, so a listing's
+    /// text is joined once rather than once per ancestor.
+    pub fn new(listings: &'a [Element]) -> Self {
+        let mut walk = SourceWalk {
+            nodes: Vec::new(),
+            roots: Vec::with_capacity(listings.len()),
+            columns: HashMap::new(),
+        };
+        for listing in listings {
+            let root = walk.push(listing, None);
+            walk.roots.push(root);
+        }
+        let mut stack = Vec::new();
+        for &root in &walk.roots {
+            stack.push(root);
+            while let Some(id) = stack.pop() {
+                let node = &walk.nodes[id];
+                walk.columns
+                    .entry(node.element.name.as_str())
+                    .or_default()
+                    .push(id);
+                // Children in document order, so the last one pops first.
+                let mut child = id + 1;
+                while child < node.end {
+                    stack.push(child);
+                    child = walk.nodes[child].end;
+                }
+            }
+        }
+        walk
+    }
+
+    /// Appends `element`'s subtree in document pre-order; returns its id.
+    fn push(&mut self, element: &'a Element, parent: Option<usize>) -> usize {
+        let id = self.nodes.len();
+        self.nodes.push(WalkNode {
+            element,
+            parent,
+            end: 0,
+            text: String::new(),
+        });
+        let mut text = String::new();
+        for child in &element.children {
+            match child {
+                Node::Text(run) => push_text_part(&mut text, run),
+                Node::Element(e) => {
+                    let child_id = self.push(e, Some(id));
+                    push_text_part(&mut text, &self.nodes[child_id].text);
+                }
+            }
+        }
+        let end = self.nodes.len();
+        let node = &mut self.nodes[id];
+        node.end = end;
+        node.text = text;
+        id
+    }
+
+    /// The tags that occur at least once, in no particular order.
+    pub fn tags(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.columns.keys().copied()
+    }
+
+    /// The occurrence ids of `tag` in extraction order (empty if it never
+    /// occurs).
+    pub fn column(&self, tag: &str) -> &[usize] {
+        self.columns.get(tag).map_or(&[], Vec::as_slice)
+    }
+
+    /// `tag`'s column cut to at most `cap` uniformly chosen occurrences
+    /// (`cap == 0` keeps all). The shuffle is over ids, but it makes the
+    /// same draws from `rng` as shuffling the owned instances would (the
+    /// draws depend only on the length), so the kept occurrences and their
+    /// order are the same.
+    pub fn sample(&self, tag: &str, cap: usize, rng: &mut impl RngCore) -> Vec<usize> {
+        let mut ids = self.column(tag).to_vec();
+        if cap != 0 && ids.len() > cap {
+            ids.shuffle(rng);
+            ids.truncate(cap);
+        }
+        ids
+    }
+
+    /// The occurrence's deep text (the same string [`Instance::text`]
+    /// returns for its instance).
+    pub fn text(&self, id: usize) -> &str {
+        &self.nodes[id].text
+    }
+
+    /// The occurrence as an owned [`Instance`]: its element subtree and
+    /// root path are cloned here, and only here.
+    pub fn instance(&self, id: usize) -> Instance {
+        let mut path = Vec::new();
+        let mut at = Some(id);
+        while let Some(i) = at {
+            path.push(self.nodes[i].element.name.clone());
+            at = self.nodes[i].parent;
+        }
+        path.reverse();
+        Instance::new(self.nodes[id].element.clone(), path)
+    }
+
+    /// The row-aligned [`SourceData`] used by column constraints: one row
+    /// per listing, each tag's cell holding the text of that tag's
+    /// occurrences in the listing (joined in document order when repeated).
+    pub fn source_data<'t>(&self, tags: impl IntoIterator<Item = &'t str>) -> SourceData {
+        let mut data = SourceData::new(tags);
+        for &root in &self.roots {
+            data.push_row(
+                self.nodes[root..self.nodes[root].end]
+                    .iter()
+                    .map(|n| (n.element.name.as_str(), n.text.as_str())),
+            );
+        }
+        data
+    }
+}
+
+/// Appends one text part the way [`Element::deep_text`] joins runs:
+/// trimmed, skipped when empty, separated by one space.
+fn push_text_part(out: &mut String, part: &str) {
+    let part = part.trim();
+    if part.is_empty() {
+        return;
+    }
+    if !out.is_empty() {
+        out.push(' ');
+    }
+    out.push_str(part);
+}
+
+/// Extracts one [`Instance`] per element occurrence from a set of listings,
+/// grouped by tag name, each column in extraction order (see
+/// [`SourceWalk`]). The listing root elements themselves are included
+/// (their tag is a schema element too), each with a single-entry path.
+pub fn extract_instances(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
+    let walk = SourceWalk::new(listings);
+    walk.tags()
+        .map(|tag| {
+            let instances = walk.column(tag).iter().map(|&id| walk.instance(id));
+            (tag.to_string(), instances.collect())
+        })
+        .collect()
+}
+
+/// Builds the row-aligned [`SourceData`] used by column constraints (see
+/// [`SourceWalk::source_data`]).
 pub fn build_source_data<'a, I>(tags: I, listings: &[Element]) -> SourceData
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let mut data = SourceData::new(tags.into_iter().map(str::to_string).collect::<Vec<_>>());
-    for listing in listings {
-        let mut values: Vec<(String, String)> = Vec::new();
-        listing.visit(&mut |e| {
-            if e.is_leaf() {
-                values.push((e.name.clone(), e.direct_text()));
-            } else {
-                values.push((e.name.clone(), e.deep_text()));
-            }
-        });
-        data.push_row(values.iter().map(|(t, v)| (t.as_str(), v.as_str())));
-    }
-    data
+    SourceWalk::new(listings).source_data(tags)
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub use feedback::{
     simulate_feedback_session, Correction, CorrectionKind, Feedback, FeedbackOutcome, StallReason,
 };
 pub use hierarchy::{most_specific_unambiguous, PartialMatch};
-pub use instance::{build_source_data, extract_instances, Instance};
+pub use instance::{build_source_data, extract_instances, Instance, SourceWalk};
 pub use meta::MetaLearner;
 pub use persist::{PersistError, SavedLearner, SavedModel, SAVED_MODEL_VERSION};
 pub use readers::{

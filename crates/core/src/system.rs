@@ -23,7 +23,7 @@ use crate::converter::{convert_column_with, CombinationRule};
 use crate::error::LsdError;
 use crate::explain::RejectionReason;
 use crate::feedback::Feedback;
-use crate::instance::{build_source_data, extract_instances, Instance};
+use crate::instance::{Instance, SourceWalk};
 use crate::learners::{BaseLearner, Reads, XmlLearner};
 use crate::meta::MetaLearner;
 use crate::readers::{ReadError, SourceFormat, SourceReader};
@@ -38,7 +38,6 @@ use lsd_learn::{
     cross_validation_predictions_grouped_with, parallel_map, ExecPolicy, LabelSet, Prediction,
 };
 use lsd_xml::{Dtd, Element, SchemaTree};
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -773,18 +772,18 @@ impl Lsd {
                 .collect();
             // Sort columns by tag name: HashMap iteration order would make
             // example order — and every downstream RNG draw — nondeterministic.
-            let mut columns: Vec<(String, Vec<Instance>)> =
-                extract_instances(&ts.source.listings).into_iter().collect();
-            columns.sort_by(|a, b| a.0.cmp(&b.0));
-            for (tag, instances) in columns.iter_mut() {
-                let Some(&label) = tag_labels.get(tag.as_str()) else {
+            let walk = SourceWalk::new(&ts.source.listings);
+            let mut tags: Vec<&str> = walk.tags().collect();
+            tags.sort_unstable();
+            for tag in tags {
+                let Some(&label) = tag_labels.get(tag) else {
                     continue;
                 };
-                subsample(instances, self.config.max_train_instances_per_tag, &mut rng);
+                let kept = walk.sample(tag, self.config.max_train_instances_per_tag, &mut rng);
                 let group = next_group;
                 next_group += 1;
-                for instance in instances.drain(..) {
-                    examples.push((instance.with_sub_labels(tag_labels.clone()), label));
+                for id in kept {
+                    examples.push((walk.instance(id).with_sub_labels(tag_labels.clone()), label));
                     groups.push(group);
                 }
             }
@@ -910,26 +909,22 @@ impl Lsd {
         })?;
         let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
 
-        // Extract and (deterministically) subsample the instance columns,
-        // one per tag in schema order, and read each instance's text once.
+        // Walk the listings once, (deterministically) subsample each tag's
+        // occurrences in schema order, and own only the kept instances.
+        // Their texts, and the constraint data, come from the same walk.
+        let walk = SourceWalk::new(&source.listings);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut columns: Vec<Vec<Instance>> = {
-            let mut extracted = extract_instances(&source.listings);
-            tags.iter()
-                .map(|tag| {
-                    let mut instances = extracted.remove(tag).unwrap_or_default();
-                    subsample(
-                        &mut instances,
-                        self.config.max_match_instances_per_tag,
-                        &mut rng,
-                    );
-                    instances
-                })
-                .collect()
-        };
-        let texts: Vec<Vec<String>> = columns
+        let kept: Vec<Vec<usize>> = tags
             .iter()
-            .map(|instances| instances.iter().map(Instance::text).collect())
+            .map(|tag| walk.sample(tag, self.config.max_match_instances_per_tag, &mut rng))
+            .collect();
+        let mut columns: Vec<Vec<Instance>> = kept
+            .iter()
+            .map(|ids| ids.iter().map(|&id| walk.instance(id)).collect())
+            .collect();
+        let texts: Vec<Vec<&str>> = kept
+            .iter()
+            .map(|ids| ids.iter().map(|&id| walk.text(id)).collect())
             .collect();
 
         // Per-learner wall-time accumulators, flushed once per source so
@@ -1054,9 +1049,11 @@ impl Lsd {
             }
         }
 
-        // Nothing below reads the instances: free them now, not after the
-        // constraint search, to keep peak memory down.
+        // Nothing below reads the instances or the walk: free them now, not
+        // after the constraint search, to keep peak memory down.
+        let data = walk.source_data(tags.iter().map(String::as_str));
         drop((columns, texts));
+        drop(walk);
 
         // Per-learner tag-level views: each learner's instance column run
         // through the same converter as the combined pipeline. This is the
@@ -1101,9 +1098,9 @@ impl Lsd {
             }
         }
 
-        // Constraint handling. The context outlives the search so the
-        // provenance pass below can re-evaluate candidate swaps against it.
-        let data = build_source_data(tags.iter().map(String::as_str), &source.listings);
+        // Constraint handling. One evaluator, over the effective constraint
+        // set (domain plus this source's feedback), serves the search and
+        // the provenance pass below.
         let ctx = MatchingContext {
             labels: &self.labels,
             schema: &schema,
@@ -1112,10 +1109,18 @@ impl Lsd {
             data: &data,
             alpha: self.config.alpha,
         };
-        let result = {
+        let extended;
+        let set = if feedback.is_empty() {
+            domain
+        } else {
+            extended = domain.with_extra(&self.labels, feedback);
+            &extended
+        };
+        let (eval, result) = {
             let _search = lsd_obs::span!("match.constraints");
-            self.handler
-                .find_mapping_precompiled(&ctx, domain, feedback)
+            let eval = Evaluator::with_compiled(&ctx, set);
+            let result = self.handler.find_mapping_evaluated(&eval, feedback);
+            (eval, result)
         };
         let labels: Vec<String> = result
             .assignment
@@ -1148,14 +1153,7 @@ impl Lsd {
         // the search used.
         let rejections = {
             let _span = lsd_obs::span!("match.provenance");
-            let extended;
-            let set = if feedback.is_empty() {
-                domain
-            } else {
-                extended = domain.with_extra(&self.labels, feedback);
-                &extended
-            };
-            compute_rejections(&ctx, set, &result, &candidates)
+            compute_rejections(&eval, &result, &candidates)
         };
         Ok(MatchOutcome {
             tags,
@@ -1213,12 +1211,10 @@ impl Lsd {
 /// assignment, a candidate is blamed only for the hard violations it would
 /// *introduce* on top of the base assignment's own.
 fn compute_rejections(
-    ctx: &MatchingContext<'_>,
-    set: &CompiledConstraintSet,
+    eval: &Evaluator<'_>,
     result: &MappingResult,
     candidates: &[Vec<LabelCandidate>],
 ) -> Vec<Vec<Option<RejectionReason>>> {
-    let eval = Evaluator::with_compiled(ctx, set);
     let mut scratch = eval.scratch();
     let mut assignment: Vec<Option<usize>> = result.assignment.iter().map(|&l| Some(l)).collect();
     let base_cost = eval.evaluate(&assignment, &mut scratch);
@@ -1306,8 +1302,6 @@ pub struct TagExplanation {
     pub instances_examined: usize,
 }
 
-/// Truncates `instances` to at most `cap` elements chosen uniformly
-/// (deterministically under the caller's RNG). `cap == 0` keeps everything.
 /// One learner's predictions within a match, keyed by what it reads (see
 /// [`Reads`]): a repeated path or text reuses the first prediction.
 #[derive(Default)]
@@ -1351,14 +1345,6 @@ where
     pred
 }
 
-fn subsample(instances: &mut Vec<Instance>, cap: usize, rng: &mut ChaCha8Rng) {
-    if cap == 0 || instances.len() <= cap {
-        return;
-    }
-    instances.shuffle(rng);
-    instances.truncate(cap);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1366,6 +1352,7 @@ mod tests {
     use crate::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
     use lsd_constraints::Predicate;
     use lsd_xml::{parse_dtd, parse_fragment};
+    use rand::seq::SliceRandom;
 
     /// The paper's running example (Figures 2, 5, 6): mediated schema with
     /// ADDRESS / DESCRIPTION / AGENT-PHONE; train on realestate.com and
@@ -1742,27 +1729,25 @@ mod tests {
 
     #[test]
     fn subsample_caps_deterministically() {
+        let listings: Vec<Element> = (0..10)
+            .map(|i| lsd_xml::Element::text_leaf("t", i.to_string()))
+            .collect();
+        let walk = SourceWalk::new(&listings);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let make = || {
-            (0..10)
-                .map(|i| {
-                    Instance::new(
-                        lsd_xml::Element::text_leaf("t", i.to_string()),
-                        vec!["t".into()],
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut a = make();
-        subsample(&mut a, 3, &mut rng);
+        let a = walk.sample("t", 3, &mut rng);
         assert_eq!(a.len(), 3);
         let mut rng2 = ChaCha8Rng::seed_from_u64(1);
-        let mut b = make();
-        subsample(&mut b, 3, &mut rng2);
-        let texts = |v: &[Instance]| v.iter().map(Instance::text).collect::<Vec<_>>();
-        assert_eq!(texts(&a), texts(&b));
-        let mut c = make();
-        subsample(&mut c, 0, &mut rng);
-        assert_eq!(c.len(), 10);
+        let b = walk.sample("t", 3, &mut rng2);
+        assert_eq!(a, b);
+        // The ids pick the same instances a shuffle of the owned column
+        // would, with the same draws.
+        let mut owned: Vec<String> = (0..10).map(|i| i.to_string()).collect();
+        owned.shuffle(&mut ChaCha8Rng::seed_from_u64(1));
+        owned.truncate(3);
+        let texts: Vec<&str> = a.iter().map(|&id| walk.text(id)).collect();
+        assert_eq!(texts, owned);
+        assert_eq!(walk.sample("t", 0, &mut rng).len(), 10);
+        assert_eq!(walk.sample("t", 10, &mut rng).len(), 10);
+        assert!(walk.sample("absent", 3, &mut rng).is_empty());
     }
 }

@@ -1,10 +1,17 @@
 //! Property-based tests for the core pipeline's building blocks:
 //! instance extraction, the meta-learner and the converter.
 
-use lsd_core::{convert_column_with, extract_instances, CombinationRule, MetaLearner};
+use lsd_core::{
+    build_source_data, convert_column_with, extract_instances, CombinationRule, Instance,
+    MetaLearner, SourceData, SourceWalk,
+};
 use lsd_learn::Prediction;
-use lsd_xml::Element;
+use lsd_xml::{Element, Node};
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 
 /// An arbitrary listing tree (bounded), with distinct-ish tag names.
 fn arb_listing() -> impl Strategy<Value = Element> {
@@ -21,7 +28,141 @@ fn arb_listing() -> impl Strategy<Value = Element> {
     })
 }
 
+/// The extraction the walk replaced, kept as an oracle: every occurrence
+/// cloned, in stack-based depth-first order (last child first).
+fn oracle_extract(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
+    let mut columns: HashMap<String, Vec<Instance>> = HashMap::new();
+    for listing in listings {
+        let mut stack: Vec<(Vec<String>, &Element)> = vec![(vec![listing.name.clone()], listing)];
+        while let Some((path, element)) = stack.pop() {
+            columns
+                .entry(element.name.clone())
+                .or_default()
+                .push(Instance::new(element.clone(), path.clone()));
+            for child in element.child_elements() {
+                let mut child_path = path.clone();
+                child_path.push(child.name.clone());
+                stack.push((child_path, child));
+            }
+        }
+    }
+    columns
+}
+
+/// The owned-column subsample the walk replaced: shuffle, then truncate.
+fn oracle_subsample(instances: &mut Vec<Instance>, cap: usize, rng: &mut ChaCha8Rng) {
+    if cap == 0 || instances.len() <= cap {
+        return;
+    }
+    instances.shuffle(rng);
+    instances.truncate(cap);
+}
+
+/// The `visit`-based constraint data the walk replaced.
+fn oracle_source_data(tags: &[&str], listings: &[Element]) -> SourceData {
+    let mut data = SourceData::new(tags.iter().copied());
+    for listing in listings {
+        let mut values: Vec<(String, String)> = Vec::new();
+        listing.visit(&mut |e| {
+            if e.is_leaf() {
+                values.push((e.name.clone(), e.direct_text()));
+            } else {
+                values.push((e.name.clone(), e.deep_text()));
+            }
+        });
+        data.push_row(values.iter().map(|(t, v)| (t.as_str(), v.as_str())));
+    }
+    data
+}
+
+/// A text run: empty, whitespace-only (ASCII and Unicode), or words with
+/// surrounding whitespace.
+fn arb_text_run() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[ \t\n]{1,3}",
+        Just("\u{a0}\u{3000}".to_string()),
+        "[ \n]{0,2}[a-c0-9]{1,4}[ ,\t]{0,2}[a-c]{0,3}[ \n]{0,2}",
+    ]
+}
+
+/// A listing tree over a four-tag alphabet, so tags repeat within and
+/// across listings, with empty elements and text runs mixed between
+/// child elements.
+fn arb_mixed_listing() -> impl Strategy<Value = Element> {
+    let tag = prop_oneof![Just("a"), Just("b"), Just("c"), Just("d")].boxed();
+    let leaf =
+        (tag.clone(), prop::collection::vec(arb_text_run(), 0..3)).prop_map(|(name, runs)| {
+            let mut e = Element::new(name);
+            for run in runs {
+                e.push_text(run);
+            }
+            e
+        });
+    leaf.prop_recursive(3, 24, 4, move |inner| {
+        let child = prop_oneof![
+            arb_text_run().prop_map(Node::Text),
+            inner.clone().prop_map(Node::Element),
+            inner.prop_map(Node::Element),
+        ];
+        (tag.clone(), prop::collection::vec(child, 0..5)).prop_map(|(name, children)| {
+            let mut e = Element::new(name);
+            e.children = children;
+            e
+        })
+    })
+}
+
 proptest! {
+    /// The walk's subsample-first extraction keeps exactly what cloning
+    /// every occurrence and then shuffling the owned columns kept: the same
+    /// elements, paths and texts, in the same order, for every cap and
+    /// seed; and its constraint data has the same cells.
+    #[test]
+    fn walk_matches_extract_then_subsample(
+        listings in prop::collection::vec(arb_mixed_listing(), 0..5),
+        seed in 0u64..4,
+    ) {
+        let mut oracle = oracle_extract(&listings);
+        let walk = SourceWalk::new(&listings);
+        let longest = oracle.values().map(Vec::len).max().unwrap_or(0);
+        // "e" never occurs: an empty column makes no draws on either side.
+        let tags = ["a", "b", "c", "d", "e"];
+        for cap in [0, 1, 3, longest, longest + 1] {
+            let mut old_rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut new_rng = ChaCha8Rng::seed_from_u64(seed);
+            for tag in tags {
+                let mut old = oracle.get(tag).cloned().unwrap_or_default();
+                oracle_subsample(&mut old, cap, &mut old_rng);
+                let kept = walk.sample(tag, cap, &mut new_rng);
+                prop_assert_eq!(kept.len(), old.len(), "tag {} cap {}", tag, cap);
+                for (&id, old) in kept.iter().zip(&old) {
+                    let new = walk.instance(id);
+                    prop_assert_eq!(&new.element, &old.element);
+                    prop_assert_eq!(&new.path, &old.path);
+                    let old_text = old.text();
+                    prop_assert_eq!(walk.text(id), old_text.as_str());
+                    prop_assert_eq!(new.text(), old_text);
+                }
+            }
+        }
+        // The public wrappers agree with the oracles too.
+        let mut extracted = extract_instances(&listings);
+        prop_assert_eq!(extracted.len(), oracle.len());
+        for (tag, old) in oracle.drain() {
+            let new = extracted.remove(&tag).unwrap_or_default();
+            prop_assert_eq!(new.len(), old.len());
+            for (new, old) in new.iter().zip(&old) {
+                prop_assert_eq!(&new.element, &old.element);
+                prop_assert_eq!(&new.path, &old.path);
+            }
+        }
+        let cells = |data: &SourceData| serde_json::to_string(data).expect("serializes");
+        let expected = cells(&oracle_source_data(&tags, &listings));
+        prop_assert_eq!(cells(&walk.source_data(tags)), expected.clone());
+        prop_assert_eq!(cells(&build_source_data(tags, &listings)), expected);
+    }
+
     /// Extraction is exhaustive and faithful: each element occurrence of
     /// each listing appears in exactly one column, paths start at the
     /// listing root and end at the instance's own tag.
