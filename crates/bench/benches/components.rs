@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for LSD's components: base-learner training
 //! and prediction, meta-learner training (cross-validation + regression),
-//! and the constraint handler's search algorithms.
+//! and the constraint handler's search algorithms, whole-match and
+//! search-only.
 //!
 //! Run with `cargo bench -p lsd-bench`.
 
@@ -182,6 +183,54 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_search_only(c: &mut Criterion) {
+    // The A* search alone on the heaviest match-small input: Time Schedule
+    // source 4 (`utexas.edu`, 11 856 expansions) under the model perfbench
+    // serves. The evaluator is built once outside the timed loop, so each
+    // iteration is the search (candidate pruning, refinement order, A*) and
+    // nothing else; `match_real_estate2` above times whole matches.
+    use lsd_bench::{to_sources, train_full_model, ExperimentParams};
+    use lsd_constraints::{ConstraintHandler, Evaluator, MatchingContext};
+    use lsd_xml::SchemaTree;
+
+    let params = ExperimentParams {
+        listings: 15,
+        seed: 1,
+        ..ExperimentParams::default()
+    };
+    let (_, model) = train_full_model(DomainId::TimeSchedule, &params);
+    let generated = DomainId::TimeSchedule.generate(20, 1);
+    let gs = &generated.sources[4];
+    let outcome = model
+        .match_source(&to_sources(gs))
+        .expect("datagen sources match");
+    let schema = SchemaTree::from_dtd(&gs.dtd).expect("valid schema");
+    let data = lsd_core::build_source_data(outcome.tags.iter().map(String::as_str), &gs.listings);
+    let ctx = MatchingContext {
+        labels: model.labels(),
+        schema: &schema,
+        tags: outcome.tags.clone(),
+        predictions: outcome.predictions.clone(),
+        data: &data,
+        alpha: params.lsd.alpha,
+    };
+    let handler = ConstraintHandler::new(model.constraints().to_vec())
+        .with_config(params.lsd.search)
+        .with_candidate_limit(params.lsd.candidate_limit);
+    let evaluator = Evaluator::with_compiled(&ctx, &handler.compiled(ctx.labels));
+    // The rebuilt context must reproduce the match's own search.
+    let result = handler.find_mapping_evaluated(&evaluator, &[]);
+    assert_eq!(result.assignment, outcome.result.assignment);
+    assert_eq!(result.stats.expansions, outcome.result.stats.expansions);
+
+    let mut group = c.benchmark_group("search_only");
+    group.sample_size(10);
+    group.bench_function("time_schedule_utexas", |b| {
+        b.iter(|| handler.find_mapping_evaluated(black_box(&evaluator), &[]))
+    });
+    group.finish();
+}
+
 fn bench_batch_engine(c: &mut Criterion) {
     // The parallel batch-matching engine vs the serial loop it replaces:
     // one trained system, a 4-domain x 5-source workload, outcomes
@@ -337,6 +386,7 @@ criterion_group!(
     bench_learners,
     bench_meta,
     bench_search,
+    bench_search_only,
     bench_batch_engine,
     bench_evaluators,
     bench_substrates

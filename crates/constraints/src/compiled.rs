@@ -8,16 +8,24 @@
 //! - label names → dense indices; constraints referencing unknown labels
 //!   or tags are dropped (they can never fire);
 //! - schema relations (nesting, between-tags, tree distance) → `q × q`
-//!   matrices;
-//! - data predicates (key duplicates, numeric fraction) → per-tag flags;
-//! - functional-dependency refutations → lazily cached per tag tuple.
+//!   matrices, built over interned schema-tag indices;
+//! - data predicates (key duplicates, numeric fraction) → per-tag flags,
+//!   one pass over each column;
+//! - functional-dependency refutations → lazily cached per tag tuple;
+//! - *watch sets*: per label and per tag, the hard constraints whose
+//!   verdict can change when that label or tag is assigned.
 //!
-//! Evaluation then costs `O(q + #constraints)` per node with no hashing of
-//! strings, using a caller-provided [`Scratch`] to avoid allocation.
+//! [`Evaluator::evaluate`] scores any assignment in `O(q + #constraints)`
+//! with no hashing of strings, using a caller-provided [`Scratch`].
+//! [`Evaluator::evaluate_extension`] scores a *feasible* parent plus one
+//! `(tag, label)`: only the watched hard constraints are re-checked, and the
+//! cost is summed exactly as `evaluate` sums it, so the two agree bit for
+//! bit. The search scores every child this way.
 
 use crate::constraint::{ConstraintKind, DomainConstraint, Predicate};
 use crate::evaluate::{MatchingContext, INFEASIBLE};
 use lsd_learn::LabelSet;
+use lsd_xml::{SchemaTree, TagInfo};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
@@ -361,6 +369,65 @@ pub struct Scratch {
     tags_by_label: Vec<Vec<usize>>,
 }
 
+/// A partial assignment held together with its per-label tag lists, so
+/// that one-tag extensions can be scored without rebuilding either (see
+/// [`Evaluator::evaluate_extension`]). Each list stays in ascending tag
+/// order, the order [`Evaluator::evaluate`] builds: functional
+/// dependencies read each label's first tag.
+#[derive(Debug, Clone)]
+pub struct PartialAssignment {
+    assignment: Vec<Option<usize>>,
+    by_label: Vec<Vec<usize>>,
+    assigned: usize,
+}
+
+impl PartialAssignment {
+    /// The assignment: `assignment()[t]` is tag `t`'s label, if any.
+    pub fn assignment(&self) -> &[Option<usize>] {
+        &self.assignment
+    }
+
+    /// True if some tag carries `label`.
+    pub fn has_label(&self, label: usize) -> bool {
+        !self.by_label[label].is_empty()
+    }
+
+    /// Assigns `label` to the unassigned `tag`.
+    pub fn assign(&mut self, tag: usize, label: usize) {
+        debug_assert!(self.assignment[tag].is_none(), "tag {tag} already assigned");
+        self.assignment[tag] = Some(label);
+        let tags = &mut self.by_label[label];
+        let at = tags.partition_point(|&t| t < tag);
+        tags.insert(at, tag);
+        self.assigned += 1;
+    }
+
+    /// Unassigns `tag` (a no-op if it has no label).
+    pub fn unassign(&mut self, tag: usize) {
+        if let Some(label) = self.assignment[tag].take() {
+            let tags = &mut self.by_label[label];
+            if let Ok(at) = tags.binary_search(&tag) {
+                tags.remove(at);
+            }
+            self.assigned -= 1;
+        }
+    }
+
+    /// Unassigns every tag.
+    pub fn clear(&mut self) {
+        self.assignment.fill(None);
+        for tags in &mut self.by_label {
+            tags.clear();
+        }
+        self.assigned = 0;
+    }
+
+    /// True if every tag has a label.
+    pub fn is_complete(&self) -> bool {
+        self.assigned == self.assignment.len()
+    }
+}
+
 /// The compiled evaluator for one matching context + constraint set.
 pub struct Evaluator<'a> {
     ctx: &'a MatchingContext<'a>,
@@ -382,6 +449,8 @@ pub struct Evaluator<'a> {
     best_cost: Vec<f64>,
     /// Labels every complete mapping must place.
     mandatory_labels: Vec<usize>,
+    /// Hard and soft constraint indices, and the watch sets.
+    watches: Watches,
     /// Lazily cached FD refutations keyed by (determinant tags, dependent
     /// tag).
     fd_cache: RefCell<HashMap<(Vec<usize>, usize), bool>>,
@@ -410,7 +479,7 @@ impl<'a> Evaluator<'a> {
         let q = ctx.tags.len();
         let tag_of = |name: &str| ctx.tag_index(name);
 
-        let compiled = set
+        let compiled: Vec<Compiled> = set
             .entries
             .iter()
             .filter_map(|e| {
@@ -473,50 +542,19 @@ impl<'a> Evaluator<'a> {
             })
             .collect();
 
-        let nested: Vec<Vec<bool>> = (0..q)
-            .map(|inner| {
-                (0..q)
-                    .map(|outer| ctx.schema.is_nested_in(&ctx.tags[inner], &ctx.tags[outer]))
-                    .collect()
-            })
-            .collect();
-        let between: Vec<Vec<Option<Vec<usize>>>> = (0..q)
-            .map(|a| {
-                (0..q)
-                    .map(|b| {
-                        ctx.schema
-                            .tags_between(&ctx.tags[a], &ctx.tags[b])
-                            .map(|names| names.iter().filter_map(|n| ctx.tag_index(n)).collect())
-                    })
-                    .collect()
-            })
-            .collect();
-        let tree_dist: Vec<Vec<usize>> = (0..q)
-            .map(|a| {
-                (0..q)
-                    .map(|b| {
-                        ctx.schema
-                            .tree_distance(&ctx.tags[a], &ctx.tags[b])
-                            .unwrap_or(0)
-                    })
-                    .collect()
-            })
-            .collect();
-        let has_duplicates: Vec<bool> = ctx
-            .tags
-            .iter()
-            .map(|t| ctx.data.has_duplicates(t))
-            .collect();
-        let numeric_fraction: Vec<Option<f64>> = ctx
-            .tags
-            .iter()
-            .map(|t| ctx.data.numeric_fraction(t))
-            .collect();
+        let SchemaMatrices {
+            nested,
+            between,
+            tree_dist,
+        } = SchemaMatrices::new(ctx.schema, &ctx.tags);
+        let (has_duplicates, numeric_fraction): (Vec<bool>, Vec<Option<f64>>) =
+            ctx.tags.iter().map(|t| ctx.data.key_and_numeric(t)).unzip();
         let n = ctx.labels.len();
         let assignment_cost: Vec<Vec<f64>> = (0..q)
             .map(|t| (0..n).map(|l| ctx.assignment_cost(t, l)).collect())
             .collect();
         let best_cost: Vec<f64> = (0..q).map(|t| ctx.best_assignment_cost(t)).collect();
+        let watches = Watches::new(&compiled, q, n, ctx.labels.other());
 
         Evaluator {
             ctx,
@@ -529,6 +567,7 @@ impl<'a> Evaluator<'a> {
             assignment_cost,
             best_cost,
             mandatory_labels: set.mandatory_labels(),
+            watches,
             fd_cache: RefCell::new(HashMap::new()),
             evaluations: Cell::new(0),
         }
@@ -550,7 +589,8 @@ impl<'a> Evaluator<'a> {
         &self.mandatory_labels
     }
 
-    /// Number of [`Evaluator::evaluate`] calls so far.
+    /// Number of [`Evaluator::evaluate`] and
+    /// [`Evaluator::evaluate_extension`] calls so far.
     pub fn evaluations(&self) -> u64 {
         self.evaluations.get()
     }
@@ -567,36 +607,113 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The empty assignment over this evaluator's tags and labels. It is
+    /// feasible: no hard constraint can be violated before a tag is
+    /// assigned.
+    pub fn partial(&self) -> PartialAssignment {
+        PartialAssignment {
+            assignment: vec![None; self.ctx.tags.len()],
+            by_label: vec![Vec::new(); self.ctx.labels.len()],
+            assigned: 0,
+        }
+    }
+
     /// The admissible per-tag heuristic value (cheapest probability cost).
     pub fn best_cost(&self, tag: usize) -> f64 {
         self.best_cost[tag]
     }
 
-    /// Fast equivalent of [`crate::evaluate_partial`].
+    /// Fast equivalent of [`crate::evaluate_partial`], for scoring any
+    /// assignment once (the search's final cost, its argmax fallback,
+    /// provenance swaps).
     pub fn evaluate(&self, assignment: &[Option<usize>], scratch: &mut Scratch) -> f64 {
         self.evaluations.set(self.evaluations.get() + 1);
         for v in &mut scratch.tags_by_label {
             v.clear();
         }
-        let mut cost = 0.0;
         let mut assigned = 0usize;
         for (t, a) in assignment.iter().enumerate() {
             if let Some(l) = a {
-                cost += self.assignment_cost[t][*l];
                 scratch.tags_by_label[*l].push(t);
                 assigned += 1;
             }
         }
         let complete = assigned == assignment.len();
         let by = &scratch.tags_by_label;
+        if self.any_violated(&self.watches.hard, assignment, by, complete) {
+            return INFEASIBLE;
+        }
+        self.feasible_cost(assignment, by, complete)
+    }
 
-        for c in &self.constraints {
+    /// [`Evaluator::evaluate`] of `parent` with `tag` assigned `label`,
+    /// bit for bit, provided `parent` is feasible (`evaluate` would not
+    /// return [`INFEASIBLE`] for it). Only the hard constraints watching
+    /// `label` and `tag`, and the `ExactlyOne`s when the extension
+    /// completes the assignment, can change their verdict, so only those
+    /// are re-checked; the cost is then summed as `evaluate` sums it. On an
+    /// infeasible parent the result is meaningless. `parent` is left as it
+    /// was.
+    pub fn evaluate_extension(
+        &self,
+        parent: &mut PartialAssignment,
+        tag: usize,
+        label: usize,
+    ) -> f64 {
+        self.evaluations.set(self.evaluations.get() + 1);
+        parent.assign(tag, label);
+        let complete = parent.is_complete();
+        let (assignment, by) = (&parent.assignment, &parent.by_label);
+        let w = &self.watches;
+        let infeasible = self.any_violated(&w.label[label], assignment, by, complete)
+            || self.any_violated(&w.tag[tag], assignment, by, complete)
+            || (complete && self.any_violated(&w.complete, assignment, by, complete));
+        let cost = if infeasible {
+            INFEASIBLE
+        } else {
+            self.feasible_cost(assignment, by, complete)
+        };
+        parent.unassign(tag);
+        cost
+    }
+
+    /// True if any of the listed constraints is violated.
+    fn any_violated(
+        &self,
+        which: &[usize],
+        assignment: &[Option<usize>],
+        by: &[Vec<usize>],
+        complete: bool,
+    ) -> bool {
+        which
+            .iter()
+            .any(|&i| self.violation_of(&self.constraints[i], assignment, by, complete) > 0.0)
+    }
+
+    /// The cost of an assignment no hard constraint rejects: the
+    /// probability term in tag order, then each violated soft constraint's
+    /// cost in compiled order. Both scoring paths end here, so they add the
+    /// same terms in the same order.
+    fn feasible_cost(
+        &self,
+        assignment: &[Option<usize>],
+        by: &[Vec<usize>],
+        complete: bool,
+    ) -> f64 {
+        let mut cost = 0.0;
+        for (t, a) in assignment.iter().enumerate() {
+            if let Some(l) = a {
+                cost += self.assignment_cost[t][*l];
+            }
+        }
+        for &i in &self.watches.soft {
+            let c = &self.constraints[i];
             let violation = self.violation_of(c, assignment, by, complete);
             if violation <= 0.0 {
                 continue;
             }
             match c.kind {
-                ConstraintKind::Hard => return INFEASIBLE,
+                ConstraintKind::Hard => {}
                 ConstraintKind::SoftBinary { cost: unit } => cost += unit,
                 ConstraintKind::SoftNumeric { weight } => cost += weight * violation,
             }
@@ -781,6 +898,227 @@ fn pair_count(outer: &[usize], inner: &[usize], violates: impl Fn(usize, usize) 
     v as f64
 }
 
+impl CompiledPredicate {
+    /// Calls `f` with every label the predicate names (a label named twice
+    /// is passed twice).
+    fn for_each_label(&self, mut f: impl FnMut(usize)) {
+        match self {
+            CompiledPredicate::AtMostOne { label }
+            | CompiledPredicate::ExactlyOne { label }
+            | CompiledPredicate::IsKey { label }
+            | CompiledPredicate::AtMostK { label, .. }
+            | CompiledPredicate::IsNumeric { label }
+            | CompiledPredicate::IsTextual { label }
+            | CompiledPredicate::TagIs { label, .. }
+            | CompiledPredicate::TagIsNot { label, .. } => f(*label),
+            CompiledPredicate::NestedIn { outer, inner }
+            | CompiledPredicate::NotNestedIn { outer, inner } => {
+                f(*outer);
+                f(*inner);
+            }
+            CompiledPredicate::Contiguous { a, b }
+            | CompiledPredicate::MutuallyExclusive { a, b }
+            | CompiledPredicate::Proximity { a, b } => {
+                f(*a);
+                f(*b);
+            }
+            CompiledPredicate::FunctionalDependency {
+                determinants,
+                dependent,
+            } => {
+                determinants.iter().for_each(|&d| f(d));
+                f(*dependent);
+            }
+        }
+    }
+}
+
+/// The constraint partition and watch sets behind
+/// [`Evaluator::evaluate_extension`]. Extending a feasible parent by one
+/// `(tag, label)` changes only `assignment[tag]`, the label's tag list and
+/// whether the assignment is complete, so a hard constraint can flip to
+/// violated only if it reads one of those:
+///
+/// - it names `label` (every list-reading predicate, `TagIs`/`TagIsNot`'s
+///   label);
+/// - it is a `Contiguous` and `label` is not `OTHER`: the tags between its
+///   pair count unless they are unassigned or `OTHER`;
+/// - it is a `TagIs`/`TagIsNot` on `tag`;
+/// - it is an `ExactlyOne` and the extension completes the assignment.
+struct Watches {
+    /// Indices into the evaluator's constraints of the hard ones, in
+    /// compiled order.
+    hard: Vec<usize>,
+    /// The soft ones, in compiled order.
+    soft: Vec<usize>,
+    /// `label[l]` — the hard constraints to re-check on an extension with
+    /// label `l`. Ascending, without duplicates.
+    label: Vec<Vec<usize>>,
+    /// `tag[t]` — the hard `TagIs`/`TagIsNot` constraints on tag `t`.
+    tag: Vec<Vec<usize>>,
+    /// The hard `ExactlyOne` constraints, re-checked on a completing
+    /// extension (an absent label is a violation only then).
+    complete: Vec<usize>,
+}
+
+impl Watches {
+    fn new(constraints: &[Compiled], tags: usize, labels: usize, other: usize) -> Self {
+        let mut w = Watches {
+            hard: Vec::new(),
+            soft: Vec::new(),
+            label: vec![Vec::new(); labels],
+            tag: vec![Vec::new(); tags],
+            complete: Vec::new(),
+        };
+        for (i, c) in constraints.iter().enumerate() {
+            if !matches!(c.kind, ConstraintKind::Hard) {
+                w.soft.push(i);
+                continue;
+            }
+            w.hard.push(i);
+            c.predicate.for_each_label(|l| w.label[l].push(i));
+            match c.predicate {
+                CompiledPredicate::Contiguous { .. } => {
+                    for (l, watch) in w.label.iter_mut().enumerate() {
+                        if l != other {
+                            watch.push(i);
+                        }
+                    }
+                }
+                CompiledPredicate::ExactlyOne { .. } => w.complete.push(i),
+                CompiledPredicate::TagIs { tag, .. } | CompiledPredicate::TagIsNot { tag, .. } => {
+                    w.tag[tag].push(i)
+                }
+                _ => {}
+            }
+        }
+        // One constraint's pushes are consecutive, so repeats are adjacent.
+        for watch in &mut w.label {
+            watch.dedup();
+        }
+        w
+    }
+}
+
+/// The schema relations the evaluator reads, as `q × q` matrices over the
+/// context's tag indices. Equal, pair by pair, to asking the
+/// [`SchemaTree`] by name (`is_nested_in`, `tags_between` resolved through
+/// [`MatchingContext::tag_index`], `tree_distance` or 0), but built from
+/// interned schema-tag indices: one name lookup per tag and per schema
+/// edge, none per pair.
+struct SchemaMatrices {
+    nested: Vec<Vec<bool>>,
+    between: Vec<Vec<Option<Vec<usize>>>>,
+    tree_dist: Vec<Vec<usize>>,
+}
+
+impl SchemaMatrices {
+    fn new(schema: &SchemaTree, tags: &[String]) -> Self {
+        let infos: Vec<&TagInfo> = schema.tags().collect();
+        let sid: HashMap<&str, usize> = infos
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.name.as_str(), i))
+            .collect();
+        let ids = |names: &[String]| -> Vec<usize> {
+            names
+                .iter()
+                .filter_map(|n| sid.get(n.as_str()).copied())
+                .collect()
+        };
+        let parents: Vec<Vec<usize>> = infos.iter().map(|t| ids(&t.parents)).collect();
+        let children: Vec<Vec<usize>> = infos.iter().map(|t| ids(&t.children)).collect();
+        // Each context tag's schema index, and each schema tag's first
+        // context index (what `MatchingContext::tag_index` returns).
+        let at: Vec<Option<usize>> = tags.iter().map(|t| sid.get(t.as_str()).copied()).collect();
+        let mut first = vec![None; infos.len()];
+        for (t, s) in at.iter().enumerate().rev() {
+            if let Some(s) = *s {
+                first[s] = Some(t);
+            }
+        }
+
+        let nested = at
+            .iter()
+            .map(|inner| {
+                // Every schema tag above `inner` (itself only on a cycle).
+                let mut above = vec![false; infos.len()];
+                let mut stack: Vec<usize> = inner.map_or_else(Vec::new, |s| parents[s].clone());
+                while let Some(p) = stack.pop() {
+                    if !above[p] {
+                        above[p] = true;
+                        stack.extend_from_slice(&parents[p]);
+                    }
+                }
+                at.iter()
+                    .map(|outer| outer.is_some_and(|o| above[o]))
+                    .collect()
+            })
+            .collect();
+
+        let between = at
+            .iter()
+            .map(|&a| {
+                at.iter()
+                    .map(|&b| {
+                        let (a, b) = (a?, b?);
+                        if a == b {
+                            return None; // a tag is not its own sibling
+                        }
+                        let parent = parents[a].iter().find(|p| parents[b].contains(p))?;
+                        let siblings = &children[*parent];
+                        let ia = siblings.iter().position(|&s| s == a)?;
+                        let ib = siblings.iter().position(|&s| s == b)?;
+                        let (lo, hi) = if ia < ib { (ia, ib) } else { (ib, ia) };
+                        Some(
+                            siblings[lo + 1..hi]
+                                .iter()
+                                .filter_map(|&s| first[s])
+                                .collect(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // Canonical root paths as schema indices; an unreachable tag's
+        // empty path is one `None` component, as `"".split('/')` is `[""]`.
+        let paths: Vec<Option<Vec<Option<usize>>>> = at
+            .iter()
+            .map(|s| {
+                s.map(|s| {
+                    infos[s]
+                        .path
+                        .split('/')
+                        .map(|c| sid.get(c).copied())
+                        .collect()
+                })
+            })
+            .collect();
+        let tree_dist = paths
+            .iter()
+            .map(|pa| {
+                paths
+                    .iter()
+                    .map(|pb| match (pa, pb) {
+                        (Some(pa), Some(pb)) => {
+                            let common = pa.iter().zip(pb).take_while(|(x, y)| x == y).count();
+                            (pa.len() - common) + (pb.len() - common)
+                        }
+                        _ => 0,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        SchemaMatrices {
+            nested,
+            between,
+            tree_dist,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,6 +1128,55 @@ mod tests {
     use lsd_xml::{parse_dtd, SchemaTree};
     use rand::Rng;
     use rand::SeedableRng;
+
+    /// Checks every pair of `tags` against the by-name `SchemaTree` queries,
+    /// asked pair by pair.
+    fn assert_matrices_match_schema(schema: &SchemaTree, tags: &[String]) {
+        let m = SchemaMatrices::new(schema, tags);
+        let tag_index = |name: &str| tags.iter().position(|t| t == name);
+        for (a, ta) in tags.iter().enumerate() {
+            for (b, tb) in tags.iter().enumerate() {
+                assert_eq!(m.nested[a][b], schema.is_nested_in(ta, tb), "{ta} in {tb}");
+                let between = schema
+                    .tags_between(ta, tb)
+                    .map(|names| names.iter().filter_map(|n| tag_index(n)).collect());
+                assert_eq!(m.between[a][b], between, "between {ta} and {tb}");
+                let dist = schema.tree_distance(ta, tb).unwrap_or(0);
+                assert_eq!(m.tree_dist[a][b], dist, "distance {ta} to {tb}");
+            }
+        }
+    }
+
+    /// The index-built matrices equal the per-pair schema answers on every
+    /// datagen domain's mediated and source schemas (in declaration order,
+    /// and reversed with a repeated and an unknown tag), and on a schema
+    /// with shared children and an unreachable cycle.
+    #[test]
+    fn schema_matrices_equal_per_pair_schema_answers() {
+        let mut schemas = Vec::new();
+        for id in lsd_datagen::DomainId::ALL {
+            let domain = id.generate(2, 1);
+            schemas.push(SchemaTree::from_dtd(&domain.mediated).unwrap());
+            for source in &domain.sources {
+                schemas.push(SchemaTree::from_dtd(&source.dtd).unwrap());
+            }
+        }
+        let shared = parse_dtd(
+            "<!ELEMENT r (a, b, c, p)>\n<!ELEMENT a (x, y, c)>\n<!ELEMENT b (y, c, x)>\n\
+             <!ELEMENT c (#PCDATA)>\n<!ELEMENT x (#PCDATA)>\n<!ELEMENT y (c)>\n\
+             <!ELEMENT p (#PCDATA)>\n<!ELEMENT u (v)>\n<!ELEMENT v (u, c)>",
+        )
+        .unwrap();
+        schemas.push(SchemaTree::from_dtd(&shared).unwrap());
+        for schema in &schemas {
+            let mut tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
+            assert_matrices_match_schema(schema, &tags);
+            tags.reverse();
+            tags.insert(1, tags[3].clone());
+            tags.push("no-such-tag".to_string());
+            assert_matrices_match_schema(schema, &tags);
+        }
+    }
 
     /// The compiled evaluator must agree with the reference implementation
     /// on random partial assignments across every constraint type.

@@ -11,8 +11,24 @@
 //! the A\* expansion count is capped; on overflow the best frontier node is
 //! completed greedily. Beam search and pure greedy are provided as the
 //! ablation baselines (`ablation_search` bench).
+//!
+//! Every node the search keeps is feasible: the root (nothing assigned)
+//! violates no hard constraint, and a child enters the frontier only if it
+//! scored finite. So each child is scored as "feasible parent plus one
+//! `(tag, label)`" by [`Evaluator::evaluate_extension`], which re-checks
+//! only the hard constraints that extension can flip and returns the same
+//! bits as a full [`Evaluator::evaluate`] of the child. Nodes are stored
+//! compactly: the frontier holds `(id, depth, g, f)` entries and an arena
+//! holds one `(parent id, label)` link per node (a node's tag is
+//! `order[depth − 1]`); a popped node's assignment and per-label tag lists
+//! are rebuilt once from its chain, then shared by all of its children.
+//! `h` is precomputed per depth, each entry summed forward over
+//! `order[d..]`: a suffix-sum table would round differently and could
+//! reorder equal-looking pops. `search.evaluations` counts one evaluation
+//! per scored child, plus the final cost of a greedy completion and of the
+//! argmax fallback.
 
-use crate::compiled::{CompiledConstraintSet, Evaluator, Scratch};
+use crate::compiled::{CompiledConstraintSet, Evaluator, PartialAssignment};
 use crate::constraint::DomainConstraint;
 #[cfg(test)]
 use crate::evaluate::evaluate_partial;
@@ -191,27 +207,28 @@ pub struct MappingResult {
     pub events: SearchEvents,
 }
 
-/// One A\*/beam node: a prefix assignment in `order`.
-#[derive(Debug, Clone)]
-struct Node {
-    assignment: Vec<Option<usize>>,
-    depth: usize,
+/// One A\* frontier entry: arena node `id`, a prefix of `depth` tags in
+/// `order`, with its path cost and priority.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    id: u32,
+    depth: u32,
     g: f64,
     f: f64,
 }
 
-impl PartialEq for Node {
+impl PartialEq for Open {
     fn eq(&self, other: &Self) -> bool {
         self.f == other.f && self.depth == other.depth
     }
 }
-impl Eq for Node {}
-impl PartialOrd for Node {
+impl Eq for Open {}
+impl PartialOrd for Open {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Node {
+impl Ord for Open {
     /// Max-heap on *reverse* f (lower f pops first); deeper nodes win ties
     /// so complete mappings surface quickly.
     fn cmp(&self, other: &Self) -> Ordering {
@@ -220,6 +237,40 @@ impl Ord for Node {
             .partial_cmp(&self.f)
             .unwrap_or(Ordering::Equal)
             .then_with(|| self.depth.cmp(&other.depth))
+    }
+}
+
+/// Search nodes as `(parent id, label)` links. The root has no link: its
+/// id is [`Arena::ROOT`]. The node at depth `d` labels tag `order[d − 1]`.
+#[derive(Default)]
+struct Arena {
+    links: Vec<(u32, u32)>,
+}
+
+impl Arena {
+    const ROOT: u32 = u32::MAX;
+
+    /// Adds the child of `parent` that assigns `label`; returns its id.
+    fn push(&mut self, parent: u32, label: usize) -> u32 {
+        let id = u32::try_from(self.links.len())
+            .ok()
+            .filter(|&id| id != Self::ROOT)
+            .expect("fewer than 2^32 - 1 search nodes");
+        let label = u32::try_from(label).expect("label index fits in u32");
+        self.links.push((parent, label));
+        id
+    }
+
+    /// Loads node `id` (at `depth`) into `partial`, replacing its contents.
+    fn load(&self, id: u32, depth: usize, order: &[usize], partial: &mut PartialAssignment) {
+        partial.clear();
+        let (mut id, mut depth) = (id, depth);
+        while id != Self::ROOT {
+            let (parent, label) = self.links[id as usize];
+            depth -= 1;
+            partial.assign(order[depth], label as usize);
+            id = parent;
+        }
     }
 }
 
@@ -259,10 +310,12 @@ impl Deadlines {
         Deadlines { due, unplaceable }
     }
 
-    /// True if the assignment may continue past position `pos` (every label
-    /// due by `pos` has been placed).
-    fn satisfied(&self, pos: usize, assignment: &[Option<usize>]) -> bool {
-        self.due[pos].iter().all(|&l| assignment.contains(&Some(l)))
+    /// True if `parent` extended with `label` at position `pos` may
+    /// continue past `pos` (every label due by `pos` has been placed).
+    fn satisfied(&self, pos: usize, parent: &PartialAssignment, label: usize) -> bool {
+        self.due[pos]
+            .iter()
+            .all(|&l| l == label || parent.has_label(l))
     }
 }
 
@@ -301,48 +354,27 @@ pub fn search_mapping_evaluated(
     debug_assert_eq!(order.len(), ctx.tags.len());
     let _span = lsd_obs::span!("constraints.search");
     let evaluations_before = evaluator.evaluations();
-    let deadlines = Deadlines::new(evaluator.mandatory_labels(), candidates, order);
-    let mut scratch = evaluator.scratch();
-    let mut events = SearchEvents::new(ctx.tags.len(), ctx.labels.len());
-    let result = if deadlines.unplaceable {
+    let mut run = Run {
+        evaluator,
+        deadlines: Deadlines::new(evaluator.mandatory_labels(), candidates, order),
+        candidates,
+        order,
+        stats: SearchStats::default(),
+        events: SearchEvents::new(ctx.tags.len(), ctx.labels.len()),
+    };
+    let result = if run.deadlines.unplaceable {
         None
     } else {
         match config.algorithm {
-            SearchAlgorithm::AStar { max_expansions } => astar(
-                ctx,
-                evaluator,
-                &deadlines,
-                &mut scratch,
-                candidates,
-                order,
-                max_expansions,
-                config.heuristic_weight,
-                &mut events,
-            ),
-            SearchAlgorithm::Beam { width } => beam(
-                ctx,
-                evaluator,
-                &deadlines,
-                &mut scratch,
-                candidates,
-                order,
-                width,
-                &mut events,
-            ),
-            SearchAlgorithm::Greedy => greedy(
-                ctx,
-                evaluator,
-                &deadlines,
-                &mut scratch,
-                candidates,
-                order,
-                &mut events,
-            ),
+            SearchAlgorithm::AStar { max_expansions } => {
+                run.astar(max_expansions, config.heuristic_weight)
+            }
+            SearchAlgorithm::Beam { width } => run.beam(width),
+            SearchAlgorithm::Greedy => run.complete_greedily(evaluator.partial(), 0),
         }
     };
-    let mut result =
-        result.unwrap_or_else(|| fallback_argmax(ctx, evaluator, &mut scratch, candidates));
-    result.events = events;
+    let mut result = result.unwrap_or_else(|| fallback_argmax(evaluator, candidates));
+    result.events = run.events;
     // One flush per search call: counters were accumulated in the local
     // `SearchStats` / evaluator cell, so the hot loop never touches the
     // metrics registry.
@@ -365,248 +397,178 @@ pub fn search_mapping_evaluated(
     result
 }
 
-/// Remaining-cost lower bound: cheapest per-tag probability cost of the
-/// tags not yet assigned.
-fn heuristic(evaluator: &Evaluator<'_>, order: &[usize], depth: usize) -> f64 {
-    order[depth..].iter().map(|&t| evaluator.best_cost(t)).sum()
+/// One search run: its fixed inputs and the counters it accumulates.
+struct Run<'r, 'e> {
+    evaluator: &'r Evaluator<'e>,
+    deadlines: Deadlines,
+    candidates: &'r [Vec<usize>],
+    order: &'r [usize],
+    stats: SearchStats,
+    events: SearchEvents,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn astar(
-    ctx: &MatchingContext<'_>,
-    evaluator: &Evaluator<'_>,
-    deadlines: &Deadlines,
-    scratch: &mut Scratch,
-    candidates: &[Vec<usize>],
-    order: &[usize],
-    max_expansions: usize,
-    heuristic_weight: f64,
-    events: &mut SearchEvents,
-) -> Option<MappingResult> {
-    let q = ctx.tags.len();
-    let mut stats = SearchStats {
-        optimal: heuristic_weight <= 1.0,
-        ..Default::default()
-    };
-    let mut open = BinaryHeap::new();
-    let root = Node {
-        assignment: vec![None; q],
-        depth: 0,
-        g: 0.0,
-        f: heuristic_weight * heuristic(evaluator, order, 0),
-    };
-    open.push(root);
-
-    while let Some(node) = open.pop() {
-        if node.depth == q {
-            let assignment: Vec<usize> = node
-                .assignment
-                .iter()
-                .map(|a| a.expect("complete"))
-                .collect();
-            return Some(MappingResult {
-                assignment,
-                cost: node.g,
-                feasible: true,
-                stats,
-                events: SearchEvents::default(),
-            });
-        }
-        if stats.expansions >= max_expansions {
-            // Budget exhausted: greedily complete this (lowest-f) node.
-            stats.optimal = false;
-            return complete_greedily(
-                evaluator, deadlines, scratch, candidates, order, node, stats, events,
-            );
-        }
-        stats.expansions += 1;
-        let tag = order[node.depth];
-        for &label in &candidates[tag] {
-            let mut assignment = node.assignment.clone();
-            assignment[tag] = Some(label);
-            if !deadlines.satisfied(node.depth, &assignment) {
-                stats.pruned += 1;
-                events.record_pruned_deadline(tag, label);
-                continue;
-            }
-            let g = evaluator.evaluate(&assignment, scratch);
-            if g == INFEASIBLE {
-                stats.pruned += 1;
-                events.record_pruned_infeasible(tag, label);
-                continue;
-            }
-            stats.generated += 1;
-            events.record_generated(tag, label);
-            let f = g + heuristic_weight * heuristic(evaluator, order, node.depth + 1);
-            open.push(Node {
-                assignment,
-                depth: node.depth + 1,
-                g,
-                f,
-            });
-        }
-    }
-    None // no feasible complete mapping under the candidate sets
-}
-
-/// Completes a partial node by per-tag feasible-best choices.
-#[allow(clippy::too_many_arguments)]
-fn complete_greedily(
-    evaluator: &Evaluator<'_>,
-    deadlines: &Deadlines,
-    scratch: &mut Scratch,
-    candidates: &[Vec<usize>],
-    order: &[usize],
-    node: Node,
-    mut stats: SearchStats,
-    events: &mut SearchEvents,
-) -> Option<MappingResult> {
-    let mut assignment = node.assignment;
-    for (pos, &tag) in order.iter().enumerate().skip(node.depth) {
-        let mut best: Option<(usize, f64)> = None;
-        for &label in &candidates[tag] {
-            assignment[tag] = Some(label);
-            if !deadlines.satisfied(pos, &assignment) {
-                stats.pruned += 1;
-                events.record_pruned_deadline(tag, label);
-                continue;
-            }
-            let g = evaluator.evaluate(&assignment, scratch);
-            if g == INFEASIBLE {
-                stats.pruned += 1;
-                events.record_pruned_infeasible(tag, label);
-                continue;
-            }
-            stats.generated += 1;
-            events.record_generated(tag, label);
-            if g < best.map_or(INFEASIBLE, |(_, c)| c) {
-                best = Some((label, g));
-            }
-        }
-        match best {
-            Some((label, _)) => assignment[tag] = Some(label),
-            None => return None, // dead end even for greedy
-        }
-    }
-    let cost = evaluator.evaluate(&assignment, scratch);
-    if cost == INFEASIBLE {
-        return None;
-    }
-    Some(MappingResult {
-        assignment: assignment
-            .into_iter()
-            .map(|a| a.expect("complete"))
-            .collect(),
-        cost,
-        feasible: true,
-        stats,
-        events: SearchEvents::default(),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn beam(
-    ctx: &MatchingContext<'_>,
-    evaluator: &Evaluator<'_>,
-    deadlines: &Deadlines,
-    scratch: &mut Scratch,
-    candidates: &[Vec<usize>],
-    order: &[usize],
-    width: usize,
-    events: &mut SearchEvents,
-) -> Option<MappingResult> {
-    let width = width.max(1);
-    let q = ctx.tags.len();
-    let mut stats = SearchStats::default();
-    let mut level = vec![Node {
-        assignment: vec![None; q],
-        depth: 0,
-        g: 0.0,
-        f: 0.0,
-    }];
-    for (pos, &tag) in order.iter().enumerate() {
-        let mut next: Vec<Node> = Vec::with_capacity(level.len() * 4);
-        for node in &level {
-            stats.expansions += 1;
-            for &label in &candidates[tag] {
-                let mut assignment = node.assignment.clone();
-                assignment[tag] = Some(label);
-                if !deadlines.satisfied(pos, &assignment) {
-                    stats.pruned += 1;
-                    events.record_pruned_deadline(tag, label);
-                    continue;
-                }
-                let g = evaluator.evaluate(&assignment, scratch);
-                if g == INFEASIBLE {
-                    stats.pruned += 1;
-                    events.record_pruned_infeasible(tag, label);
-                    continue;
-                }
-                stats.generated += 1;
-                events.record_generated(tag, label);
-                next.push(Node {
-                    assignment,
-                    depth: node.depth + 1,
-                    g,
-                    f: g,
-                });
-            }
-        }
-        if next.is_empty() {
+impl Run<'_, '_> {
+    /// Scores the child of the feasible `parent` that assigns `label` to
+    /// `order[pos]`, counting it as pruned or generated. `None` if pruned.
+    fn score_child(
+        &mut self,
+        parent: &mut PartialAssignment,
+        pos: usize,
+        label: usize,
+    ) -> Option<f64> {
+        let tag = self.order[pos];
+        if !self.deadlines.satisfied(pos, parent, label) {
+            self.stats.pruned += 1;
+            self.events.record_pruned_deadline(tag, label);
             return None;
         }
-        next.sort_by(|a, b| a.g.partial_cmp(&b.g).unwrap_or(Ordering::Equal));
-        next.truncate(width);
-        level = next;
+        let g = self.evaluator.evaluate_extension(parent, tag, label);
+        if g == INFEASIBLE {
+            self.stats.pruned += 1;
+            self.events.record_pruned_infeasible(tag, label);
+            return None;
+        }
+        self.stats.generated += 1;
+        self.events.record_generated(tag, label);
+        Some(g)
     }
-    let best = level
-        .into_iter()
-        .min_by(|a, b| a.g.partial_cmp(&b.g).unwrap_or(Ordering::Equal))?;
-    Some(MappingResult {
-        assignment: best
-            .assignment
-            .into_iter()
-            .map(|a| a.expect("complete"))
-            .collect(),
-        cost: best.g,
-        feasible: true,
-        stats,
-        events: SearchEvents::default(),
-    })
-}
 
-fn greedy(
-    ctx: &MatchingContext<'_>,
-    evaluator: &Evaluator<'_>,
-    deadlines: &Deadlines,
-    scratch: &mut Scratch,
-    candidates: &[Vec<usize>],
-    order: &[usize],
-    events: &mut SearchEvents,
-) -> Option<MappingResult> {
-    let stats = SearchStats::default();
-    let node = Node {
-        assignment: vec![None; ctx.tags.len()],
-        depth: 0,
-        g: 0.0,
-        f: 0.0,
-    };
-    complete_greedily(
-        evaluator, deadlines, scratch, candidates, order, node, stats, events,
-    )
+    /// The feasible result for a complete assignment.
+    fn found(&self, partial: &PartialAssignment, cost: f64) -> MappingResult {
+        MappingResult {
+            assignment: partial
+                .assignment()
+                .iter()
+                .map(|a| a.expect("complete"))
+                .collect(),
+            cost,
+            feasible: true,
+            stats: self.stats,
+            events: SearchEvents::default(),
+        }
+    }
+
+    fn astar(&mut self, max_expansions: usize, heuristic_weight: f64) -> Option<MappingResult> {
+        let q = self.order.len();
+        self.stats.optimal = heuristic_weight <= 1.0;
+        // `h[d]`: the cheapest probability cost of the tags not yet
+        // assigned at depth `d`, summed forward from `order[d]` (a suffix
+        // sum would round differently).
+        let h: Vec<f64> = (0..=q)
+            .map(|d| {
+                self.order[d..]
+                    .iter()
+                    .map(|&t| self.evaluator.best_cost(t))
+                    .sum()
+            })
+            .collect();
+        let mut arena = Arena::default();
+        let mut partial = self.evaluator.partial();
+        let mut open = BinaryHeap::new();
+        open.push(Open {
+            id: Arena::ROOT,
+            depth: 0,
+            g: 0.0,
+            f: heuristic_weight * h[0],
+        });
+
+        while let Some(node) = open.pop() {
+            let depth = node.depth as usize;
+            arena.load(node.id, depth, self.order, &mut partial);
+            if depth == q {
+                return Some(self.found(&partial, node.g));
+            }
+            if self.stats.expansions >= max_expansions {
+                // Budget exhausted: greedily complete this (lowest-f) node.
+                self.stats.optimal = false;
+                return self.complete_greedily(partial, depth);
+            }
+            self.stats.expansions += 1;
+            let tag = self.order[depth];
+            for &label in &self.candidates[tag] {
+                if let Some(g) = self.score_child(&mut partial, depth, label) {
+                    open.push(Open {
+                        id: arena.push(node.id, label),
+                        depth: node.depth + 1,
+                        g,
+                        f: g + heuristic_weight * h[depth + 1],
+                    });
+                }
+            }
+        }
+        None // no feasible complete mapping under the candidate sets
+    }
+
+    /// Completes a feasible assignment of the first `depth` tags in `order`
+    /// by per-tag feasible-best choices.
+    fn complete_greedily(
+        &mut self,
+        mut partial: PartialAssignment,
+        depth: usize,
+    ) -> Option<MappingResult> {
+        for pos in depth..self.order.len() {
+            let tag = self.order[pos];
+            let mut best: Option<(usize, f64)> = None;
+            for &label in &self.candidates[tag] {
+                if let Some(g) = self.score_child(&mut partial, pos, label) {
+                    if g < best.map_or(INFEASIBLE, |(_, c)| c) {
+                        best = Some((label, g));
+                    }
+                }
+            }
+            match best {
+                Some((label, _)) => partial.assign(tag, label),
+                None => return None, // dead end even for greedy
+            }
+        }
+        let cost = self
+            .evaluator
+            .evaluate(partial.assignment(), &mut self.evaluator.scratch());
+        if cost == INFEASIBLE {
+            return None;
+        }
+        Some(self.found(&partial, cost))
+    }
+
+    fn beam(&mut self, width: usize) -> Option<MappingResult> {
+        let width = width.max(1);
+        let mut arena = Arena::default();
+        let mut partial = self.evaluator.partial();
+        // `(id, g)` per kept node of the current level.
+        let mut level = vec![(Arena::ROOT, 0.0)];
+        for (pos, &tag) in self.order.iter().enumerate() {
+            let mut next: Vec<(u32, f64)> = Vec::with_capacity(level.len() * 4);
+            for &(id, _) in &level {
+                self.stats.expansions += 1;
+                arena.load(id, pos, self.order, &mut partial);
+                for &label in &self.candidates[tag] {
+                    if let Some(g) = self.score_child(&mut partial, pos, label) {
+                        next.push((arena.push(id, label), g));
+                    }
+                }
+            }
+            if next.is_empty() {
+                return None;
+            }
+            next.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
+            next.truncate(width);
+            level = next;
+        }
+        let (id, cost) = level
+            .into_iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))?;
+        arena.load(id, self.order.len(), self.order, &mut partial);
+        Some(self.found(&partial, cost))
+    }
 }
 
 /// Last resort when no feasible mapping exists (e.g. contradictory hard
 /// constraints): per-tag argmax *within each tag's candidate set*, flagged
 /// infeasible. Honouring the candidate sets keeps user `TagIs`/`TagIsNot`
 /// feedback binding even when the global search fails.
-fn fallback_argmax(
-    ctx: &MatchingContext<'_>,
-    evaluator: &Evaluator<'_>,
-    scratch: &mut Scratch,
-    candidates: &[Vec<usize>],
-) -> MappingResult {
-    let assignment: Vec<usize> = ctx
+fn fallback_argmax(evaluator: &Evaluator<'_>, candidates: &[Vec<usize>]) -> MappingResult {
+    let assignment: Vec<usize> = evaluator
+        .context()
         .predictions
         .iter()
         .zip(candidates)
@@ -623,7 +585,7 @@ fn fallback_argmax(
         })
         .collect();
     let opt: Vec<Option<usize>> = assignment.iter().map(|&l| Some(l)).collect();
-    let cost = evaluator.evaluate(&opt, scratch);
+    let cost = evaluator.evaluate(&opt, &mut evaluator.scratch());
     MappingResult {
         assignment,
         cost,

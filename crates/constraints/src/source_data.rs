@@ -8,7 +8,7 @@
 //! the sample is treated as consistency (paper Section 4.1).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Extracted data for one source: per listing (row), the value of each
 /// source tag in that listing, if present.
@@ -124,7 +124,7 @@ impl SourceData {
     /// True if the tag's non-missing values contain a duplicate — i.e. the
     /// extracted data *refutes* "this tag is a key".
     pub fn has_duplicates(&self, tag: &str) -> bool {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         self.column(tag).into_iter().any(|v| !seen.insert(v))
     }
 
@@ -176,6 +176,32 @@ impl SourceData {
         }
         let numeric = col.iter().filter(|v| is_numeric_value(v)).count();
         Some(numeric as f64 / col.len() as f64)
+    }
+
+    /// [`Self::has_duplicates`] and [`Self::numeric_fraction`] of one tag,
+    /// from a single pass over its column that stops hashing values once a
+    /// duplicate is found.
+    pub(crate) fn key_and_numeric(&self, tag: &str) -> (bool, Option<f64>) {
+        let Some(&i) = self.tag_index.get(tag) else {
+            return (false, None);
+        };
+        let mut seen = HashSet::new();
+        let mut duplicates = false;
+        let (mut values, mut numeric) = (0usize, 0usize);
+        for v in self
+            .rows
+            .iter()
+            .filter_map(|r| r[i].as_deref())
+            .filter(|v| !is_placeholder(v))
+        {
+            values += 1;
+            numeric += usize::from(is_numeric_value(v));
+            duplicates = duplicates || !seen.insert(v);
+        }
+        (
+            duplicates,
+            (values > 0).then(|| numeric as f64 / values as f64),
+        )
     }
 
     /// Mean token count of the tag's values; `None` for an empty column.
@@ -308,6 +334,38 @@ mod tests {
         assert_eq!(d.numeric_fraction("price"), Some(1.0));
         assert_eq!(d.numeric_fraction("city"), Some(0.0));
         assert_eq!(d.numeric_fraction("missing"), None);
+    }
+
+    /// The one-pass column profile equals the two separate answers on
+    /// random columns mixing duplicates, numbers, formatted numbers,
+    /// placeholders and gaps, and on an unknown tag.
+    #[test]
+    fn key_and_numeric_agrees_with_separate_passes() {
+        use rand::{Rng, SeedableRng};
+        const VALUES: [&str; 10] = [
+            "12", "$1,200", "3.5 %", "n/a", "unknown", " ", "Seattle", "7 beds", "-", "12",
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        for _ in 0..200 {
+            let mut d = SourceData::new(["a", "b"]);
+            for _ in 0..rng.gen_range(0..6) {
+                let a = VALUES[rng.gen_range(0..VALUES.len())];
+                let b = format!("v{}", rng.gen_range(0..4));
+                let row: Vec<(&str, &str)> = [("a", a), ("b", b.as_str())]
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(0.8))
+                    .collect();
+                d.push_row(row);
+            }
+            for tag in ["a", "b", "missing"] {
+                assert_eq!(
+                    d.key_and_numeric(tag),
+                    (d.has_duplicates(tag), d.numeric_fraction(tag)),
+                    "{tag} over {:?}",
+                    d.rows
+                );
+            }
+        }
     }
 
     #[test]
