@@ -15,6 +15,7 @@
 use crate::instance::Instance;
 use crate::learners::{BaseLearner, Reads};
 use lsd_learn::{NaiveBayes, NaiveBayesConfig, Prediction};
+use std::fmt::Write;
 
 /// Naive Bayes over character-class patterns of the instance's values.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -32,24 +33,33 @@ impl FormatLearner {
         }
     }
 
-    /// Pattern tokens of one instance: the whole-value pattern plus a
-    /// length bucket, so `A9` codes of similar lengths cluster.
-    fn tokens(instance: &Instance) -> Vec<String> {
+    /// Passes the pattern tokens of one instance to `sink`, from one reused
+    /// buffer: the whole-value pattern plus a length bucket, so `A9` codes
+    /// of similar lengths cluster.
+    fn feed(instance: &Instance, sink: &mut dyn FnMut(&str)) {
         let text = instance.text();
         let value = text.trim();
-        let mut tokens = vec![format!("p:{}", pattern_of(value))];
-        tokens.push(format!("len:{}", length_bucket(value.len())));
+        let mut token = String::from("p:");
+        push_pattern(value, &mut token);
+        sink(&token);
+        token.clear();
+        token.push_str("len:");
+        push_length_bucket(value.len(), &mut token);
+        sink(&token);
         // Per-whitespace-word patterns add robustness for composite values.
         for word in value.split_whitespace() {
-            tokens.push(format!("wp:{}", pattern_of(word)));
+            token.clear();
+            token.push_str("wp:");
+            push_pattern(word, &mut token);
+            sink(&token);
         }
-        tokens
     }
 }
 
-/// Collapses a value to its character-class pattern: letter runs → `A`,
-/// digit runs → `9`, whitespace runs → one space, everything else verbatim.
-pub fn pattern_of(value: &str) -> String {
+/// Appends the character-class pattern of `value` to `out`: letter runs →
+/// `A`, digit runs → `9`, whitespace runs → one space, everything else
+/// verbatim.
+fn push_pattern(value: &str, out: &mut String) {
     #[derive(PartialEq, Clone, Copy)]
     enum Class {
         Alpha,
@@ -57,7 +67,6 @@ pub fn pattern_of(value: &str) -> String {
         Space,
         Other,
     }
-    let mut out = String::new();
     let mut prev: Option<Class> = None;
     for c in value.chars() {
         let class = if c.is_alphabetic() {
@@ -81,16 +90,17 @@ pub fn pattern_of(value: &str) -> String {
         }
         prev = Some(class);
     }
-    out
 }
 
-/// Buckets a length into a coarse token: exact to 6, then ranges.
-fn length_bucket(len: usize) -> String {
+/// Appends a coarse length token to `out`: exact to 6, then ranges.
+fn push_length_bucket(len: usize, out: &mut String) {
     match len {
-        0..=6 => len.to_string(),
-        7..=10 => "7-10".to_string(),
-        11..=20 => "11-20".to_string(),
-        _ => "20+".to_string(),
+        0..=6 => {
+            let _ = write!(out, "{len}");
+        }
+        7..=10 => out.push_str("7-10"),
+        11..=20 => out.push_str("11-20"),
+        _ => out.push_str("20+"),
     }
 }
 
@@ -106,7 +116,7 @@ impl BaseLearner for FormatLearner {
     fn train(&mut self, examples: &[(&Instance, usize)]) {
         let mut model = NaiveBayes::new(self.num_labels, NaiveBayesConfig::default());
         for (instance, label) in examples {
-            model.add_example(&Self::tokens(instance), *label);
+            model.add_example_with(*label, |sink| Self::feed(instance, sink));
         }
         self.model = model;
     }
@@ -117,13 +127,14 @@ impl BaseLearner for FormatLearner {
 
     fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
         for (instance, label) in examples {
-            self.model.add_example(&Self::tokens(instance), *label);
+            self.model
+                .add_example_with(*label, |sink| Self::feed(instance, sink));
         }
         true
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
-        self.model.predict_tokens(&Self::tokens(instance))
+        self.model.predict_with(|sink| Self::feed(instance, sink))
     }
 
     /// Predicts from the instance text alone.
@@ -143,6 +154,12 @@ mod tests {
 
     fn inst(text: &str) -> Instance {
         Instance::new(Element::text_leaf("t", text), vec!["t".to_string()])
+    }
+
+    fn pattern_of(value: &str) -> String {
+        let mut out = String::new();
+        push_pattern(value, &mut out);
+        out
     }
 
     #[test]

@@ -21,9 +21,10 @@
 use crate::instance::Instance;
 use crate::learners::BaseLearner;
 use lsd_learn::{NaiveBayes, NaiveBayesConfig, Prediction};
-use lsd_text::{tokenize, PorterStemmer};
+use lsd_text::{for_each_token, PorterStemmer, TokenizeOptions};
 use lsd_xml::Element;
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Which structure-token kinds the learner generates; all on by default.
 /// Exposed for the `ablation_xml` bench (text-only degenerates to plain
@@ -73,48 +74,108 @@ impl XmlLearner {
         }
     }
 
-    /// Generates the token bag for an element under a tag→label map.
-    fn tokens(&self, instance: &Instance) -> Vec<String> {
-        let mut out = Vec::new();
-        self.walk(&instance.element, "d", &instance.sub_labels, &mut out);
-        out
+    /// The token generator for this learner's settings.
+    fn tree_tokens(&self) -> TreeTokens {
+        TreeTokens {
+            kinds: self.kinds,
+            other: self.num_labels - 1,
+            stemmer: self.stemmer,
+        }
     }
 
-    /// Recursive tree walk. `parent_id` is the token identity of the
-    /// current node seen as a parent: `"d"` for the instance root, the
-    /// label index for labelled descendants.
+    /// The token bag of an instance, collected (for tests).
+    #[cfg(test)]
+    fn tokens(&self, instance: &Instance) -> Vec<String> {
+        let mut out = Vec::new();
+        self.tree_tokens()
+            .feed(instance, &mut |token| out.push(token.to_string()));
+        out
+    }
+}
+
+/// Generates an instance's token bag from its tree, one token at a time.
+#[derive(Clone, Copy)]
+struct TreeTokens {
+    kinds: XmlTokenKinds,
+    /// The OTHER label's index, for child tags with no first-pass label.
+    other: usize,
+    stemmer: PorterStemmer,
+}
+
+/// A node's token identity: `d` for the instance root, `L<label>` for a
+/// labelled descendant.
+fn push_node_id(out: &mut String, node: Option<usize>) {
+    match node {
+        None => out.push('d'),
+        Some(label) => {
+            let _ = write!(out, "L{label}");
+        }
+    }
+}
+
+impl TreeTokens {
+    /// Passes the instance's tokens to `sink`, each built in one reused
+    /// buffer.
+    fn feed(self, instance: &Instance, sink: &mut dyn FnMut(&str)) {
+        let mut token = String::new();
+        let mut stem = String::new();
+        self.walk(
+            &instance.element,
+            None,
+            &instance.sub_labels,
+            &mut token,
+            &mut stem,
+            sink,
+        );
+    }
+
+    /// Recursive tree walk below `node` (see [`push_node_id`]).
     fn walk(
-        &self,
+        self,
         element: &Element,
-        parent_id: &str,
+        node: Option<usize>,
         sub_labels: &HashMap<String, usize>,
-        out: &mut Vec<String>,
+        token: &mut String,
+        stem: &mut String,
+        sink: &mut dyn FnMut(&str),
     ) {
         // Direct text words hang below this node.
-        for word in tokenize(&element.direct_text()) {
-            let w = self.stemmer.stem(&word);
+        for_each_token(&element.direct_text(), TokenizeOptions::default(), |word| {
+            self.stemmer.stem_into(word, stem);
             if self.kinds.text {
-                out.push(format!("w:{w}"));
+                token.clear();
+                token.push_str("w:");
+                token.push_str(stem);
+                sink(token);
             }
             if self.kinds.edges {
-                out.push(format!("e:{parent_id}>w:{w}"));
+                token.clear();
+                token.push_str("e:");
+                push_node_id(token, node);
+                token.push_str(">w:");
+                token.push_str(stem);
+                sink(token);
             }
-        }
+        });
         for child in element.child_elements() {
             // Unknown tags (no first-pass label yet) fall back to the
-            // OTHER slot, which is always index num_labels-1.
-            let label = sub_labels
-                .get(&child.name)
-                .copied()
-                .unwrap_or(self.num_labels - 1);
-            let child_id = format!("L{label}");
+            // OTHER slot.
+            let label = sub_labels.get(&child.name).copied().unwrap_or(self.other);
             if self.kinds.nodes {
-                out.push(format!("n:{child_id}"));
+                token.clear();
+                token.push_str("n:");
+                push_node_id(token, Some(label));
+                sink(token);
             }
             if self.kinds.edges {
-                out.push(format!("e:{parent_id}>{child_id}"));
+                token.clear();
+                token.push_str("e:");
+                push_node_id(token, node);
+                token.push('>');
+                push_node_id(token, Some(label));
+                sink(token);
             }
-            self.walk(child, &child_id, sub_labels, out);
+            self.walk(child, Some(label), sub_labels, token, stem, sink);
         }
     }
 }
@@ -129,9 +190,10 @@ impl BaseLearner for XmlLearner {
     }
 
     fn train(&mut self, examples: &[(&Instance, usize)]) {
+        let tokens = self.tree_tokens();
         let mut model = NaiveBayes::new(self.num_labels, NaiveBayesConfig::default());
         for (instance, label) in examples {
-            model.add_example(&self.tokens(instance), *label);
+            model.add_example_with(*label, |sink| tokens.feed(instance, sink));
         }
         self.model = model;
     }
@@ -141,14 +203,17 @@ impl BaseLearner for XmlLearner {
     }
 
     fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+        let tokens = self.tree_tokens();
         for (instance, label) in examples {
-            self.model.add_example(&self.tokens(instance), *label);
+            self.model
+                .add_example_with(*label, |sink| tokens.feed(instance, sink));
         }
         true
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
-        self.model.predict_tokens(&self.tokens(instance))
+        let tokens = self.tree_tokens();
+        self.model.predict_with(|sink| tokens.feed(instance, sink))
     }
 
     fn fresh(&self) -> Box<dyn BaseLearner> {
@@ -275,6 +340,65 @@ mod tests {
         let inst = description("hello");
         let toks = m.tokens(&inst);
         assert!(toks.contains(&"e:d>w:hello".to_string()), "{toks:?}");
+    }
+
+    /// The token generator before it wrote into a reused buffer: one
+    /// `format!`ed `String` per token.
+    fn reference_tokens(m: &XmlLearner, instance: &Instance) -> Vec<String> {
+        fn walk(
+            m: &XmlLearner,
+            element: &Element,
+            parent_id: &str,
+            sub_labels: &HashMap<String, usize>,
+            out: &mut Vec<String>,
+        ) {
+            for word in lsd_text::tokenize(&element.direct_text()) {
+                let w = m.stemmer.stem(&word);
+                if m.kinds.text {
+                    out.push(format!("w:{w}"));
+                }
+                if m.kinds.edges {
+                    out.push(format!("e:{parent_id}>w:{w}"));
+                }
+            }
+            for child in element.child_elements() {
+                let label = sub_labels
+                    .get(&child.name)
+                    .copied()
+                    .unwrap_or(m.num_labels - 1);
+                let child_id = format!("L{label}");
+                if m.kinds.nodes {
+                    out.push(format!("n:{child_id}"));
+                }
+                if m.kinds.edges {
+                    out.push(format!("e:{parent_id}>{child_id}"));
+                }
+                walk(m, child, &child_id, sub_labels, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(m, &instance.element, "d", &instance.sub_labels, &mut out);
+        out
+    }
+
+    #[test]
+    fn buffered_tokens_match_formatted_tokens_for_every_kind_set() {
+        let el = parse_fragment(
+            "<house>Root words <agent><name>Gail Murphy</name>\
+             <mystery>(305) 729-0831 Callers</mystery></agent>\
+             <office>MAX Realtors, Seattle</office> trailing café</house>",
+        )
+        .unwrap();
+        let inst = Instance::new(el, vec!["house".into()]).with_sub_labels(labels());
+        for bits in 0..8u8 {
+            let kinds = XmlTokenKinds {
+                text: bits & 1 != 0,
+                nodes: bits & 2 != 0,
+                edges: bits & 4 != 0,
+            };
+            let m = XmlLearner::with_token_kinds(12, kinds);
+            assert_eq!(m.tokens(&inst), reference_tokens(&m, &inst), "{kinds:?}");
+        }
     }
 
     #[test]

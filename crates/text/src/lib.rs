@@ -23,5 +23,7 @@ mod whirl;
 
 pub use stem::PorterStemmer;
 pub use tfidf::{SparseVector, TfIdfModel, Vocabulary};
-pub use tokenize::{char_ngrams, tokenize, tokenize_name, tokenize_with, TokenizeOptions};
+pub use tokenize::{
+    char_ngrams, for_each_token, tokenize, tokenize_name, tokenize_with, TokenizeOptions,
+};
 pub use whirl::{NeighborCombination, Whirl, WhirlConfig};

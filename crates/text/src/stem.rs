@@ -32,11 +32,30 @@ impl PorterStemmer {
     /// assert_eq!(s.stem("hopping"), "hop");
     /// ```
     pub fn stem(&self, word: &str) -> String {
+        let mut out = String::new();
+        self.stem_into(word, &mut out);
+        out
+    }
+
+    /// Stems one lowercase word into `out`, replacing what it held and
+    /// reusing its allocation.
+    ///
+    /// ```
+    /// use lsd_text::PorterStemmer;
+    /// let mut out = String::from("leftover");
+    /// PorterStemmer::new().stem_into("hopping", &mut out);
+    /// assert_eq!(out, "hop");
+    /// ```
+    pub fn stem_into(&self, word: &str, out: &mut String) {
+        out.clear();
         if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-            return word.to_string();
+            out.push_str(word);
+            return;
         }
+        let mut b = std::mem::take(out).into_bytes();
+        b.extend_from_slice(word.as_bytes());
         let mut state = Stem {
-            b: word.as_bytes().to_vec(),
+            b,
             k: word.len() - 1,
         };
         state.step1ab();
@@ -45,7 +64,8 @@ impl PorterStemmer {
         state.step3();
         state.step4();
         state.step5();
-        String::from_utf8(state.b[..=state.k].to_vec()).expect("ascii in, ascii out")
+        state.b.truncate(state.k + 1);
+        *out = String::from_utf8(state.b).expect("ascii in, ascii out");
     }
 }
 

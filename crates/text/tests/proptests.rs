@@ -1,11 +1,90 @@
 //! Property-based tests for the text/IR toolkit.
 
 use lsd_text::{
-    tokenize, tokenize_name, PorterStemmer, SparseVector, TfIdfModel, Whirl, WhirlConfig,
+    tokenize, tokenize_name, tokenize_with, PorterStemmer, SparseVector, TfIdfModel,
+    TokenizeOptions, Whirl, WhirlConfig,
 };
 use proptest::prelude::*;
 
+/// The tokenizer before its ASCII fast path: every alphabetic character
+/// lowercased through `char::to_lowercase` into a fresh `Vec<char>`.
+fn reference_tokenize(text: &str, opts: TokenizeOptions) -> Vec<String> {
+    const SIGNAL_SYMBOLS: &[char] = &['$', '%', '(', ')', '-', '/', '@', ':', ',', '.', '#'];
+    #[derive(Clone, Copy, PartialEq)]
+    enum Kind {
+        Alpha,
+        Digit,
+        Other,
+    }
+    let kind_of = |c: char| {
+        if c.is_alphabetic() {
+            Kind::Alpha
+        } else if c.is_ascii_digit() {
+            Kind::Digit
+        } else {
+            Kind::Other
+        }
+    };
+    let mut tokens = Vec::new();
+    let mut word = String::new();
+    let mut prev_kind = Kind::Other;
+    let mut prev_char: Option<char> = None;
+    for c in text.chars() {
+        let kind = kind_of(c);
+        let boundary = match (prev_kind, kind) {
+            (Kind::Alpha, Kind::Alpha) => {
+                opts.split_camel_case
+                    && c.is_uppercase()
+                    && prev_char.is_some_and(char::is_lowercase)
+            }
+            (a, b) => a != b,
+        };
+        if boundary && !word.is_empty() {
+            tokens.push(std::mem::take(&mut word));
+        }
+        match kind {
+            Kind::Alpha => word.extend(if opts.lowercase {
+                c.to_lowercase().collect::<Vec<_>>()
+            } else {
+                vec![c]
+            }),
+            Kind::Digit => word.push(c),
+            Kind::Other => {
+                if opts.keep_symbols && SIGNAL_SYMBOLS.contains(&c) {
+                    tokens.push(c.to_string());
+                }
+            }
+        }
+        prev_kind = kind;
+        prev_char = Some(c);
+    }
+    if !word.is_empty() {
+        tokens.push(word);
+    }
+    tokens
+}
+
 proptest! {
+    /// The ASCII fast path tokenizes exactly as lowercasing every
+    /// character through `char::to_lowercase`, on arbitrary Unicode and
+    /// under every combination of the three options. The second string
+    /// draws from letters whose case mappings are unusual: `İ` lowercases
+    /// to two characters, `ẞ` and `Σ`/`ς` have irregular pairs, `ǅ` is
+    /// titlecase.
+    #[test]
+    fn ascii_fast_path_matches_char_lowercasing(
+        free in "\\PC{0,60}",
+        cased in "[a-zA-Z0-9 $,.İıẞßΣσςǅǄÉéÅå-]{0,40}",
+        lowercase in any::<bool>(),
+        keep_symbols in any::<bool>(),
+        split_camel_case in any::<bool>(),
+    ) {
+        let opts = TokenizeOptions { lowercase, keep_symbols, split_camel_case };
+        for text in [free.as_str(), cased.as_str(), &format!("{cased}{free}")] {
+            prop_assert_eq!(tokenize_with(text, opts), reference_tokenize(text, opts));
+        }
+    }
+
     /// The tokenizer never panics and produces only lowercase alphabetic,
     /// digit, or single-symbol tokens.
     #[test]
