@@ -373,7 +373,7 @@ pub fn search_mapping_evaluated(
             SearchAlgorithm::Greedy => run.complete_greedily(evaluator.partial(), 0),
         }
     };
-    let mut result = result.unwrap_or_else(|| fallback_argmax(evaluator, candidates));
+    let mut result = result.unwrap_or_else(|| fallback_argmax(evaluator, candidates, run.stats));
     result.events = run.events;
     // One flush per search call: counters were accumulated in the local
     // `SearchStats` / evaluator cell, so the hot loop never touches the
@@ -565,8 +565,13 @@ impl Run<'_, '_> {
 /// Last resort when no feasible mapping exists (e.g. contradictory hard
 /// constraints): per-tag argmax *within each tag's candidate set*, flagged
 /// infeasible. Honouring the candidate sets keeps user `TagIs`/`TagIsNot`
-/// feedback binding even when the global search fails.
-fn fallback_argmax(evaluator: &Evaluator<'_>, candidates: &[Vec<usize>]) -> MappingResult {
+/// feedback binding even when the global search fails. `stats` are the
+/// failed search's counters, kept so its work is still reported.
+fn fallback_argmax(
+    evaluator: &Evaluator<'_>,
+    candidates: &[Vec<usize>],
+    stats: SearchStats,
+) -> MappingResult {
     let assignment: Vec<usize> = evaluator
         .context()
         .predictions
@@ -590,7 +595,10 @@ fn fallback_argmax(evaluator: &Evaluator<'_>, candidates: &[Vec<usize>]) -> Mapp
         assignment,
         cost,
         feasible: false,
-        stats: SearchStats::default(),
+        stats: SearchStats {
+            optimal: false,
+            ..stats
+        },
         events: SearchEvents::default(),
     }
 }
@@ -749,6 +757,41 @@ mod tests {
         assert!(r.feasible);
         assert!(!r.stats.optimal);
         assert_eq!(r.assignment.len(), 3);
+    }
+
+    #[test]
+    fn capped_dead_end_keeps_the_search_counters() {
+        // Three tags, two candidate labels, each label at most once: every
+        // partial assignment of up to two tags is feasible, no complete
+        // one is. The capped A* expands the root, greedily completes its
+        // best child, dead-ends on the third tag and falls back to argmax.
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        let cs = [
+            DomainConstraint::hard(Predicate::AtMostOne {
+                label: "ADDRESS".into(),
+            }),
+            DomainConstraint::hard(Predicate::AtMostOne {
+                label: "PRICE".into(),
+            }),
+        ];
+        let r = search_mapping(
+            &ctx,
+            &cs,
+            &vec![vec![0, 1]; 3],
+            &[0, 1, 2],
+            SearchConfig {
+                algorithm: SearchAlgorithm::AStar { max_expansions: 1 },
+                heuristic_weight: 1.0,
+            },
+        );
+        assert!(!r.feasible);
+        assert!(!r.stats.optimal);
+        assert_eq!(r.stats.expansions, 1);
+        // Root children (2), then the greedy step's one feasible label.
+        assert_eq!(r.stats.generated, 3);
+        // The greedy step's repeated label, then both labels of the last tag.
+        assert_eq!(r.stats.pruned, 3);
     }
 
     #[test]

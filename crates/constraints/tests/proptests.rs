@@ -413,6 +413,7 @@ mod oracle {
         scratch: Scratch,
         candidates: &'e [Vec<usize>],
         order: &'e [usize],
+        stats: SearchStats,
         events: SearchEvents,
     }
 
@@ -422,27 +423,22 @@ mod oracle {
         }
 
         /// Scores one child; `None` if pruned.
-        fn child(
-            &mut self,
-            pos: usize,
-            assignment: &[Option<usize>],
-            stats: &mut SearchStats,
-        ) -> Option<f64> {
+        fn child(&mut self, pos: usize, assignment: &[Option<usize>]) -> Option<f64> {
             let tag = self.order[pos];
             let label = assignment[tag].expect("child assigns its tag");
             let labels = self.events.num_labels;
             if !self.deadlines.satisfied(pos, assignment) {
-                stats.pruned += 1;
+                self.stats.pruned += 1;
                 Self::bump(&mut self.events.pruned_deadline, labels, tag, label);
                 return None;
             }
             let g = self.evaluator.evaluate(assignment, &mut self.scratch);
             if g == INFEASIBLE {
-                stats.pruned += 1;
+                self.stats.pruned += 1;
                 Self::bump(&mut self.events.pruned_infeasible, labels, tag, label);
                 return None;
             }
-            stats.generated += 1;
+            self.stats.generated += 1;
             Self::bump(&mut self.events.generated, labels, tag, label);
             Some(g)
         }
@@ -454,7 +450,7 @@ mod oracle {
                 .sum()
         }
 
-        fn done(assignment: Vec<Option<usize>>, cost: f64, stats: SearchStats) -> MappingResult {
+        fn done(&self, assignment: Vec<Option<usize>>, cost: f64) -> MappingResult {
             MappingResult {
                 assignment: assignment
                     .into_iter()
@@ -462,17 +458,14 @@ mod oracle {
                     .collect(),
                 cost,
                 feasible: true,
-                stats,
+                stats: self.stats,
                 events: SearchEvents::default(),
             }
         }
 
         fn astar(&mut self, max_expansions: usize, weight: f64) -> Option<MappingResult> {
             let q = self.order.len();
-            let mut stats = SearchStats {
-                optimal: weight <= 1.0,
-                ..Default::default()
-            };
+            self.stats.optimal = weight <= 1.0;
             let mut open = BinaryHeap::new();
             open.push(Node {
                 assignment: vec![None; q],
@@ -482,18 +475,18 @@ mod oracle {
             });
             while let Some(node) = open.pop() {
                 if node.depth == q {
-                    return Some(Self::done(node.assignment, node.g, stats));
+                    return Some(self.done(node.assignment, node.g));
                 }
-                if stats.expansions >= max_expansions {
-                    stats.optimal = false;
-                    return self.complete_greedily(node, stats);
+                if self.stats.expansions >= max_expansions {
+                    self.stats.optimal = false;
+                    return self.complete_greedily(node);
                 }
-                stats.expansions += 1;
+                self.stats.expansions += 1;
                 let tag = self.order[node.depth];
                 for &label in &self.candidates[tag] {
                     let mut assignment = node.assignment.clone();
                     assignment[tag] = Some(label);
-                    if let Some(g) = self.child(node.depth, &assignment, &mut stats) {
+                    if let Some(g) = self.child(node.depth, &assignment) {
                         let f = g + weight * self.heuristic(node.depth + 1);
                         open.push(Node {
                             assignment,
@@ -507,18 +500,14 @@ mod oracle {
             None
         }
 
-        fn complete_greedily(
-            &mut self,
-            node: Node,
-            mut stats: SearchStats,
-        ) -> Option<MappingResult> {
+        fn complete_greedily(&mut self, node: Node) -> Option<MappingResult> {
             let mut assignment = node.assignment;
             for pos in node.depth..self.order.len() {
                 let tag = self.order[pos];
                 let mut best: Option<(usize, f64)> = None;
                 for &label in &self.candidates[tag] {
                     assignment[tag] = Some(label);
-                    if let Some(g) = self.child(pos, &assignment, &mut stats) {
+                    if let Some(g) = self.child(pos, &assignment) {
                         if g < best.map_or(INFEASIBLE, |(_, c)| c) {
                             best = Some((label, g));
                         }
@@ -533,12 +522,11 @@ mod oracle {
             if cost == INFEASIBLE {
                 return None;
             }
-            Some(Self::done(assignment, cost, stats))
+            Some(self.done(assignment, cost))
         }
 
         fn beam(&mut self, width: usize) -> Option<MappingResult> {
             let width = width.max(1);
-            let mut stats = SearchStats::default();
             let mut level = vec![Node {
                 assignment: vec![None; self.order.len()],
                 depth: 0,
@@ -549,11 +537,11 @@ mod oracle {
                 let tag = self.order[pos];
                 let mut next = Vec::new();
                 for node in &level {
-                    stats.expansions += 1;
+                    self.stats.expansions += 1;
                     for &label in &self.candidates[tag] {
                         let mut assignment = node.assignment.clone();
                         assignment[tag] = Some(label);
-                        if let Some(g) = self.child(pos, &assignment, &mut stats) {
+                        if let Some(g) = self.child(pos, &assignment) {
                             next.push(Node {
                                 assignment,
                                 depth: node.depth + 1,
@@ -573,7 +561,7 @@ mod oracle {
             let best = level
                 .into_iter()
                 .min_by(|a, b| a.g.partial_cmp(&b.g).unwrap_or(Ordering::Equal))?;
-            Some(Self::done(best.assignment, best.g, stats))
+            Some(self.done(best.assignment, best.g))
         }
 
         fn fallback_argmax(&mut self) -> MappingResult {
@@ -600,7 +588,10 @@ mod oracle {
                 assignment,
                 cost,
                 feasible: false,
-                stats: SearchStats::default(),
+                stats: SearchStats {
+                    optimal: false,
+                    ..self.stats
+                },
                 events: SearchEvents::default(),
             }
         }
@@ -620,6 +611,7 @@ mod oracle {
             scratch: evaluator.scratch(),
             candidates,
             order,
+            stats: SearchStats::default(),
             events: SearchEvents::new(ctx.tags.len(), ctx.labels.len()),
         };
         let result = if run.deadlines.unplaceable {
@@ -637,7 +629,7 @@ mod oracle {
                         g: 0.0,
                         f: 0.0,
                     };
-                    run.complete_greedily(start, SearchStats::default())
+                    run.complete_greedily(start)
                 }
             }
         };
