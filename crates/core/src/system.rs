@@ -1006,8 +1006,9 @@ impl Lsd {
                 .map(|(t, p)| (t.clone(), p.best_label()))
                 .collect();
             // A leaf's XML-learner tokens come from its direct text alone
-            // (`XmlLearner::walk` reads neither the tag name nor the labels
-            // without child elements), so leaves are memoised by text.
+            // (the XML learner's tree walk reads neither the tag name nor
+            // the labels without child elements), so leaves are memoised
+            // by text.
             let mut leaf_memo = PredictMemo::default();
             for (ti, (instances, texts)) in columns.iter_mut().zip(&texts).enumerate() {
                 let stage1 = &stage1_instance_preds[ti];
