@@ -8,8 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsd_core::learners::{BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner};
 use lsd_core::{
-    extract_instances, Instance, LsdBuilder, LsdConfig, MetaLearner, SearchAlgorithm, SearchConfig,
-    Source, SourceWalk, TrainedSource,
+    Instance, LsdBuilder, LsdConfig, MetaLearner, SearchAlgorithm, SearchConfig, Source,
+    SourceWalk, TrainedSource,
 };
 use lsd_datagen::{DomainId, GeneratedDomain};
 use lsd_learn::cross_validation_predictions;
@@ -34,11 +34,12 @@ fn labelled_instances(domain: &GeneratedDomain, source: usize) -> Vec<(Instance,
             (t.to_string(), l)
         })
         .collect();
+    let walk = SourceWalk::new(&gs.listings);
     let mut out = Vec::new();
-    for (tag, instances) in extract_instances(&gs.listings) {
-        let label = tag_labels[&tag];
-        for i in instances {
-            out.push((i.with_sub_labels(tag_labels.clone()), label));
+    for tag in walk.tags() {
+        let label = tag_labels[tag];
+        for &id in walk.column(tag) {
+            out.push((walk.instance(id).with_sub_labels(tag_labels.clone()), label));
         }
     }
     out
@@ -205,7 +206,7 @@ fn bench_search_only(c: &mut Criterion) {
         .match_source(&to_sources(gs))
         .expect("datagen sources match");
     let schema = SchemaTree::from_dtd(&gs.dtd).expect("valid schema");
-    let data = lsd_core::build_source_data(outcome.tags.iter().map(String::as_str), &gs.listings);
+    let data = SourceWalk::new(&gs.listings).source_data(outcome.tags.iter().map(String::as_str));
     let ctx = MatchingContext {
         labels: model.labels(),
         schema: &schema,
@@ -219,14 +220,14 @@ fn bench_search_only(c: &mut Criterion) {
         .with_candidate_limit(params.lsd.candidate_limit);
     let evaluator = Evaluator::with_compiled(&ctx, &handler.compiled(ctx.labels));
     // The rebuilt context must reproduce the match's own search.
-    let result = handler.find_mapping_evaluated(&evaluator, &[]);
+    let result = handler.find_mapping(&evaluator, &[]);
     assert_eq!(result.assignment, outcome.result.assignment);
     assert_eq!(result.stats.expansions, outcome.result.stats.expansions);
 
     let mut group = c.benchmark_group("search_only");
     group.sample_size(10);
     group.bench_function("time_schedule_utexas", |b| {
-        b.iter(|| handler.find_mapping_evaluated(black_box(&evaluator), &[]))
+        b.iter(|| handler.find_mapping(black_box(&evaluator), &[]))
     });
     group.finish();
 }
@@ -315,7 +316,7 @@ fn bench_evaluators(c: &mut Criterion) {
     let schema = SchemaTree::from_dtd(&gs.dtd).expect("valid schema");
     let labels = LabelSet::new(domain.mediated.element_names().map(str::to_string));
     let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
-    let data = lsd_core::build_source_data(tags.iter().map(String::as_str), &gs.listings);
+    let data = SourceWalk::new(&gs.listings).source_data(tags.iter().map(String::as_str));
     let ctx = MatchingContext {
         labels: &labels,
         schema: &schema,
@@ -352,7 +353,7 @@ fn bench_substrates(c: &mut Criterion) {
     let gs = &domain.sources[0];
     let tags: Vec<&str> = gs.dtd.element_names().collect();
     let cap = LsdConfig::default().max_match_instances_per_tag;
-    c.bench_function("extract_instances_100_listings", |b| {
+    c.bench_function("source_walk_100_listings", |b| {
         b.iter(|| {
             let walk = SourceWalk::new(black_box(&gs.listings));
             let mut rng = ChaCha8Rng::seed_from_u64(0);

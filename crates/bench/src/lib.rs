@@ -5,19 +5,13 @@
 //!
 //! Binaries (run with `cargo run --release -p lsd-bench --bin <name>`):
 //!
-//! | binary      | paper artefact                                     |
-//! |-------------|-----------------------------------------------------|
-//! | `table3`    | Table 3 — domain and source characteristics         |
-//! | `fig8a`     | Figure 8a — average matching accuracy, 4 configs    |
-//! | `fig8bc`    | Figures 8b/8c — accuracy vs. listings per source    |
-//! | `fig9a`     | Figure 9a — lesion studies                          |
-//! | `fig9b`     | Figure 9b — schema info vs. data instances vs. both |
-//! | `feedback`  | Section 6.3 — corrections needed for perfect match  |
-//! | `experiments` | everything above, writing `experiment_results.json` |
-//! | `ablations` | design-choice ablations (meta weights, search, WHIRL, NB smoothing, XML tokens) |
-//! | `lsd-serve` | boots the `lsd-serve` matching server on a datagen-trained snapshot |
-//! | `serve-load` | load driver for the server; writes `BENCH_serve.json` (p50/p95/p99, throughput) |
-//! | `lsd-infer` | learns DTDs from DTD-less corpora; writes `BENCH_infer.json` (wall time, element/edge counts, fallback rate) |
+//! | binary        | what it runs                                        |
+//! |---------------|-----------------------------------------------------|
+//! | `experiments` | every table and figure of Section 6, writing `experiment_results.json`; `--only <section>` runs one (`table3`, `fig8a`, `fig8bc`, `fig9a`, `fig9b`, `feedback`, `metrics`) |
+//! | `ablations`   | design-choice ablations (meta weights, search, WHIRL, NB smoothing, XML tokens) |
+//! | `lsd-serve`   | boots the `lsd-serve` matching server on a datagen-trained snapshot |
+//! | `serve-load`  | load driver for the server; writes `BENCH_serve.json` (p50/p95/p99, throughput) |
+//! | `lsd-infer`   | learns DTDs from DTD-less corpora; writes `BENCH_infer.json` (wall time, element/edge counts, fallback rate) |
 //!
 //! The methodology follows Section 6: per domain, all C(5,3) = 10
 //! train/test splits (train on 3 sources, test on the other 2), repeated

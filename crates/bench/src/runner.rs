@@ -120,16 +120,6 @@ impl Setup {
         constraints: ConstraintMode::All,
         train_meta: true,
     };
-
-    /// A single base learner on its own.
-    pub fn single(name: &str) -> Setup {
-        Setup {
-            learners: LearnerSet::only(name),
-            xml_learner: false,
-            constraints: ConstraintMode::None,
-            train_meta: false,
-        }
-    }
 }
 
 /// Experiment-wide parameters.

@@ -4,7 +4,7 @@
 //! domain constraints and outputs the 1-1 mappings: it searches the space of
 //! candidate mappings for the least-cost one. User feedback is handled by
 //! passing additional constraints that apply only to the current source
-//! ([`ConstraintHandler::find_mapping_with_feedback`]).
+//! (the `feedback` argument of [`ConstraintHandler::find_mapping`]).
 //!
 //! Before searching, the handler applies the Section 7 efficiency
 //! extension: per-tag *candidate label sets* are pruned to the top-scoring
@@ -17,14 +17,14 @@
 use crate::compiled::{CompiledConstraintSet, Evaluator};
 use crate::constraint::{ConstraintKind, DomainConstraint, Predicate};
 use crate::evaluate::MatchingContext;
-use crate::search::{search_mapping_evaluated, MappingResult, SearchConfig};
+use crate::search::{search_mapping, MappingResult, SearchConfig};
 use lsd_learn::LabelSet;
 
 /// The constraint handler: domain constraints + search configuration.
 ///
 /// ```
 /// use lsd_constraints::{
-///     ConstraintHandler, DomainConstraint, MatchingContext, Predicate, SourceData,
+///     ConstraintHandler, DomainConstraint, Evaluator, MatchingContext, Predicate, SourceData,
 /// };
 /// use lsd_learn::{LabelSet, Prediction};
 /// use lsd_xml::{parse_dtd, SchemaTree};
@@ -50,7 +50,8 @@ use lsd_learn::LabelSet;
 /// let handler = ConstraintHandler::new(vec![DomainConstraint::hard(
 ///     Predicate::AtMostOne { label: "PRICE".into() },
 /// )]);
-/// let result = handler.find_mapping(&ctx);
+/// let set = handler.compiled(&labels);
+/// let result = handler.find_mapping(&Evaluator::with_compiled(&ctx, &set), &[]);
 /// assert!(result.feasible);
 /// let price = labels.get("PRICE").unwrap();
 /// let count = result.assignment.iter().filter(|&&l| l == price).count();
@@ -95,39 +96,11 @@ impl ConstraintHandler {
         &self.constraints
     }
 
-    /// Adds a domain constraint.
-    pub fn add_constraint(&mut self, constraint: DomainConstraint) {
-        self.constraints.push(constraint);
-    }
-
     /// Replaces the domain constraints — used by lesion studies that
     /// evaluate the same trained system with and without the constraint
     /// handler's knowledge.
     pub fn set_constraints(&mut self, constraints: Vec<DomainConstraint>) {
         self.constraints = constraints;
-    }
-
-    /// Finds the least-cost 1-1 mapping for the target source.
-    pub fn find_mapping(&self, ctx: &MatchingContext<'_>) -> MappingResult {
-        self.find_mapping_with_feedback(ctx, &[])
-    }
-
-    /// Finds the least-cost mapping under the domain constraints *plus*
-    /// per-source feedback constraints (paper Section 4.3: "the constraint
-    /// handler simply treats the new constraints as additional domain
-    /// constraints, but uses them only in matching the current source").
-    pub fn find_mapping_with_feedback(
-        &self,
-        ctx: &MatchingContext<'_>,
-        feedback: &[DomainConstraint],
-    ) -> MappingResult {
-        let domain = self.compiled(ctx.labels);
-        let set = if feedback.is_empty() {
-            domain
-        } else {
-            domain.with_extra(ctx.labels, feedback)
-        };
-        self.find_mapping_evaluated(&Evaluator::with_compiled(ctx, &set), feedback)
     }
 
     /// Resolves the domain constraints against a label set once, so the
@@ -137,14 +110,19 @@ impl ConstraintHandler {
         CompiledConstraintSet::compile(labels, &self.constraints)
     }
 
-    /// [`Self::find_mapping_with_feedback`] over an evaluator the caller
-    /// built and keeps, e.g. to explain the result against it afterwards.
-    /// The evaluator must be over the effective constraint set: the set
-    /// from [`Self::compiled`], plus `feedback` via
+    /// Finds the least-cost 1-1 mapping for the evaluator's source under
+    /// the domain constraints *plus* per-source `feedback` constraints
+    /// (paper Section 4.3: "the constraint handler simply treats the new
+    /// constraints as additional domain constraints, but uses them only in
+    /// matching the current source").
+    ///
+    /// The caller builds the evaluator and keeps it, e.g. to explain the
+    /// result against it afterwards. It must be over the effective
+    /// constraint set: the set from [`Self::compiled`], plus `feedback` via
     /// [`CompiledConstraintSet::with_extra`] when there is any. `feedback`
     /// is still needed here because candidate pruning reads the uncompiled
     /// feedback constraints.
-    pub fn find_mapping_evaluated(
+    pub fn find_mapping(
         &self,
         evaluator: &Evaluator<'_>,
         feedback: &[DomainConstraint],
@@ -160,7 +138,7 @@ impl ConstraintHandler {
             all.extend(feedback.iter().cloned());
             self.prepare_candidates(evaluator, &all)
         };
-        search_mapping_evaluated(evaluator, &candidates, &order, self.config)
+        search_mapping(evaluator, &candidates, &order, self.config)
     }
 
     /// Builds the pruned candidate label sets per tag.
@@ -298,6 +276,20 @@ mod tests {
     use lsd_learn::{LabelSet, Prediction};
     use lsd_xml::{parse_dtd, SchemaTree};
 
+    /// Runs `h` over `ctx` the way the pipeline does: the domain set,
+    /// plus `feedback` when there is any, behind one evaluator.
+    fn find(
+        h: &ConstraintHandler,
+        ctx: &MatchingContext<'_>,
+        feedback: &[DomainConstraint],
+    ) -> MappingResult {
+        let mut set = h.compiled(ctx.labels);
+        if !feedback.is_empty() {
+            set = set.with_extra(ctx.labels, feedback);
+        }
+        h.find_mapping(&Evaluator::with_compiled(ctx, &set), feedback)
+    }
+
     struct Fixture {
         labels: LabelSet,
         schema: SchemaTree,
@@ -375,7 +367,7 @@ mod tests {
     fn handler_finds_obvious_mapping() {
         let f = Fixture::new();
         let h = ConstraintHandler::new(vec![]);
-        let r = h.find_mapping(&f.ctx());
+        let r = find(&h, &f.ctx(), &[]);
         assert!(r.feasible);
         assert_eq!(r.assignment, vec![0, 1, 2, 3, 4]);
     }
@@ -397,7 +389,7 @@ mod tests {
             tag: "area".into(),
             label: "PRICE".into(),
         })];
-        let r = h.find_mapping_with_feedback(&ctx, &fb);
+        let r = find(&h, &ctx, &fb);
         assert!(r.feasible);
         let price = ctx.labels.get("PRICE").unwrap();
         assert_eq!(r.assignment[3], price);
@@ -413,7 +405,7 @@ mod tests {
             tag: "price".into(),
             label: "AGENT-NAME".into(),
         })];
-        let r = h.find_mapping_with_feedback(&ctx, &fb);
+        let r = find(&h, &ctx, &fb);
         assert!(r.feasible);
         assert_eq!(r.assignment[4], ctx.labels.get("AGENT-NAME").unwrap());
     }
@@ -440,7 +432,7 @@ mod tests {
         let mut s = vec![0.02; n];
         s[f.labels.get("PRICE").unwrap()] = 0.9;
         ctx2.predictions[3] = Prediction::from_scores(s); // `area` claims PRICE
-        let r = h.find_mapping(&ctx2);
+        let r = find(&h, &ctx2, &[]);
         assert!(r.feasible);
         assert_ne!(r.assignment[3], f.labels.get("PRICE").unwrap());
     }
@@ -453,19 +445,9 @@ mod tests {
         })];
         let h = ConstraintHandler::new(cs).with_candidate_limit(1);
         let ctx = f.ctx();
-        let r = h.find_mapping(&ctx);
+        let r = find(&h, &ctx, &[]);
         assert!(r.feasible);
         let price = ctx.labels.get("PRICE").unwrap();
         assert_eq!(r.assignment.iter().filter(|&&l| l == price).count(), 1);
-    }
-
-    #[test]
-    fn add_constraint_mutates() {
-        let mut h = ConstraintHandler::new(vec![]);
-        assert!(h.constraints().is_empty());
-        h.add_constraint(DomainConstraint::hard(Predicate::AtMostOne {
-            label: "X".into(),
-        }));
-        assert_eq!(h.constraints().len(), 1);
     }
 }

@@ -13,14 +13,19 @@
 //! - [`SourceData`] — row-aligned extracted data, used to verify column
 //!   constraints ("the few data instances we extract from the source will be
 //!   enough to find a violation").
-//! - [`MatchingContext`] + [`evaluate_partial`] — the cost model
+//! - [`MatchingContext`] + [`Evaluator`] — the cost model
 //!   `cost(m) = Σᵢ λᵢ·cost(m,Tᵢ) − α·log prob(m)` over partial and complete
-//!   candidate mappings.
-//! - [`ConstraintHandler`] — the search for the least-cost mapping: A\* with
-//!   an admissible domain-independent heuristic (the paper's choice,
+//!   candidate mappings, scored against a [`CompiledConstraintSet`]
+//!   (compiled once per label set, shared across sources).
+//!   [`evaluate_partial`] computes the same cost directly from the
+//!   constraints; it is the reference the evaluator is tested against.
+//! - [`ConstraintHandler::find_mapping`] — the search for the least-cost
+//!   mapping over an [`Evaluator`] the caller builds: A\* with an
+//!   admissible domain-independent heuristic (the paper's choice,
 //!   Section 4.2), with beam-search and greedy alternatives for the
 //!   ablation bench, plus the constraint pre-processing extension from
 //!   Section 7 (cheap per-tag type constraints prune labels before search).
+//!   [`search_mapping`] runs the search alone over given candidate sets.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -36,7 +41,6 @@ pub use constraint::{ConstraintKind, DomainConstraint, Predicate};
 pub use evaluate::{evaluate_partial, MatchingContext, INFEASIBLE};
 pub use handler::ConstraintHandler;
 pub use search::{
-    search_mapping, search_mapping_evaluated, MappingResult, SearchAlgorithm, SearchConfig,
-    SearchEvents, SearchStats,
+    search_mapping, MappingResult, SearchAlgorithm, SearchConfig, SearchEvents, SearchStats,
 };
 pub use source_data::SourceData;

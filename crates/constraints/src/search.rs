@@ -2,10 +2,13 @@
 //!
 //! LSD uses A\* over the space of label assignments: tags are refined in
 //! decreasing structure-score order (the same order used for user feedback,
-//! Section 6.3), the path cost `g` is the partial-mapping cost from
-//! [`crate::evaluate_partial`], and the admissible heuristic `h` is the sum
-//! over unassigned tags of their cheapest possible `−α·log s` contribution
-//! (constraints can only *add* cost, so `h` never overestimates).
+//! Section 6.3), the path cost `g` is the partial-mapping cost from the
+//! compiled [`Evaluator`] (the cost [`crate::evaluate_partial`] defines),
+//! and the admissible heuristic `h` is the sum over unassigned tags of
+//! their cheapest possible `−α·log s` contribution (constraints can only
+//! *add* cost, so `h` never overestimates). [`search_mapping`] is the entry
+//! point; [`crate::ConstraintHandler::find_mapping`] prepares its candidate
+//! sets and refinement order.
 //!
 //! Because the paper notes the handler can take minutes on large schemas,
 //! the A\* expansion count is capped; on overflow the best frontier node is
@@ -28,11 +31,8 @@
 //! per scored child, plus the final cost of a greedy completion and of the
 //! argmax fallback.
 
-use crate::compiled::{CompiledConstraintSet, Evaluator, PartialAssignment};
-use crate::constraint::DomainConstraint;
-#[cfg(test)]
-use crate::evaluate::evaluate_partial;
-use crate::evaluate::{MatchingContext, INFEASIBLE};
+use crate::compiled::{Evaluator, PartialAssignment};
+use crate::evaluate::INFEASIBLE;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -319,31 +319,15 @@ impl Deadlines {
     }
 }
 
-/// Runs the configured search. `candidates[t]` lists the label indices tag
-/// `t` may take (prepared by the [`crate::ConstraintHandler`]); `order` is
-/// the refinement order over tag indices.
+/// Runs the configured search over an evaluator the caller built (for one
+/// source, from a constraint set compiled once and shared read-only across
+/// worker threads) and keeps, so the same evaluator can also serve work
+/// after the search, such as the pipeline's decision provenance.
+/// `candidates[t]` lists the label indices tag `t` may take (prepared by
+/// the [`crate::ConstraintHandler`]); `order` is the refinement order over
+/// tag indices. Only this search's evaluations are counted in
+/// `search.evaluations`.
 pub fn search_mapping(
-    ctx: &MatchingContext<'_>,
-    constraints: &[DomainConstraint],
-    candidates: &[Vec<usize>],
-    order: &[usize],
-    config: SearchConfig,
-) -> MappingResult {
-    let set = CompiledConstraintSet::compile(ctx.labels, constraints);
-    search_mapping_evaluated(
-        &Evaluator::with_compiled(ctx, &set),
-        candidates,
-        order,
-        config,
-    )
-}
-
-/// [`search_mapping`] over an evaluator the caller built (for one source,
-/// from a constraint set compiled once and shared read-only across worker
-/// threads) and keeps, so the same evaluator can also serve work after the
-/// search, such as the pipeline's decision provenance. Only this search's
-/// evaluations are counted in `search.evaluations`.
-pub fn search_mapping_evaluated(
     evaluator: &Evaluator<'_>,
     candidates: &[Vec<usize>],
     order: &[usize],
@@ -606,7 +590,9 @@ fn fallback_argmax(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Predicate;
+    use crate::compiled::CompiledConstraintSet;
+    use crate::constraint::{DomainConstraint, Predicate};
+    use crate::evaluate::{evaluate_partial, MatchingContext};
     use crate::source_data::SourceData;
     use lsd_learn::{LabelSet, Prediction};
     use lsd_xml::{parse_dtd, SchemaTree};
@@ -660,20 +646,30 @@ mod tests {
         vec![(0..ctx.labels.len()).collect(); ctx.tags.len()]
     }
 
-    fn run(f: &Fixture, constraints: &[DomainConstraint], alg: SearchAlgorithm) -> MappingResult {
-        let ctx = f.ctx();
-        let candidates = all_candidates(&ctx);
-        let order: Vec<usize> = (0..ctx.tags.len()).collect();
+    /// Searches `ctx` under `constraints` with a fresh evaluator.
+    fn search_under(
+        ctx: &MatchingContext<'_>,
+        constraints: &[DomainConstraint],
+        candidates: &[Vec<usize>],
+        order: &[usize],
+        algorithm: SearchAlgorithm,
+    ) -> MappingResult {
+        let set = CompiledConstraintSet::compile(ctx.labels, constraints);
         search_mapping(
-            &ctx,
-            constraints,
-            &candidates,
-            &order,
+            &Evaluator::with_compiled(ctx, &set),
+            candidates,
+            order,
             SearchConfig {
-                algorithm: alg,
+                algorithm,
                 heuristic_weight: 1.0,
             },
         )
+    }
+
+    fn run(f: &Fixture, constraints: &[DomainConstraint], alg: SearchAlgorithm) -> MappingResult {
+        let ctx = f.ctx();
+        let order: Vec<usize> = (0..ctx.tags.len()).collect();
+        search_under(&ctx, constraints, &all_candidates(&ctx), &order, alg)
     }
 
     #[test]
@@ -775,15 +771,12 @@ mod tests {
                 label: "PRICE".into(),
             }),
         ];
-        let r = search_mapping(
+        let r = search_under(
             &ctx,
             &cs,
-            &vec![vec![0, 1]; 3],
+            &[vec![0, 1], vec![0, 1], vec![0, 1]],
             &[0, 1, 2],
-            SearchConfig {
-                algorithm: SearchAlgorithm::AStar { max_expansions: 1 },
-                heuristic_weight: 1.0,
-            },
+            SearchAlgorithm::AStar { max_expansions: 1 },
         );
         assert!(!r.feasible);
         assert!(!r.stats.optimal);

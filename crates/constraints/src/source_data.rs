@@ -203,16 +203,6 @@ impl SourceData {
             (values > 0).then(|| numeric as f64 / values as f64),
         )
     }
-
-    /// Mean token count of the tag's values; `None` for an empty column.
-    pub fn mean_token_count(&self, tag: &str) -> Option<f64> {
-        let col = self.column(tag);
-        if col.is_empty() {
-            return None;
-        }
-        let total: usize = col.iter().map(|v| v.split_whitespace().count()).sum();
-        Some(total as f64 / col.len() as f64)
-    }
 }
 
 /// True if the value is a placeholder for missing data (the paper's
@@ -366,14 +356,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mean_token_count() {
-        let mut d = SourceData::new(["desc"]);
-        d.push_row([("desc", "great house")]);
-        d.push_row([("desc", "close to the river bank")]);
-        assert_eq!(d.mean_token_count("desc"), Some(3.5));
     }
 
     #[test]

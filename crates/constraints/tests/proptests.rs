@@ -6,7 +6,7 @@
 //! (the test-only oracle below).
 
 use lsd_constraints::{
-    evaluate_partial, search_mapping_evaluated, ConstraintHandler, DomainConstraint, Evaluator,
+    evaluate_partial, search_mapping, ConstraintHandler, DomainConstraint, Evaluator,
     MappingResult, MatchingContext, Predicate, SearchAlgorithm, SearchConfig, SourceData,
     INFEASIBLE,
 };
@@ -133,7 +133,8 @@ proptest! {
         let ctx = context(&labels, &schema, &data, predictions);
         let handler = ConstraintHandler::new(constraints.clone())
             .with_config(SearchConfig { algorithm, heuristic_weight: 1.2 });
-        let result = handler.find_mapping(&ctx);
+        let set = handler.compiled(&labels);
+        let result = handler.find_mapping(&Evaluator::with_compiled(&ctx, &set), &[]);
         prop_assert_eq!(result.assignment.len(), TAGS.len());
         prop_assert!(result.assignment.iter().all(|&l| l < labels.len()));
         // If flagged feasible, the full evaluation agrees it is finite.
@@ -154,9 +155,10 @@ proptest! {
         let (labels, schema, data) = (LabelSet::new(LABELS), schema(), data());
         let ctx = context(&labels, &schema, &data, predictions);
         let run = |algorithm| {
-            ConstraintHandler::new(constraints.clone())
-                .with_config(SearchConfig { algorithm, heuristic_weight: 1.0 })
-                .find_mapping(&ctx)
+            let handler = ConstraintHandler::new(constraints.clone())
+                .with_config(SearchConfig { algorithm, heuristic_weight: 1.0 });
+            let set = handler.compiled(&labels);
+            handler.find_mapping(&Evaluator::with_compiled(&ctx, &set), &[])
         };
         let astar = run(SearchAlgorithm::AStar { max_expansions: 200_000 });
         let greedy = run(SearchAlgorithm::Greedy);
@@ -301,7 +303,7 @@ proptest! {
         let config = SearchConfig { algorithm, heuristic_weight };
 
         let fast = Evaluator::new(&ctx, &constraints);
-        let got = search_mapping_evaluated(&fast, &candidates, &order, config);
+        let got = search_mapping(&fast, &candidates, &order, config);
         let slow = Evaluator::new(&ctx, &constraints);
         let want = oracle::search(&slow, &candidates, &order, config);
         prop_assert_eq!(&got.assignment, &want.assignment);
@@ -597,7 +599,7 @@ mod oracle {
         }
     }
 
-    /// `search_mapping_evaluated`, by the full-evaluation loops.
+    /// `search_mapping`, by the full-evaluation loops.
     pub fn search(
         evaluator: &Evaluator<'_>,
         candidates: &[Vec<usize>],

@@ -25,14 +25,9 @@ pub enum CombinationRule {
 }
 
 /// Converts per-instance predictions of one tag's column into the tag-level
-/// prediction. An empty column yields the uniform distribution over
-/// `num_labels` (nothing observed — no opinion).
-pub fn convert_column(instance_predictions: &[Prediction], num_labels: usize) -> Prediction {
-    convert_column_with(instance_predictions, num_labels, CombinationRule::Average)
-}
-
-/// [`convert_column`] under an explicit combination rule.
-pub fn convert_column_with(
+/// prediction under `rule`. An empty column yields the uniform distribution
+/// over `num_labels` (nothing observed — no opinion).
+pub fn convert_column(
     instance_predictions: &[Prediction],
     num_labels: usize,
     rule: CombinationRule,
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn averages_instance_predictions() {
         // The paper's `area` column example (Section 3.2).
-        let tag_pred = convert_column(&preds(), 3);
+        let tag_pred = convert_column(&preds(), 3, CombinationRule::Average);
         assert!((tag_pred.score(0) - 0.7).abs() < 1e-9);
         assert_eq!(tag_pred.best_label(), 0);
     }
@@ -103,7 +98,7 @@ mod tests {
             CombinationRule::Max,
             CombinationRule::Median,
         ] {
-            let p = convert_column_with(&[], 4, rule);
+            let p = convert_column(&[], 4, rule);
             assert!(
                 p.scores().iter().all(|&s| (s - 0.25).abs() < 1e-12),
                 "{rule:?}"
@@ -120,7 +115,7 @@ mod tests {
             CombinationRule::Median,
         ] {
             assert_eq!(
-                convert_column_with(std::slice::from_ref(&p), 2, rule),
+                convert_column(std::slice::from_ref(&p), 2, rule),
                 p,
                 "{rule:?}"
             );
@@ -138,8 +133,8 @@ mod tests {
             Prediction::from_scores(vec![0.7, 0.3]),
             Prediction::from_scores(vec![0.05, 0.95]),
         ];
-        let avg = convert_column_with(&column, 2, CombinationRule::Average);
-        let max = convert_column_with(&column, 2, CombinationRule::Max);
+        let avg = convert_column(&column, 2, CombinationRule::Average);
+        let max = convert_column(&column, 2, CombinationRule::Max);
         assert_eq!(avg.best_label(), 0);
         assert_eq!(max.best_label(), 1);
     }
@@ -152,7 +147,7 @@ mod tests {
             Prediction::from_scores(vec![0.75, 0.25]),
             Prediction::from_scores(vec![0.0, 1.0]), // one corrupt instance
         ];
-        let median = convert_column_with(&column, 2, CombinationRule::Median);
+        let median = convert_column(&column, 2, CombinationRule::Median);
         assert_eq!(median.best_label(), 0);
         assert!(median.score(0) > 0.6);
     }
@@ -164,7 +159,7 @@ mod tests {
             CombinationRule::Max,
             CombinationRule::Median,
         ] {
-            let p = convert_column_with(&preds(), 3, rule);
+            let p = convert_column(&preds(), 3, rule);
             assert!(
                 (p.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9,
                 "{rule:?}"

@@ -218,29 +218,6 @@ fn push_text_part(out: &mut String, part: &str) {
     out.push_str(part);
 }
 
-/// Extracts one [`Instance`] per element occurrence from a set of listings,
-/// grouped by tag name, each column in extraction order (see
-/// [`SourceWalk`]). The listing root elements themselves are included
-/// (their tag is a schema element too), each with a single-entry path.
-pub fn extract_instances(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
-    let walk = SourceWalk::new(listings);
-    walk.tags()
-        .map(|tag| {
-            let instances = walk.column(tag).iter().map(|&id| walk.instance(id));
-            (tag.to_string(), instances.collect())
-        })
-        .collect()
-}
-
-/// Builds the row-aligned [`SourceData`] used by column constraints (see
-/// [`SourceWalk::source_data`]).
-pub fn build_source_data<'a, I>(tags: I, listings: &[Element]) -> SourceData
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    SourceWalk::new(listings).source_data(tags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,31 +240,45 @@ mod tests {
 
     #[test]
     fn extracts_one_column_per_tag() {
-        let cols = extract_instances(&listings());
-        assert_eq!(cols.len(), 5);
-        assert_eq!(cols["area"].len(), 2);
-        assert_eq!(cols["contact"].len(), 2);
-        assert_eq!(cols["listing"].len(), 2);
+        let listings = listings();
+        let walk = SourceWalk::new(&listings);
+        assert_eq!(walk.tags().count(), 5);
+        assert_eq!(walk.column("area").len(), 2);
+        assert_eq!(walk.column("contact").len(), 2);
+        assert_eq!(walk.column("listing").len(), 2);
+        assert!(walk.column("absent").is_empty());
     }
 
     #[test]
     fn instance_paths_run_from_root() {
-        let cols = extract_instances(&listings());
-        let phone = &cols["phone"][0];
+        let listings = listings();
+        let walk = SourceWalk::new(&listings);
+        let phone = walk.instance(walk.column("phone")[0]);
         assert_eq!(phone.path, vec!["listing", "contact", "phone"]);
-        assert_eq!(cols["listing"][0].path, vec!["listing"]);
+        let root = walk.instance(walk.column("listing")[0]);
+        assert_eq!(root.path, vec!["listing"]);
     }
 
     #[test]
     fn instance_text_is_subtree_text() {
-        let cols = extract_instances(&listings());
-        let contact_texts: Vec<String> = cols["contact"].iter().map(Instance::text).collect();
+        let listings = listings();
+        let walk = SourceWalk::new(&listings);
+        let contact_texts: Vec<String> = walk
+            .column("contact")
+            .iter()
+            .map(|&id| walk.instance(id).text())
+            .collect();
         assert!(contact_texts.contains(&"Kate (305) 111 2222".to_string()));
+        for &id in walk.column("contact") {
+            assert_eq!(walk.text(id), walk.instance(id).text());
+        }
     }
 
     #[test]
     fn source_data_rows_align_with_listings() {
-        let data = build_source_data(["listing", "area", "contact", "name", "phone"], &listings());
+        let listings = listings();
+        let data =
+            SourceWalk::new(&listings).source_data(["listing", "area", "contact", "name", "phone"]);
         assert_eq!(data.num_rows(), 2);
         let areas = data.column("area");
         assert_eq!(areas.len(), 2);
@@ -298,17 +289,19 @@ mod tests {
 
     #[test]
     fn sub_labels_attach() {
-        let cols = extract_instances(&listings());
-        let inst = cols["contact"][0]
-            .clone()
+        let listings = listings();
+        let walk = SourceWalk::new(&listings);
+        let inst = walk
+            .instance(walk.column("contact")[0])
             .with_sub_labels(HashMap::from([("name".to_string(), 3usize)]));
         assert_eq!(inst.sub_labels.get("name"), Some(&3));
     }
 
     #[test]
     fn empty_listings_give_empty_columns() {
-        assert!(extract_instances(&[]).is_empty());
-        let data = build_source_data(["a"], &[]);
+        let walk = SourceWalk::new(&[]);
+        assert_eq!(walk.tags().count(), 0);
+        let data = walk.source_data(["a"]);
         assert_eq!(data.num_rows(), 0);
     }
 }

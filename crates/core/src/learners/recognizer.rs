@@ -54,13 +54,6 @@ impl Recognizer {
             test: Arc::new(test),
         }
     }
-
-    /// Overrides the hit confidence (default 0.9).
-    pub fn with_hit_confidence(mut self, confidence: f64) -> Self {
-        assert!((0.0..=1.0).contains(&confidence));
-        self.hit_confidence = confidence;
-        self
-    }
 }
 
 impl BaseLearner for Recognizer {
@@ -131,29 +124,6 @@ pub fn county_name_recognizer(num_labels: usize, county_label: usize) -> Recogni
     )
 }
 
-/// Recognizes two-letter U.S. state abbreviations ("WA", "fl", …) — another
-/// narrow-expertise module in the spirit of the county recognizer.
-pub fn state_abbrev_recognizer(num_labels: usize, state_label: usize) -> Recognizer {
-    const STATES: [&str; 50] = [
-        "AL", "AK", "AZ", "AR", "CA", "CO", "CT", "DE", "FL", "GA", "HI", "ID", "IL", "IN", "IA",
-        "KS", "KY", "LA", "ME", "MD", "MA", "MI", "MN", "MS", "MO", "MT", "NE", "NV", "NH", "NJ",
-        "NM", "NY", "NC", "ND", "OH", "OK", "OR", "PA", "RI", "SC", "SD", "TN", "TX", "UT", "VT",
-        "VA", "WA", "WV", "WI", "WY",
-    ];
-    Recognizer::new("state-recognizer", num_labels, state_label, |value| {
-        let v = value.trim().to_ascii_uppercase();
-        STATES.contains(&v.as_str())
-    })
-}
-
-/// Recognizes five-digit U.S. ZIP codes.
-pub fn zip_recognizer(num_labels: usize, zip_label: usize) -> Recognizer {
-    Recognizer::new("zip-recognizer", num_labels, zip_label, |value| {
-        let v = value.trim();
-        v.len() == 5 && v.chars().all(|c| c.is_ascii_digit())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,13 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_recognizer_and_confidence() {
+    fn custom_recognizer_scores_hits() {
         let r = Recognizer::new("zip-recognizer", 3, 1, |v| {
             v.trim().len() == 5 && v.trim().chars().all(|c| c.is_ascii_digit())
-        })
-        .with_hit_confidence(0.8);
+        });
         let p = r.predict(&inst("98195"));
-        assert!((p.score(1) - 0.8).abs() < 1e-9);
+        assert!((p.score(1) - 0.9).abs() < 1e-9);
         assert_eq!(r.predict(&inst("9819")).score(1), 0.0);
     }
 
@@ -196,23 +165,6 @@ mod tests {
         let i = inst("whatever");
         r.train(&[(&i, 2)]);
         assert_eq!(r.predict(&inst("King")).best_label(), 0);
-    }
-
-    #[test]
-    fn state_recognizer_matches_abbreviations() {
-        let r = state_abbrev_recognizer(3, 1);
-        assert_eq!(r.predict(&inst("WA")).best_label(), 1);
-        assert_eq!(r.predict(&inst(" fl ")).best_label(), 1);
-        assert_eq!(r.predict(&inst("Washington")).score(1), 0.0);
-        assert_eq!(r.predict(&inst("ZZ")).score(1), 0.0);
-    }
-
-    #[test]
-    fn zip_recognizer_matches_five_digits() {
-        let r = zip_recognizer(3, 2);
-        assert_eq!(r.predict(&inst("98195")).best_label(), 2);
-        assert_eq!(r.predict(&inst("9819")).score(2), 0.0);
-        assert_eq!(r.predict(&inst("98195-1234")).score(2), 0.0);
     }
 
     #[test]

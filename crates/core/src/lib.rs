@@ -43,7 +43,7 @@ pub mod report;
 mod system;
 pub mod wal;
 
-pub use converter::{convert_column, convert_column_with, CombinationRule};
+pub use converter::{convert_column, CombinationRule};
 pub use error::LsdError;
 pub use explain::{
     CandidateExplanation, Explanation, LearnerContribution, RejectionReason, TagLabelSearch,
@@ -52,12 +52,12 @@ pub use feedback::{
     simulate_feedback_session, Correction, CorrectionKind, Feedback, FeedbackOutcome, StallReason,
 };
 pub use hierarchy::{most_specific_unambiguous, PartialMatch};
-pub use instance::{build_source_data, extract_instances, Instance, SourceWalk};
+pub use instance::{Instance, SourceWalk};
 pub use meta::MetaLearner;
 pub use persist::{PersistError, SavedLearner, SavedModel, SAVED_MODEL_VERSION};
 pub use readers::{
-    synthesize_dtd, synthesize_dtd_with_stats, CsvReader, JsonReader, ReadError, SourceContents,
-    SourceFormat, SourceReader, SqlReader, XmlReader,
+    synthesize_dtd, CsvReader, JsonReader, ReadError, SourceContents, SourceFormat, SourceReader,
+    SqlReader, XmlReader,
 };
 pub use report::{MatchReport, TrainReport};
 pub use system::{

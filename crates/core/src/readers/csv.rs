@@ -12,7 +12,6 @@ use lsd_xml::{ContentModel, Dtd, Element, ElementDecl, Occurrence};
 pub struct CsvReader {
     text: String,
     record_tag: String,
-    delimiter: char,
 }
 
 impl CsvReader {
@@ -22,19 +21,12 @@ impl CsvReader {
         CsvReader {
             text: text.into(),
             record_tag: "record".to_string(),
-            delimiter: ',',
         }
     }
 
     /// Overrides the tag wrapped around each row (the listing root).
     pub fn with_record_tag(mut self, tag: impl AsRef<str>) -> Self {
         self.record_tag = sanitize_tag(tag.as_ref());
-        self
-    }
-
-    /// Overrides the field delimiter (e.g. `;` or `\t`).
-    pub fn with_delimiter(mut self, delimiter: char) -> Self {
-        self.delimiter = delimiter;
         self
     }
 }
@@ -44,7 +36,7 @@ fn err(detail: impl Into<String>) -> ReadError {
 }
 
 /// Splits CSV text into records of fields, honoring quoting.
-fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>, ReadError> {
+fn parse_records(text: &str) -> Result<Vec<Vec<String>>, ReadError> {
     let mut records: Vec<Vec<String>> = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
@@ -76,7 +68,7 @@ fn parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>, ReadEr
                 in_quotes = true;
                 field_started = true;
             }
-            c if c == delimiter => {
+            ',' => {
                 record.push(std::mem::take(&mut field));
                 field_started = false;
             }
@@ -114,7 +106,7 @@ impl SourceReader for CsvReader {
     }
 
     fn read(&self) -> Result<SourceContents, ReadError> {
-        let records = parse_records(&self.text, self.delimiter)?;
+        let records = parse_records(&self.text)?;
         let Some((header, rows)) = records.split_first() else {
             return Err(err("input is empty; expected a header row"));
         };
@@ -255,10 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn alternate_delimiters_and_record_tags() {
-        let reader = CsvReader::new("a;b\n1;2\n")
-            .with_delimiter(';')
-            .with_record_tag("row");
+    fn record_tag_wraps_each_row() {
+        let reader = CsvReader::new("a,b\n1,2\n").with_record_tag("row");
         let contents = reader.read().expect("reads");
         assert_eq!(
             write_element(&contents.listings[0]),

@@ -1,9 +1,7 @@
 //! The JSON reader: documents become listing trees, keys become tags,
 //! nesting is preserved.
 
-use super::{
-    sanitize_tag, synthesize_dtd_with_stats, ReadError, SourceContents, SourceFormat, SourceReader,
-};
+use super::{sanitize_tag, synthesize_dtd, ReadError, SourceContents, SourceFormat, SourceReader};
 use lsd_xml::Element;
 use serde::Value;
 
@@ -151,7 +149,7 @@ impl SourceReader for JsonReader {
             };
             listings.push(object_to_element(&self.record_tag, entries)?);
         }
-        let (dtd, stats) = synthesize_dtd_with_stats(&listings).map_err(err)?;
+        let (dtd, stats) = synthesize_dtd(&listings).map_err(err)?;
         Ok(SourceContents {
             dtd,
             listings,

@@ -56,18 +56,6 @@ pub enum SourceFormat {
     Sql,
 }
 
-impl SourceFormat {
-    /// The canonical media type for HTTP content negotiation.
-    pub fn media_type(self) -> &'static str {
-        match self {
-            SourceFormat::Xml => "application/xml",
-            SourceFormat::Json => "application/json",
-            SourceFormat::Csv => "text/csv",
-            SourceFormat::Sql => "application/sql",
-        }
-    }
-}
-
 impl fmt::Display for SourceFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -170,21 +158,15 @@ pub(crate) fn sanitize_tag(raw: &str) -> String {
 /// [`crate::Lsd::train`] runs over training-source schemas and accepts
 /// every listing it was derived from.
 ///
+/// The DTD comes with the inference evidence: corpus size, per-element
+/// support, generalization and fallback counts. Readers store the stats on
+/// [`SourceContents::inferred`] so they travel into trained snapshots as
+/// provenance.
+///
 /// # Errors
 /// A description of the problem when `listings` is empty or the listings
 /// do not share one root tag (the DTD's root would be ill-defined).
-pub fn synthesize_dtd(listings: &[Element]) -> Result<Dtd, String> {
-    synthesize_dtd_with_stats(listings).map(|(dtd, _)| dtd)
-}
-
-/// [`synthesize_dtd`] plus the inference evidence: corpus size,
-/// per-element support, generalization and fallback counts. Readers store
-/// the stats on [`SourceContents::inferred`] so they travel into trained
-/// snapshots as provenance.
-///
-/// # Errors
-/// Same conditions as [`synthesize_dtd`].
-pub fn synthesize_dtd_with_stats(listings: &[Element]) -> Result<(Dtd, InferenceStats), String> {
+pub fn synthesize_dtd(listings: &[Element]) -> Result<(Dtd, InferenceStats), String> {
     let Some(first) = listings.first() else {
         return Err("cannot synthesize a grammar from zero listings".to_string());
     };
@@ -222,7 +204,7 @@ mod tests {
             frag("<home><area>Miami</area><price>1</price></home>"),
             frag("<home><area>Kent</area><price>2</price></home>"),
         ];
-        let dtd = synthesize_dtd(&listings).expect("synthesizes");
+        let (dtd, _) = synthesize_dtd(&listings).expect("synthesizes");
         assert!(dtd.check_closed().is_ok());
         assert_eq!(dtd.root_name().expect("rooted"), "home");
         assert!(SchemaTree::from_dtd(&dtd).is_ok());
@@ -237,7 +219,7 @@ mod tests {
             frag("<r><a>1</a><b>x</b><b>y</b></r>"),
             frag("<r><a>2</a></r>"),
         ];
-        let dtd = synthesize_dtd(&listings).expect("synthesizes");
+        let (dtd, _) = synthesize_dtd(&listings).expect("synthesizes");
         let decl = dtd.decl("r").expect("declared");
         let rendered = decl.content.to_dtd_syntax();
         assert_eq!(rendered, "(a, b*)", "a is required, b repeats or vanishes");
@@ -249,7 +231,7 @@ mod tests {
     #[test]
     fn text_plus_children_becomes_mixed() {
         let listings = vec![frag("<p>hello <b>world</b> again</p>")];
-        let dtd = synthesize_dtd(&listings).expect("synthesizes");
+        let (dtd, _) = synthesize_dtd(&listings).expect("synthesizes");
         let rendered = dtd.decl("p").expect("declared").content.to_dtd_syntax();
         assert_eq!(rendered, "(#PCDATA | b)*");
         assert!(dtd.validate(&listings[0]).is_ok());
@@ -272,7 +254,7 @@ mod tests {
         let listings = vec![frag(
             "<part><name>top</name><part><name>sub</name></part></part>",
         )];
-        let dtd = synthesize_dtd(&listings).expect("synthesizes");
+        let (dtd, _) = synthesize_dtd(&listings).expect("synthesizes");
         assert_eq!(dtd.len(), 2);
         assert!(dtd.check_closed().is_ok());
         // The sub-part has no nested part, so recursion is optional and a
@@ -281,11 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn media_types_cover_all_formats() {
-        assert_eq!(SourceFormat::Xml.media_type(), "application/xml");
-        assert_eq!(SourceFormat::Json.media_type(), "application/json");
-        assert_eq!(SourceFormat::Csv.media_type(), "text/csv");
-        assert_eq!(SourceFormat::Sql.media_type(), "application/sql");
+    fn default_format_is_xml() {
         assert_eq!(SourceFormat::default(), SourceFormat::Xml);
     }
 }

@@ -1,7 +1,7 @@
 //! The XML reader: the paper's native representation behind the common
 //! [`SourceReader`] trait.
 
-use super::{synthesize_dtd_with_stats, ReadError, SourceContents, SourceFormat, SourceReader};
+use super::{synthesize_dtd, ReadError, SourceContents, SourceFormat, SourceReader};
 use lsd_xml::{parse_dtd, parse_fragment, Element};
 
 enum Input {
@@ -85,7 +85,7 @@ impl SourceReader for XmlReader {
                         root.name
                     )));
                 }
-                let (dtd, stats) = synthesize_dtd_with_stats(&listings).map_err(err)?;
+                let (dtd, stats) = synthesize_dtd(&listings).map_err(err)?;
                 Ok(SourceContents {
                     dtd,
                     listings,

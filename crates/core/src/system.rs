@@ -19,7 +19,7 @@
 //! from the other learners, then lets the XML learner vote with that
 //! structural context.
 
-use crate::converter::{convert_column_with, CombinationRule};
+use crate::converter::{convert_column, CombinationRule};
 use crate::error::LsdError;
 use crate::explain::RejectionReason;
 use crate::feedback::Feedback;
@@ -35,7 +35,7 @@ use lsd_constraints::{
 };
 use lsd_infer::InferenceStats;
 use lsd_learn::{
-    cross_validation_predictions_grouped_with, parallel_map, ExecPolicy, LabelSet, Prediction,
+    cross_validation_predictions_grouped, parallel_map, ExecPolicy, LabelSet, Prediction,
 };
 use lsd_xml::{Dtd, Element, SchemaTree};
 use rand::SeedableRng;
@@ -597,7 +597,7 @@ impl Lsd {
         };
         let cv_sets: Vec<Vec<Prediction>> =
             parallel_map(&self.learners, &learner_policy, |_, learner| {
-                cross_validation_predictions_grouped_with(
+                cross_validation_predictions_grouped(
                     &refs,
                     &groups,
                     self.config.cv_folds,
@@ -984,7 +984,7 @@ impl Lsd {
                     .iter()
                     .map(|preds| self.meta.combine_subset(preds, &stage1_learners))
                     .collect();
-                tag_predictions.push(convert_column_with(
+                tag_predictions.push(convert_column(
                     &combined,
                     self.labels.len(),
                     self.config.converter,
@@ -1045,7 +1045,7 @@ impl Lsd {
                     })
                     .collect();
                 tag_predictions[ti] =
-                    convert_column_with(&combined, self.labels.len(), self.config.converter);
+                    convert_column(&combined, self.labels.len(), self.config.converter);
                 xml_instance_preds[ti] = xml_preds;
             }
         }
@@ -1075,7 +1075,7 @@ impl Lsd {
                                 .expect("stage-1 learner index");
                             stage1.iter().map(|preds| preds[pos].clone()).collect()
                         };
-                        convert_column_with(&column, self.labels.len(), self.config.converter)
+                        convert_column(&column, self.labels.len(), self.config.converter)
                     })
                     .collect()
             })
@@ -1120,7 +1120,7 @@ impl Lsd {
         let (eval, result) = {
             let _search = lsd_obs::span!("match.constraints");
             let eval = Evaluator::with_compiled(&ctx, set);
-            let result = self.handler.find_mapping_evaluated(&eval, feedback);
+            let result = self.handler.find_mapping(&eval, feedback);
             (eval, result)
         };
         let labels: Vec<String> = result

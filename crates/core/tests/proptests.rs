@@ -1,10 +1,7 @@
 //! Property-based tests for the core pipeline's building blocks:
 //! instance extraction, the meta-learner and the converter.
 
-use lsd_core::{
-    build_source_data, convert_column_with, extract_instances, CombinationRule, Instance,
-    MetaLearner, SourceData, SourceWalk,
-};
+use lsd_core::{convert_column, CombinationRule, Instance, MetaLearner, SourceData, SourceWalk};
 use lsd_learn::Prediction;
 use lsd_xml::{Element, Node};
 use proptest::prelude::*;
@@ -123,7 +120,7 @@ proptest! {
         listings in prop::collection::vec(arb_mixed_listing(), 0..5),
         seed in 0u64..4,
     ) {
-        let mut oracle = oracle_extract(&listings);
+        let oracle = oracle_extract(&listings);
         let walk = SourceWalk::new(&listings);
         let longest = oracle.values().map(Vec::len).max().unwrap_or(0);
         // "e" never occurs: an empty column makes no draws on either side.
@@ -146,21 +143,20 @@ proptest! {
                 }
             }
         }
-        // The public wrappers agree with the oracles too.
-        let mut extracted = extract_instances(&listings);
-        prop_assert_eq!(extracted.len(), oracle.len());
-        for (tag, old) in oracle.drain() {
-            let new = extracted.remove(&tag).unwrap_or_default();
-            prop_assert_eq!(new.len(), old.len());
-            for (new, old) in new.iter().zip(&old) {
+        // Every full column, in order, agrees with the oracle too.
+        prop_assert_eq!(walk.tags().count(), oracle.len());
+        for (tag, old) in &oracle {
+            let column = walk.column(tag);
+            prop_assert_eq!(column.len(), old.len());
+            for (&id, old) in column.iter().zip(old) {
+                let new = walk.instance(id);
                 prop_assert_eq!(&new.element, &old.element);
                 prop_assert_eq!(&new.path, &old.path);
             }
         }
         let cells = |data: &SourceData| serde_json::to_string(data).expect("serializes");
         let expected = cells(&oracle_source_data(&tags, &listings));
-        prop_assert_eq!(cells(&walk.source_data(tags)), expected.clone());
-        prop_assert_eq!(cells(&build_source_data(tags, &listings)), expected);
+        prop_assert_eq!(cells(&walk.source_data(tags)), expected);
     }
 
     /// Extraction is exhaustive and faithful: each element occurrence of
@@ -168,16 +164,17 @@ proptest! {
     /// listing root and end at the instance's own tag.
     #[test]
     fn extraction_covers_every_element(listings in prop::collection::vec(arb_listing(), 1..5)) {
-        let columns = extract_instances(&listings);
-        let extracted: usize = columns.values().map(Vec::len).sum();
+        let walk = SourceWalk::new(&listings);
+        let extracted: usize = walk.tags().map(|tag| walk.column(tag).len()).sum();
         let expected: usize = listings.iter().map(Element::subtree_size).sum();
         prop_assert_eq!(extracted, expected);
         let roots: std::collections::HashSet<&str> =
             listings.iter().map(|l| l.name.as_str()).collect();
-        for (tag, instances) in &columns {
-            for instance in instances {
-                prop_assert_eq!(&instance.element.name, tag);
-                prop_assert_eq!(instance.path.last().map(String::as_str), Some(tag.as_str()));
+        for tag in walk.tags() {
+            for &id in walk.column(tag) {
+                let instance = walk.instance(id);
+                prop_assert_eq!(instance.element.name.as_str(), tag);
+                prop_assert_eq!(instance.path.last().map(String::as_str), Some(tag));
                 prop_assert!(roots.contains(instance.path[0].as_str()));
             }
         }
@@ -223,7 +220,7 @@ proptest! {
         let preds: Vec<Prediction> =
             column.into_iter().map(Prediction::from_scores).collect();
         for rule in [CombinationRule::Average, CombinationRule::Max, CombinationRule::Median] {
-            let out = convert_column_with(&preds, 5, rule);
+            let out = convert_column(&preds, 5, rule);
             prop_assert!((out.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9, "{rule:?}");
             if preds.len() == 1 {
                 for l in 0..5 {

@@ -62,29 +62,12 @@ pub fn cross_validation_predictions<X: ?Sized + Sync, C: Classifier<X>>(
 /// accuracy and starving the others of stacking weight. Grouped folds make
 /// the CV estimate match the real deployment condition — a new source's
 /// tag names were never seen in training.
+///
+/// The d per-fold train/predict passes are independent and run on scoped
+/// worker threads under `policy`. Results are identical to the serial path
+/// for any thread count (each fold's learner sees exactly the same training
+/// set and predictions land in example order).
 pub fn cross_validation_predictions_grouped<X: ?Sized + Sync, C: Classifier<X>>(
-    examples: &[(&X, usize)],
-    groups: &[usize],
-    d: usize,
-    seed: u64,
-    make_learner: impl Fn() -> C + Sync,
-) -> Vec<Prediction> {
-    cross_validation_predictions_grouped_with(
-        examples,
-        groups,
-        d,
-        seed,
-        &ExecPolicy::default(),
-        make_learner,
-    )
-}
-
-/// [`cross_validation_predictions_grouped`] under an explicit execution
-/// policy: the d per-fold train/predict passes are independent and run on
-/// scoped worker threads. Results are identical to the serial path for any
-/// thread count (each fold's learner sees exactly the same training set and
-/// predictions land in example order).
-pub fn cross_validation_predictions_grouped_with<X: ?Sized + Sync, C: Classifier<X>>(
     examples: &[(&X, usize)],
     groups: &[usize],
     d: usize,
@@ -262,7 +245,11 @@ mod tests {
         }
         fn predict(&self, example: &[String]) -> Prediction {
             match self.seen.iter().find(|(x, _)| x.as_slice() == example) {
-                Some(&(_, l)) => Prediction::certain(2, l),
+                Some(&(_, l)) => {
+                    let mut scores = vec![0.0; 2];
+                    scores[l] = 1.0;
+                    Prediction::from_scores(scores)
+                }
                 None => Prediction::uniform(2),
             }
         }
@@ -279,8 +266,9 @@ mod tests {
         let groups: Vec<usize> = (0..12).map(|i| i / 3).collect();
         let examples: Vec<(&[String], usize)> =
             data.iter().map(|(t, l)| (t.as_slice(), *l)).collect();
-        let cv = cross_validation_predictions_grouped(&examples, &groups, 4, 3, || Memorizer {
-            seen: vec![],
+        let policy = ExecPolicy::default();
+        let cv = cross_validation_predictions_grouped(&examples, &groups, 4, 3, &policy, || {
+            Memorizer { seen: vec![] }
         });
         for p in &cv {
             assert_eq!(
@@ -303,7 +291,8 @@ mod tests {
         let data = [(toks("a"), 0), (toks("a"), 0)];
         let examples: Vec<(&[String], usize)> =
             data.iter().map(|(t, l)| (t.as_slice(), *l)).collect();
-        let cv = cross_validation_predictions_grouped(&examples, &[7, 7], 5, 1, || {
+        let policy = ExecPolicy::default();
+        let cv = cross_validation_predictions_grouped(&examples, &[7, 7], 5, 1, &policy, || {
             NaiveBayes::new(2, NaiveBayesConfig::default())
         });
         assert_eq!(cv.len(), 2);

@@ -95,18 +95,6 @@ impl LabelSet {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(String::as_str)
     }
-
-    /// The mediated-tag names only, excluding `OTHER`.
-    pub fn mediated_names(&self) -> impl Iterator<Item = &str> {
-        self.names[..self.names.len() - 1]
-            .iter()
-            .map(String::as_str)
-    }
-
-    /// True if `label` is the `OTHER` index.
-    pub fn is_other(&self, label: usize) -> bool {
-        label == self.other()
-    }
 }
 
 #[cfg(test)]
@@ -119,8 +107,6 @@ mod tests {
         assert_eq!(ls.len(), 4);
         assert_eq!(ls.other(), 3);
         assert_eq!(ls.name(3), "OTHER");
-        assert!(ls.is_other(3));
-        assert!(!ls.is_other(0));
     }
 
     #[test]
@@ -130,13 +116,6 @@ mod tests {
             assert_eq!(ls.get(n), Some(i));
         }
         assert_eq!(ls.get("missing"), None);
-    }
-
-    #[test]
-    fn mediated_names_exclude_other() {
-        let ls = LabelSet::new(["A", "B"]);
-        let names: Vec<&str> = ls.mediated_names().collect();
-        assert_eq!(names, vec!["A", "B"]);
     }
 
     #[test]

@@ -30,8 +30,7 @@ mod prediction;
 mod regression;
 
 pub use crossval::{
-    cross_validation_predictions, cross_validation_predictions_grouped,
-    cross_validation_predictions_grouped_with, fold_assignments,
+    cross_validation_predictions, cross_validation_predictions_grouped, fold_assignments,
 };
 pub use labelset::LabelSet;
 pub use naive_bayes::{NaiveBayes, NaiveBayesConfig};

@@ -34,68 +34,6 @@ pub fn std_dev(values: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// A confusion matrix over `n` labels: `counts[truth][predicted]`.
-#[derive(Debug, Clone)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// An empty `n × n` matrix.
-    pub fn new(n: usize) -> Self {
-        ConfusionMatrix {
-            counts: vec![vec![0; n]; n],
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, truth: usize, predicted: usize) {
-        self.counts[truth][predicted] += 1;
-    }
-
-    /// The count for a `(truth, predicted)` cell.
-    pub fn count(&self, truth: usize, predicted: usize) -> usize {
-        self.counts[truth][predicted]
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().map(|r| r.iter().sum::<usize>()).sum()
-    }
-
-    /// Overall accuracy (diagonal mass); `None` if empty.
-    pub fn accuracy(&self) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let diag: usize = (0..self.counts.len()).map(|i| self.counts[i][i]).sum();
-        Some(diag as f64 / total as f64)
-    }
-
-    /// Per-label recall: fraction of `truth == label` rows predicted
-    /// correctly; `None` if the label never occurs as truth.
-    pub fn recall(&self, label: usize) -> Option<f64> {
-        let row_total: usize = self.counts[label].iter().sum();
-        if row_total == 0 {
-            None
-        } else {
-            Some(self.counts[label][label] as f64 / row_total as f64)
-        }
-    }
-
-    /// Per-label precision: fraction of `predicted == label` rows that were
-    /// right; `None` if the label is never predicted.
-    pub fn precision(&self, label: usize) -> Option<f64> {
-        let col_total: usize = self.counts.iter().map(|r| r[label]).sum();
-        if col_total == 0 {
-            None
-        } else {
-            Some(self.counts[label][label] as f64 / col_total as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,26 +51,5 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert_eq!(std_dev(&[1.0]), 0.0);
         assert!((std_dev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_matrix_stats() {
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record(0, 0);
-        cm.record(0, 0);
-        cm.record(0, 1);
-        cm.record(1, 1);
-        cm.record(2, 1);
-        assert_eq!(cm.total(), 5);
-        assert_eq!(cm.accuracy(), Some(0.6));
-        assert_eq!(cm.recall(0), Some(2.0 / 3.0));
-        assert_eq!(cm.precision(1), Some(1.0 / 3.0));
-        assert_eq!(cm.recall(2), Some(0.0));
-        assert_eq!(cm.precision(2), None);
-    }
-
-    #[test]
-    fn empty_matrix_accuracy_is_none() {
-        assert_eq!(ConfusionMatrix::new(2).accuracy(), None);
     }
 }

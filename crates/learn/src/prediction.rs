@@ -34,14 +34,6 @@ impl Prediction {
         }
     }
 
-    /// A point-mass prediction: probability 1 on `label`.
-    pub fn certain(n: usize, label: usize) -> Self {
-        assert!(label < n);
-        let mut scores = vec![0.0; n];
-        scores[label] = 1.0;
-        Prediction { scores }
-    }
-
     /// Builds from log-scores (e.g. Naive Bayes log-posteriors) via a
     /// numerically-stable softmax.
     pub fn from_log_scores(log_scores: &[f64]) -> Self {
@@ -119,15 +111,6 @@ impl Prediction {
         Some(Prediction::from_scores(sum))
     }
 
-    /// Zeroes the scores of the given labels and renormalizes — used when
-    /// constraint pre-processing rules labels out for a tag.
-    pub fn mask_labels(&mut self, labels: &[usize]) {
-        for &l in labels {
-            self.scores[l] = 0.0;
-        }
-        self.renormalize();
-    }
-
     fn renormalize(&mut self) {
         let total: f64 = self.scores.iter().sum();
         if total > 0.0 {
@@ -156,13 +139,6 @@ mod tests {
     fn zero_scores_become_uniform() {
         let p = Prediction::from_scores(vec![0.0, 0.0, 0.0]);
         assert!(p.scores().iter().all(|&s| (s - 1.0 / 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn certain_is_point_mass() {
-        let p = Prediction::certain(4, 2);
-        assert_eq!(p.score(2), 1.0);
-        assert_eq!(p.best_label(), 2);
     }
 
     #[test]
@@ -209,21 +185,5 @@ mod tests {
     fn ranked_labels_order() {
         let p = Prediction::from_scores(vec![0.2, 0.5, 0.3]);
         assert_eq!(p.ranked_labels(), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn mask_labels_renormalizes() {
-        let mut p = Prediction::from_scores(vec![0.5, 0.25, 0.25]);
-        p.mask_labels(&[0]);
-        assert_eq!(p.score(0), 0.0);
-        assert!((p.score(1) - 0.5).abs() < 1e-12);
-        assert!((p.score(2) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mask_all_labels_falls_back_to_uniform() {
-        let mut p = Prediction::from_scores(vec![0.5, 0.5]);
-        p.mask_labels(&[0, 1]);
-        assert_eq!(p.scores(), &[0.5, 0.5]);
     }
 }

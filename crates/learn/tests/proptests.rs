@@ -120,6 +120,7 @@ proptest! {
             let idx = ls.get(n).expect("present");
             prop_assert_eq!(ls.name(idx), n.as_str());
         }
-        prop_assert!(ls.is_other(ls.other()));
+        prop_assert_eq!(ls.other(), names.len());
+        prop_assert_eq!(ls.name(ls.other()), LabelSet::OTHER);
     }
 }

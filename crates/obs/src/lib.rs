@@ -212,15 +212,6 @@ impl HistogramSummary {
         h
     }
 
-    /// Merges a set of per-shard summaries into one.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a HistogramSummary>) -> Self {
-        let mut h = HistogramSummary::empty();
-        for part in parts {
-            h.merge_from(part);
-        }
-        h
-    }
-
     /// Per-bucket sample counts. Bucket 0 holds the value 0; bucket
     /// `i >= 1` holds values in `[2^(i-1), 2^i)`.
     pub fn bucket_counts(&self) -> &[u64] {
@@ -610,7 +601,8 @@ pub struct MetricsSnapshot {
     /// Sample summaries (durations in nanoseconds unless noted).
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// Rolling 60-second window summaries (see [`window`]) for the series
-    /// fed through [`window_record`]. Only filled by [`snapshot`] — the
+    /// fed through [`window_record`], which also land in `histograms`.
+    /// Only filled by [`snapshot`] — the
     /// windows are wall-clock-based and meaningless for a batch
     /// [`collect`] run.
     pub windows: BTreeMap<String, HistogramSummary>,

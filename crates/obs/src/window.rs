@@ -16,6 +16,10 @@
 //! is cheaper than per-thread ring duplication and a time-based merge
 //! protocol. Like every probe it is a no-op while observability is
 //! disabled.
+//!
+//! [`window_record`] is the one call for a series that has both views: it
+//! also records the sample into the cumulative histogram of the same
+//! `(name, label)`, as [`crate::record_value`] would.
 
 use crate::{enabled, process_epoch_secs, HistogramSummary};
 use std::collections::{BTreeMap, HashMap};
@@ -90,18 +94,20 @@ fn registry() -> &'static Mutex<HashMap<Key, RollingWindow>> {
 }
 
 /// Records one sample into the rolling window `(name, label)`, stamped
-/// with the current second. No-op when observability is disabled.
+/// with the current second, and into the cumulative histogram of the same
+/// key. No-op when observability is disabled.
 pub fn window_record(name: &'static str, label: &'static str, v: u64) {
     if !enabled() {
         return;
     }
+    crate::record_value(name, label, v);
     let sec = process_epoch_secs();
     let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
     reg.entry((name, label)).or_default().record_at(sec, v);
 }
 
-/// Records an elapsed duration (nanoseconds) into the rolling window
-/// `(name, label)`. No-op when disabled.
+/// Records an elapsed duration (nanoseconds) into the rolling window and
+/// the cumulative histogram `(name, label)`. No-op when disabled.
 pub fn window_record_duration(name: &'static str, label: &'static str, d: std::time::Duration) {
     window_record(name, label, d.as_nanos() as u64);
 }
@@ -170,6 +176,21 @@ mod tests {
         let s = w.summary_at(209);
         let expect = HistogramSummary::from_samples(samples.iter().copied());
         assert_eq!(s, expect, "ring merge equals straight summary");
+    }
+
+    #[test]
+    fn one_record_feeds_the_cumulative_and_the_rolling_view() {
+        let ((), snap) = crate::collect(|| {
+            window_record("win.both", "", 40);
+            window_record_duration("win.both", "ms", std::time::Duration::from_nanos(7));
+        });
+        let cumulative = snap.histogram("win.both").expect("cumulative series");
+        assert_eq!((cumulative.count, cumulative.sum), (1, 40));
+        let labelled = snap.histogram("win.both/ms").expect("labelled series");
+        assert_eq!((labelled.count, labelled.sum), (1, 7));
+        let windows = window_snapshot();
+        assert_eq!(windows["win.both"], *cumulative);
+        assert_eq!(windows["win.both/ms"], *labelled);
     }
 
     #[test]

@@ -57,7 +57,10 @@ proptest! {
             .iter()
             .map(|s| HistogramSummary::from_samples(s.iter().copied()))
             .collect();
-        let merged = HistogramSummary::merged(per_shard.iter());
+        let mut merged = HistogramSummary::empty();
+        for shard in &per_shard {
+            merged.merge_from(shard);
+        }
         let stream = HistogramSummary::from_samples(shards.iter().flatten().copied());
         prop_assert_eq!(merged.count, stream.count);
         prop_assert_eq!(merged.sum, stream.sum);

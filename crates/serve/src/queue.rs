@@ -296,7 +296,6 @@ fn note_queue_wait(job: &Job, wait_ns: u64) {
             None,
         ),
     );
-    lsd_obs::record_value("serve.queue_wait_ns", "", wait_ns);
     lsd_obs::window_record("serve.queue_wait_ns", "", wait_ns);
 }
 

@@ -608,7 +608,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     .push(("traceparent", ctx.to_traceparent()));
                 let total = started.elapsed();
                 lsd_obs::counter_add("serve.http_requests", label, 1);
-                lsd_obs::record_duration("serve.request_ns", label, total);
                 lsd_obs::window_record_duration("serve.request_ns", label, total);
                 finish_request_trace(shared, &request, &obs, tracked, response.status, total);
                 // Merge this thread's shard before answering: once the

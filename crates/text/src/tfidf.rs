@@ -38,11 +38,6 @@ impl Vocabulary {
         self.ids.get(token).copied()
     }
 
-    /// The token string for an id.
-    pub fn token(&self, id: u32) -> Option<&str> {
-        self.tokens.get(id as usize).map(String::as_str)
-    }
-
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
         self.tokens.len()
@@ -76,24 +71,9 @@ impl SparseVector {
         SparseVector { entries }
     }
 
-    /// Counts token occurrences into a term-frequency vector.
-    pub fn term_counts(ids: impl IntoIterator<Item = u32>) -> Self {
-        Self::from_pairs(ids.into_iter().map(|id| (id, 1.0)).collect())
-    }
-
     /// The sorted `(dim, weight)` entries.
     pub fn entries(&self) -> &[(u32, f64)] {
         &self.entries
-    }
-
-    /// Number of non-zero dimensions.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the vector is all zeros.
-    pub fn is_zero(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The L2 norm.
@@ -229,7 +209,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(v.intern("price"), a);
         assert_eq!(v.get("phone"), Some(b));
-        assert_eq!(v.token(a), Some("price"));
         assert_eq!(v.len(), 2);
     }
 
@@ -262,7 +241,7 @@ mod tests {
         assert!((v.norm() - 1.0).abs() < 1e-12);
         let mut zero = SparseVector::default();
         zero.normalize(); // must not panic
-        assert!(zero.is_zero());
+        assert!(zero.entries().is_empty());
     }
 
     #[test]
@@ -298,12 +277,6 @@ mod tests {
         let mut m = TfIdfModel::new();
         m.add_document(["a", "b"].iter().copied());
         let v = m.vector_for_tokens(["zzz", "qqq"].iter().copied());
-        assert!(v.is_zero());
-    }
-
-    #[test]
-    fn term_counts() {
-        let v = SparseVector::term_counts([1, 1, 2, 1]);
-        assert_eq!(v.entries(), &[(1, 3.0), (2, 1.0)]);
+        assert!(v.entries().is_empty());
     }
 }

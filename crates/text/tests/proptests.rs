@@ -150,7 +150,7 @@ proptest! {
         }
         let v = m.vector_for_tokens(query.iter().map(String::as_str));
         let norm = v.norm();
-        prop_assert!(v.is_zero() || (norm - 1.0).abs() < 1e-9, "norm = {norm}");
+        prop_assert!(v.entries().is_empty() || (norm - 1.0).abs() < 1e-9, "norm = {norm}");
     }
 
     /// WHIRL always returns a probability distribution over its labels.

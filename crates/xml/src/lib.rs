@@ -38,7 +38,6 @@ mod dtd;
 mod error;
 mod parser;
 mod schema;
-mod select;
 mod span;
 mod tree;
 mod writer;

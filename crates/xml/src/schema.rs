@@ -176,23 +176,6 @@ impl SchemaTree {
         }
     }
 
-    /// True if `inner` is a *direct* child of `outer`.
-    pub fn is_child_of(&self, inner: &str, outer: &str) -> bool {
-        self.tag(outer)
-            .is_some_and(|t| t.children.iter().any(|c| c == inner))
-    }
-
-    /// True if `a` and `b` share at least one direct parent.
-    pub fn are_siblings(&self, a: &str, b: &str) -> bool {
-        if a == b {
-            return false;
-        }
-        match (self.tag(a), self.tag(b)) {
-            (Some(ta), Some(tb)) => ta.parents.iter().any(|p| tb.parents.contains(p)),
-            _ => false,
-        }
-    }
-
     /// For siblings `a` and `b` under a shared parent, the tags declared
     /// between them in content-model order. Empty if they are adjacent;
     /// `None` if they are not siblings.
@@ -282,17 +265,6 @@ mod tests {
         assert!(s.is_nested_in("phone", "contact"));
         assert!(!s.is_nested_in("contact", "phone"));
         assert!(!s.is_nested_in("price", "contact"));
-        assert!(s.is_child_of("name", "contact"));
-        assert!(!s.is_child_of("phone", "house-listing"));
-    }
-
-    #[test]
-    fn sibling_queries() {
-        let s = mediated();
-        assert!(s.are_siblings("baths", "beds"));
-        assert!(s.are_siblings("location", "price"));
-        assert!(!s.are_siblings("name", "price"));
-        assert!(!s.are_siblings("price", "price"));
     }
 
     #[test]
@@ -352,7 +324,6 @@ mod tests {
     fn unknown_tags_answer_negative() {
         let s = mediated();
         assert!(!s.is_nested_in("ghost", "house-listing"));
-        assert!(!s.are_siblings("ghost", "price"));
         assert_eq!(s.tags_between("ghost", "price"), None);
         assert_eq!(s.nestable_count("ghost"), 0);
     }

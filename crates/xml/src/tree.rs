@@ -75,12 +75,6 @@ impl Element {
         self
     }
 
-    /// Builder-style: appends a text run and returns `self`.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
     /// Builder-style: appends an attribute and returns `self`.
     pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.attributes.push((name.into(), value.into()));
@@ -105,11 +99,6 @@ impl Element {
     /// Returns the first child element with the given tag name.
     pub fn child(&self, name: &str) -> Option<&Element> {
         self.child_elements().find(|e| e.name == name)
-    }
-
-    /// Returns all child elements with the given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.child_elements().filter(move |e| e.name == name)
     }
 
     /// True if the element contains no child elements (text only or empty).
@@ -176,26 +165,6 @@ impl Element {
         for c in self.child_elements() {
             c.visit(f);
         }
-    }
-
-    /// Collects `(path, element)` pairs for every element in the subtree,
-    /// where `path` is the slash-joined list of tag names from this element
-    /// down to the visited one (inclusive), e.g. `house-listing/contact/phone`.
-    pub fn paths(&self) -> Vec<(String, &Element)> {
-        let mut out = Vec::new();
-        fn rec<'a>(e: &'a Element, prefix: &str, out: &mut Vec<(String, &'a Element)>) {
-            let path = if prefix.is_empty() {
-                e.name.clone()
-            } else {
-                format!("{prefix}/{}", e.name)
-            };
-            out.push((path.clone(), e));
-            for c in e.child_elements() {
-                rec(c, &path, out);
-            }
-        }
-        rec(self, "", &mut out);
-        out
     }
 }
 
@@ -279,23 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn paths_enumerate_every_element() {
-        let e = listing();
-        let paths: Vec<String> = e.paths().into_iter().map(|(p, _)| p).collect();
-        assert_eq!(
-            paths,
-            vec![
-                "house-listing",
-                "house-listing/location",
-                "house-listing/price",
-                "house-listing/contact",
-                "house-listing/contact/name",
-                "house-listing/contact/phone",
-            ]
-        );
-    }
-
-    #[test]
     fn attributes_become_children() {
         let e = Element::new("listing")
             .with_attr("id", "42")
@@ -305,16 +257,6 @@ mod tests {
         let first = converted.child_elements().next().unwrap();
         assert_eq!(first.name, "id");
         assert_eq!(first.direct_text(), "42");
-    }
-
-    #[test]
-    fn children_named_filters() {
-        let e = Element::new("r")
-            .with_child(Element::text_leaf("a", "1"))
-            .with_child(Element::text_leaf("b", "2"))
-            .with_child(Element::text_leaf("a", "3"));
-        let named: Vec<_> = e.children_named("a").map(|c| c.direct_text()).collect();
-        assert_eq!(named, vec!["1", "3"]);
     }
 
     #[test]

@@ -65,11 +65,13 @@ proptest! {
     }
 
     /// Structural statistics are consistent: subtree size bounds depth and
-    /// path count equals subtree size.
+    /// equals the number of elements a visit reaches.
     #[test]
     fn structural_invariants(e in arb_element()) {
         prop_assert!(e.depth() <= e.subtree_size());
-        prop_assert_eq!(e.paths().len(), e.subtree_size());
+        let mut visited = 0;
+        e.visit(&mut |_| visited += 1);
+        prop_assert_eq!(visited, e.subtree_size());
     }
 }
 

@@ -4,7 +4,7 @@
 use lsd::core::learners::{
     BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner,
 };
-use lsd::core::{extract_instances, Instance, LsdBuilder, MetaLearner, Source, TrainedSource};
+use lsd::core::{Instance, LsdBuilder, MetaLearner, Source, SourceWalk, TrainedSource};
 use lsd::learn::{cross_validation_predictions, LabelSet, Prediction};
 use lsd::xml::{parse_dtd, parse_fragment};
 use std::collections::HashMap;
@@ -39,10 +39,12 @@ fn figure5_training_walkthrough() {
                 t2 = tags[2]
             ))
             .expect("well-formed");
-            let columns = extract_instances(std::slice::from_ref(&root));
+            let walk = SourceWalk::new(std::slice::from_ref(&root));
             for (tag, label) in tags.iter().zip(0..3) {
-                for instance in columns.get(*tag).expect("column present") {
-                    examples.push((instance.clone(), label));
+                let column = walk.column(tag);
+                assert!(!column.is_empty(), "column present");
+                for &id in column {
+                    examples.push((walk.instance(id), label));
                 }
             }
         }
