@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for LSD's components: base-learner training
 //! and prediction, meta-learner training (cross-validation + regression),
-//! and the constraint handler's search algorithms, whole-match and
-//! search-only.
+//! the constraint handler's search algorithms, whole-match and
+//! search-only, and rendering response bodies and snapshots.
 //!
 //! Run with `cargo bench -p lsd-bench`.
 
@@ -232,6 +232,39 @@ fn bench_search_only(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_render(c: &mut Criterion) {
+    // Rendering what the server writes: the `/v1/explain` and `/v1/match`
+    // bodies for Time Schedule source 3 at 20 listings, and the pretty
+    // snapshot of the model perfbench serves, which boot writes.
+    use lsd_bench::{to_sources, train_full_model, ExperimentParams};
+    use lsd_serve::json;
+
+    let params = ExperimentParams {
+        listings: 15,
+        seed: 1,
+        ..ExperimentParams::default()
+    };
+    let (_, model) = train_full_model(DomainId::TimeSchedule, &params);
+    let generated = DomainId::TimeSchedule.generate(20, 1);
+    let outcome = model
+        .match_source(&to_sources(&generated.sources[3]))
+        .expect("datagen sources match");
+    let saved = model.to_saved().expect("a trained model saves");
+
+    let mut group = c.benchmark_group("render");
+    group.sample_size(20);
+    group.bench_function("explain_body", |b| {
+        b.iter(|| json::explain_body("time-schedule", black_box(&outcome)))
+    });
+    group.bench_function("match_body", |b| {
+        b.iter(|| json::match_body("time-schedule", black_box(&outcome)))
+    });
+    group.bench_function("saved_model_pretty", |b| {
+        b.iter(|| serde_json::to_string_pretty(black_box(&saved)).expect("serializes"))
+    });
+    group.finish();
+}
+
 fn bench_batch_engine(c: &mut Criterion) {
     // The parallel batch-matching engine vs the serial loop it replaces:
     // one trained system, a 4-domain x 5-source workload, outcomes
@@ -388,6 +421,7 @@ criterion_group!(
     bench_meta,
     bench_search,
     bench_search_only,
+    bench_render,
     bench_batch_engine,
     bench_evaluators,
     bench_substrates

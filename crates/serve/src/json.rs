@@ -1,9 +1,12 @@
 //! JSON request parsing and response rendering for the `/v1` API.
 //!
-//! Responses are rendered through the deterministic `serde_json` writer
-//! (sorted maps, shortest-roundtrip floats), so the same
-//! [`MatchOutcome`] always produces the same bytes — the property the
-//! determinism tests and the load driver's byte-identical check rely on.
+//! Responses are rendered through the deterministic `serde_json` writer,
+//! so the same [`MatchOutcome`] always produces the same bytes — the
+//! property the determinism tests and the load driver's byte-identical
+//! check rely on. Objects keep the order their keys were inserted in (the
+//! shim's maps do not sort), so every body fixes its own order: schema
+//! declaration order for tags, and [`match_body`] sorts its mapping by
+//! source tag itself. Floats are written shortest-roundtrip.
 
 use crate::error::ServeError;
 use lsd_core::{Correction, Explanation, MatchOutcome, Source};

@@ -16,6 +16,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -89,6 +90,12 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
+
+    /// The value-tree form of `self`, borrowed where `self` already is one:
+    /// what a writer reads, so rendering a [`Value`] does not first copy it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Reconstructs `Self` from the [`Value`] data model.
@@ -230,11 +237,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -401,6 +416,10 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Value {
@@ -496,6 +515,19 @@ mod tests {
         };
         assert_eq!(entries[0].0, "a");
         assert_eq!(entries[1].0, "b");
+    }
+
+    #[test]
+    fn values_are_borrowed_and_everything_else_is_built() {
+        let value = Value::Seq(vec![Value::Int(1)]);
+        assert!(matches!(value.as_value(), Cow::Borrowed(v) if std::ptr::eq(v, &value)));
+        assert!(matches!((&&value).as_value(), Cow::Borrowed(v) if std::ptr::eq(v, &value)));
+        assert!(matches!(
+            Box::new(value.clone()).as_value(),
+            Cow::Borrowed(_)
+        ));
+        assert_eq!(vec![1usize].as_value().into_owned(), value);
+        assert!(matches!(vec![1usize].as_value(), Cow::Owned(_)));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
-use std::fmt;
+// Writing into a `String` cannot fail, so the writer drops `write!`'s result.
+use std::fmt::{self, Write as _};
 
 /// The nesting depth (arrays and objects) past which parsing stops with a
 /// [`Category::DepthLimit`] error, the same limit real `serde_json` uses.
@@ -139,25 +140,29 @@ macro_rules! json {
 /// Serializes to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), None, 0, &mut out);
+    write_value(&value.as_value(), None, 0, &mut out);
     Ok(out)
 }
 
 /// Serializes to human-readable JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), Some(2), 0, &mut out);
+    write_value(&value.as_value(), Some(2), 0, &mut out);
     Ok(out)
 }
 
+/// Writes `value` into `out`: compact when `indent` is `None`, else one item
+/// per line, indented `indent` spaces per level below `depth`.
 fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
-                out.push_str(&f.to_string());
+                let _ = write!(out, "{f}");
             } else {
                 // JSON has no NaN/Infinity; mirror JavaScript's JSON.stringify.
                 out.push_str("null");
@@ -208,37 +213,58 @@ fn write_bracketed<I, T>(
             out.push(',');
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+            write_newline(step * (depth + 1), out);
         }
         write_item(item, depth + 1, out);
     }
     if !empty {
         if let Some(step) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', step * depth));
+            write_newline(step * depth, out);
         }
     }
     out.push(close);
 }
 
+/// Writes a line break and `width` spaces of indentation.
+fn write_newline(width: usize, out: &mut String) {
+    const SPACES: &str = "                                                                ";
+    out.push('\n');
+    let mut left = width;
+    while left > 0 {
+        let n = left.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        left -= n;
+    }
+}
+
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no escape
+/// are copied whole; every byte that needs one is ASCII, so each run ends
+/// on a char boundary.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let short = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -641,8 +667,147 @@ mod tests {
         }
     }
 
+    /// The writer as it was before it copied runs: one `push` per char, a
+    /// `format!` per control character, a temporary `String` per number
+    /// and one `push` per indent space. The properties below hold the
+    /// writer to its bytes.
+    mod reference {
+        use super::super::Value;
+
+        pub fn to_string(value: &Value) -> String {
+            let mut out = String::new();
+            write_value(value, None, 0, &mut out);
+            out
+        }
+
+        pub fn to_string_pretty(value: &Value) -> String {
+            let mut out = String::new();
+            write_value(value, Some(2), 0, &mut out);
+            out
+        }
+
+        fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
+            match value {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Int(i) => out.push_str(&i.to_string()),
+                Value::Float(f) => {
+                    if f.is_finite() {
+                        out.push_str(&f.to_string());
+                    } else {
+                        out.push_str("null");
+                    }
+                }
+                Value::Str(s) => write_string(s, out),
+                Value::Seq(items) => {
+                    write_bracketed(items.iter(), '[', ']', indent, depth, out, |item, d, o| {
+                        write_value(item, indent, d, o);
+                    });
+                }
+                Value::Map(entries) => {
+                    write_bracketed(
+                        entries.iter(),
+                        '{',
+                        '}',
+                        indent,
+                        depth,
+                        out,
+                        |(k, v), d, o| {
+                            write_string(k, o);
+                            o.push(':');
+                            if indent.is_some() {
+                                o.push(' ');
+                            }
+                            write_value(v, indent, d, o);
+                        },
+                    );
+                }
+            }
+        }
+
+        fn write_bracketed<I, T>(
+            items: I,
+            open: char,
+            close: char,
+            indent: Option<usize>,
+            depth: usize,
+            out: &mut String,
+            mut write_item: impl FnMut(T, usize, &mut String),
+        ) where
+            I: ExactSizeIterator<Item = T>,
+        {
+            out.push(open);
+            let empty = items.len() == 0;
+            for (i, item) in items.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if let Some(step) = indent {
+                    out.push('\n');
+                    out.extend(std::iter::repeat_n(' ', step * (depth + 1)));
+                }
+                write_item(item, depth + 1, out);
+            }
+            if !empty {
+                if let Some(step) = indent {
+                    out.push('\n');
+                    out.extend(std::iter::repeat_n(' ', step * depth));
+                }
+            }
+            out.push(close);
+        }
+
+        fn write_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_reference_on_edge_values() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let value = json!({
+            "ints": vec![i64::MIN, -1, 0, i64::MAX],
+            "floats": vec![0.0, -0.0, 5e-324, f64::MIN_POSITIVE / 2.0, 1e300, -1.5,
+                           f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            "text": format!("{controls} \"\\/ é 東京 🎈 \u{7f}\u{2028}"),
+            "empty": Value::Map(Vec::new()),
+            "nested": vec![Value::Seq(Vec::new()), json!({"k": Value::Null})]
+        });
+        assert_eq!(
+            to_string(&value).expect("writes"),
+            reference::to_string(&value)
+        );
+        assert_eq!(
+            to_string_pretty(&value).expect("writes"),
+            reference::to_string_pretty(&value)
+        );
+        // Deeper than the 64-space indent slice, so it is pushed in pieces.
+        let deep = (0..40).fold(Value::Int(7), |inner, _| Value::Seq(vec![inner]));
+        assert_eq!(
+            to_string_pretty(&deep).expect("writes"),
+            reference::to_string_pretty(&deep)
+        );
+    }
+
     mod properties {
         use super::super::*;
+        use super::reference;
         use proptest::prelude::*;
 
         /// Any char, weighted so every UTF-8 width, every control character
@@ -680,8 +845,81 @@ mod tests {
             ]
         }
 
+        /// Floats from every bit pattern (NaN and ±inf included), subnormals,
+        /// and the values a writer is likeliest to get wrong.
+        fn any_float() -> impl Strategy<Value = f64> {
+            const EDGES: [f64; 9] = [
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                f64::MIN,
+                9_007_199_254_740_993.0,
+            ];
+            prop_oneof![
+                any::<u64>().prop_map(f64::from_bits),
+                (1u64..1 << 52).prop_map(f64::from_bits),
+                (1u64..1 << 52).prop_map(|bits| -f64::from_bits(bits)),
+                (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+            ]
+        }
+
+        fn any_string() -> impl Strategy<Value = String> {
+            prop::collection::vec(any_char(), 0..24).prop_map(|chars| chars.into_iter().collect())
+        }
+
+        /// Nested arrays and objects over every scalar kind.
+        fn any_value() -> impl Strategy<Value = Value> {
+            let leaf = prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                prop_oneof![Just(i64::MIN), Just(i64::MAX), -2i64..3].prop_map(Value::Int),
+                any_float().prop_map(Value::Float),
+                any_string().prop_map(Value::Str),
+            ];
+            leaf.prop_recursive(4, 64, 6, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Seq),
+                    prop::collection::vec((any_string(), inner), 0..6).prop_map(Value::Map),
+                ]
+            })
+        }
+
+        /// `value` as it reads back from the writer's output: non-finite
+        /// floats become `null`, and a float written without a fraction
+        /// (integral, in `i64` range) parses as an integer.
+        fn as_parsed(value: &Value) -> Value {
+            match value {
+                Value::Float(f) if !f.is_finite() => Value::Null,
+                Value::Float(f) => f.to_string().parse().map_or(Value::Float(*f), Value::Int),
+                Value::Seq(items) => Value::Seq(items.iter().map(as_parsed).collect()),
+                Value::Map(entries) => Value::Map(
+                    entries
+                        .iter()
+                        .map(|(k, v)| (k.clone(), as_parsed(v)))
+                        .collect(),
+                ),
+                other => other.clone(),
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn writer_matches_the_reference(value in any_value()) {
+                let compact = to_string(&value).expect("writes");
+                let pretty = to_string_pretty(&value).expect("writes");
+                prop_assert_eq!(&compact, &reference::to_string(&value));
+                prop_assert_eq!(&pretty, &reference::to_string_pretty(&value));
+                let expected = as_parsed(&value);
+                prop_assert_eq!(from_str::<Value>(&compact).expect("parses"), expected.clone());
+                prop_assert_eq!(from_str::<Value>(&pretty).expect("parses"), expected);
+            }
 
             #[test]
             fn strings_roundtrip(chars in prop::collection::vec(any_char(), 0..48)) {

@@ -6,14 +6,50 @@
 //! the standard log-scaled variant: `tf = 1 + ln(count)`,
 //! `idf = ln(N / df)`, weights L2-normalized per document.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
-/// Interns token strings to dense `u32` ids.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Interns token strings to dense `u32` ids: the ids are always
+/// `0..len()`, each token's id its interning order.
+#[derive(Debug, Clone, Default, Deserialize)]
+#[serde(from = "StoredVocabulary")]
 pub struct Vocabulary {
     ids: HashMap<String, u32>,
+}
+
+/// The serialized shape of [`Vocabulary`]: `ids` (keys sorted) and
+/// `tokens` in id order. Loading rebuilds the ids from `tokens` alone.
+#[derive(Deserialize)]
+struct StoredVocabulary {
     tokens: Vec<String>,
+}
+
+impl From<StoredVocabulary> for Vocabulary {
+    /// Interns the tokens in order, so a hand-edited snapshot with a
+    /// repeated token still gives dense ids.
+    fn from(stored: StoredVocabulary) -> Self {
+        let mut ids = HashMap::with_capacity(stored.tokens.len());
+        for token in stored.tokens {
+            let next = ids.len() as u32;
+            ids.entry(token).or_insert(next);
+        }
+        Vocabulary { ids }
+    }
+}
+
+impl Serialize for Vocabulary {
+    /// Writes `tokens` in id order from `ids`, the one copy of each token
+    /// the vocabulary keeps.
+    fn to_value(&self) -> Value {
+        let mut tokens = vec![""; self.ids.len()];
+        for (token, &id) in &self.ids {
+            tokens[id as usize] = token;
+        }
+        Value::Map(vec![
+            ("ids".to_string(), self.ids.to_value()),
+            ("tokens".to_string(), tokens.to_value()),
+        ])
+    }
 }
 
 impl Vocabulary {
@@ -27,9 +63,8 @@ impl Vocabulary {
         if let Some(&id) = self.ids.get(token) {
             return id;
         }
-        let id = self.tokens.len() as u32;
+        let id = self.ids.len() as u32;
         self.ids.insert(token.to_string(), id);
-        self.tokens.push(token.to_string());
         id
     }
 
@@ -40,12 +75,12 @@ impl Vocabulary {
 
     /// Number of distinct tokens.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.ids.len()
     }
 
     /// True if no tokens have been interned.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -210,6 +245,25 @@ mod tests {
         assert_eq!(v.intern("price"), a);
         assert_eq!(v.get("phone"), Some(b));
         assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn vocabulary_keeps_its_stored_shape() {
+        let mut v = Vocabulary::new();
+        for token in ["price", "phone", "agent"] {
+            v.intern(token);
+        }
+        let text = serde_json::to_string(&v).expect("serializes");
+        assert_eq!(
+            text,
+            r#"{"ids":{"agent":2,"phone":1,"price":0},"tokens":["price","phone","agent"]}"#
+        );
+        let back: Vocabulary = serde_json::from_str(&text).expect("loads");
+        assert_eq!((back.get("agent"), back.len()), (Some(2), 3));
+        // A repeated token keeps its first id, so ids stay dense.
+        let edited: Vocabulary =
+            serde_json::from_str(r#"{"ids":{},"tokens":["a","b","a","c"]}"#).expect("loads");
+        assert_eq!((edited.get("c"), edited.len()), (Some(2), 3));
     }
 
     #[test]
