@@ -79,7 +79,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                     let _scope = lsd_obs::TraceScope::enter(ctx);
                     lsd.match_batch(black_box(&sources), &policy)
                 };
-                lsd_obs::trace::finish(ctx.trace_id);
+                lsd_obs::trace::finish(&ctx);
                 result
             });
             outcomes.expect("well-formed sources")

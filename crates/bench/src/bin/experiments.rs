@@ -13,7 +13,7 @@
 //! | `fig9a`    | Figure 9a — lesion studies                           |
 //! | `fig9b`    | Figure 9b — schema info vs. data instances vs. both  |
 //! | `feedback` | Section 6.3 — corrections needed for a perfect match |
-//! | `metrics`  | per-split pipeline metrics: writes `metrics.json`, `trace.json`, `events.jsonl` and `BENCH_match.json` |
+//! | `metrics`  | per-split pipeline metrics: writes `metrics.json`, `trace.json` and `BENCH_match.json` |
 //!
 //! Each section but `metrics` stores its results in
 //! `experiment_results.json` under its own name. A full run with the
@@ -479,15 +479,12 @@ fn metrics(params: &ExperimentParams) -> Option<Value> {
     println!("Wrote {metrics_path} ({} split records)", all_metrics.len());
 
     // Exportable telemetry for the first split record: a Perfetto-loadable
-    // Chrome trace, the JSONL event stream, and the schema-versioned perf
-    // record. (One representative split keeps the artifacts small; the
-    // full per-split snapshots are all in metrics.json above.)
+    // Chrome trace and the schema-versioned perf record. (One
+    // representative split keeps the artifacts small; the full per-split
+    // snapshots are all in metrics.json above.)
     if let Some(record) = all_metrics.first() {
         std::fs::write("trace.json", record.match_report.chrome_trace()).expect("write trace.json");
         println!("Wrote trace.json");
-        std::fs::write("events.jsonl", record.match_report.events_jsonl(4096))
-            .expect("write events.jsonl");
-        println!("Wrote events.jsonl");
         // No single wall-clock measurement spans exactly this batch match,
         // so use the cumulative per-source match wall time (an upper bound
         // on the batch wall: workers overlap).

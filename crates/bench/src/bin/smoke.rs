@@ -5,7 +5,6 @@
 //! - `metrics.json` — the raw train/match metric snapshots;
 //! - `trace.json` — the match run's spans as Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`);
-//! - `events.jsonl` — the match run's metrics as JSON-Lines;
 //! - `BENCH_match.json` — the schema-versioned perf-trajectory record.
 //!
 //! Each artifact is read back and validated in-process before the binary
@@ -108,15 +107,6 @@ fn main() {
         "one complete event per span"
     );
     write("trace.json", &trace);
-
-    // JSONL events: every line must parse back.
-    let jsonl = match_report.events_jsonl(4096);
-    let parsed_events = lsd_obs::export::parse_jsonl(&jsonl).expect("events.jsonl must round-trip");
-    assert!(
-        !parsed_events.is_empty(),
-        "an instrumented run must export events"
-    );
-    write("events.jsonl", &jsonl);
 
     // Perf trajectory: schema-validate before shipping.
     let bench = bench_match_json(&match_report, &params, wall_ns);

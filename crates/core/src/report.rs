@@ -45,14 +45,6 @@ impl TrainReport {
     pub fn chrome_trace(&self) -> String {
         lsd_obs::export::chrome_trace(&self.metrics)
     }
-
-    /// The run's metrics and spans as JSON-Lines, newest-first-capped by a
-    /// ring buffer of `capacity` events. See [`lsd_obs::export::EventSink`].
-    pub fn events_jsonl(&self, capacity: usize) -> String {
-        let mut sink = lsd_obs::export::EventSink::with_capacity(capacity);
-        sink.record_snapshot(&self.metrics);
-        sink.to_jsonl()
-    }
 }
 
 /// Everything one match run (single source or batch) recorded: A\* search
@@ -106,13 +98,5 @@ impl MatchReport {
     /// Perfetto / `chrome://tracing`). See [`lsd_obs::export::chrome_trace`].
     pub fn chrome_trace(&self) -> String {
         lsd_obs::export::chrome_trace(&self.metrics)
-    }
-
-    /// The run's metrics and spans as JSON-Lines, newest-first-capped by a
-    /// ring buffer of `capacity` events. See [`lsd_obs::export::EventSink`].
-    pub fn events_jsonl(&self, capacity: usize) -> String {
-        let mut sink = lsd_obs::export::EventSink::with_capacity(capacity);
-        sink.record_snapshot(&self.metrics);
-        sink.to_jsonl()
     }
 }

@@ -1,5 +1,5 @@
-//! Exporters that turn a collected [`MetricsSnapshot`] into files other
-//! tools can read.
+//! Exporters that turn a [`MetricsSnapshot`] into text other tools can
+//! read.
 //!
 //! Two formats:
 //!
@@ -7,15 +7,11 @@
 //!   form) with one complete `"X"` event per closed span and one
 //!   `thread_name` metadata event per thread ordinal, so Perfetto and
 //!   `chrome://tracing` render each worker thread as its own track.
-//! * [`EventSink`] — a bounded ring buffer of flat [`ExportEvent`]s
-//!   (counters, gauges and spans) that serializes to JSON Lines, one event
-//!   per line, and parses back with [`parse_jsonl`]. When full, the sink
-//!   drops the *oldest* events and counts them in [`EventSink::dropped`],
-//!   so long runs keep the tail of the story at a fixed memory cost.
+//! * [`prometheus_text`] — the Prometheus text exposition format that
+//!   `lsd-serve` returns from `GET /metrics`.
 
 use crate::{MetricsSnapshot, SpanRecord};
-use serde::{Deserialize, Serialize, Value};
-use std::collections::VecDeque;
+use serde::Value;
 
 /// Microseconds (fractional) from a nanosecond count, the unit Chrome trace
 /// events use for `ts`/`dur`.
@@ -90,119 +86,6 @@ pub fn chrome_trace(snapshot: &MetricsSnapshot) -> String {
         ("displayTimeUnit", Value::Str("ns".to_string())),
     ]);
     serde_json::to_string_pretty(&root).unwrap_or_else(|_| "{\"traceEvents\":[]}".to_string())
-}
-
-/// One flat telemetry event in the JSONL stream. Counters and gauges carry
-/// their flattened `name` / `name/label` key in `name` with `label`,
-/// `thread` and `start_ns` zeroed; spans carry their duration in `value`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExportEvent {
-    /// `"counter"`, `"gauge"` or `"span"`.
-    pub kind: String,
-    /// Metric key (flattened) or span name.
-    pub name: String,
-    /// Span label; empty for counters/gauges and unlabelled spans.
-    pub label: String,
-    /// Counter/gauge value, or span duration in nanoseconds.
-    pub value: u64,
-    /// Recording thread ordinal (spans only).
-    pub thread: u64,
-    /// Span start offset in nanoseconds from the process epoch (spans only).
-    pub start_ns: u64,
-}
-
-/// Bounded ring buffer of [`ExportEvent`]s. See the module docs.
-#[derive(Debug, Clone)]
-pub struct EventSink {
-    capacity: usize,
-    events: VecDeque<ExportEvent>,
-    dropped: u64,
-}
-
-impl EventSink {
-    /// A sink holding at most `capacity` events (at least 1).
-    pub fn with_capacity(capacity: usize) -> EventSink {
-        EventSink {
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Appends one event, evicting the oldest if the sink is full.
-    pub fn push(&mut self, event: ExportEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// Feeds every counter, gauge and span of a snapshot into the sink:
-    /// counters first, then gauges (both in their deterministic key order),
-    /// then spans in merge order.
-    pub fn record_snapshot(&mut self, snapshot: &MetricsSnapshot) {
-        for (kind, table) in [("counter", &snapshot.counters), ("gauge", &snapshot.gauges)] {
-            for (key, &value) in table {
-                self.push(ExportEvent {
-                    kind: kind.to_string(),
-                    name: key.clone(),
-                    label: String::new(),
-                    value,
-                    thread: 0,
-                    start_ns: 0,
-                });
-            }
-        }
-        for s in &snapshot.spans {
-            self.push(ExportEvent {
-                kind: "span".to_string(),
-                name: s.name.to_string(),
-                label: s.label.to_string(),
-                value: s.duration_ns,
-                thread: s.thread,
-                start_ns: s.start_ns,
-            });
-        }
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Maximum number of buffered events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events evicted so far to respect the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Buffered events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ExportEvent> {
-        self.events.iter()
-    }
-
-    /// Serializes the buffered events as JSON Lines (one compact JSON
-    /// object per line, trailing newline when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            if let Ok(line) = serde_json::to_string(event) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
-    }
 }
 
 /// Mangles a metric key into a Prometheus-legal metric name: every
@@ -368,15 +251,6 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Parses a JSONL stream produced by [`EventSink::to_jsonl`] (blank lines
-/// are skipped).
-pub fn parse_jsonl(text: &str) -> Result<Vec<ExportEvent>, serde_json::Error> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,17 +299,6 @@ mod tests {
             events.iter().any(|e| phase(e).as_deref() == Some("M")),
             "thread_name metadata present"
         );
-    }
-
-    #[test]
-    fn sink_round_trips_through_jsonl() {
-        let snap = sample_snapshot();
-        let mut sink = EventSink::with_capacity(128);
-        sink.record_snapshot(&snap);
-        assert!(!sink.is_empty());
-        let parsed = parse_jsonl(&sink.to_jsonl()).expect("round trip");
-        let original: Vec<ExportEvent> = sink.events().cloned().collect();
-        assert_eq!(parsed, original);
     }
 
     #[test]
@@ -540,24 +403,5 @@ mod tests {
                 "{family} sample in:\n{text}"
             );
         }
-    }
-
-    #[test]
-    fn sink_drops_oldest_when_full() {
-        let mut sink = EventSink::with_capacity(2);
-        for i in 0..5u64 {
-            sink.push(ExportEvent {
-                kind: "counter".to_string(),
-                name: format!("c{i}"),
-                label: String::new(),
-                value: i,
-                thread: 0,
-                start_ns: 0,
-            });
-        }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.dropped(), 3);
-        let names: Vec<&str> = sink.events().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["c3", "c4"], "oldest events evicted first");
     }
 }

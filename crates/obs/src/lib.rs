@@ -4,18 +4,19 @@
 //!
 //! * **Spans** — [`span!`] opens a lightweight tracing span with monotonic
 //!   timing, a thread ordinal, and parent nesting (tracked per thread via a
-//!   span stack). Every closed span is also folded into a duration histogram
-//!   keyed `span.<name>`, so coarse wall-time summaries survive even when
-//!   callers only look at the metric tables.
+//!   span stack). Every closed span is folded into a duration histogram
+//!   keyed `span/<name>`; under a tracked request it also joins that
+//!   request's trace (see [`trace`]). The span record itself is kept only
+//!   while a [`collect`] run is active, so a long-lived process that merely
+//!   [`set_enabled`] keeps no growing span log.
 //! * **Metrics** — [`counter_add`], [`gauge_max`] and [`record_value`] feed a
 //!   registry of counters, high-watermark gauges and histogram summaries
 //!   (`{count, sum, min, max}` plus log2-bucket p50/p95/p99 estimates) keyed
 //!   by `(name, label)` pairs of `&'static str`.
 //!
-//! The [`export`] module turns a collected [`MetricsSnapshot`] into files
-//! other tools can read: Chrome trace-event JSON for Perfetto /
-//! `chrome://tracing`, and a JSONL event stream behind a bounded ring
-//! buffer.
+//! The [`export`] module turns a [`MetricsSnapshot`] into text other tools
+//! can read: Chrome trace-event JSON for Perfetto / `chrome://tracing`, and
+//! the Prometheus exposition format.
 //!
 //! Besides the pipeline's own probes (A\* search counters, per-learner
 //! train/predict timings, CV fold counts, batch-queue occupancy), the
@@ -71,6 +72,11 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Collection epoch. Shards stamped with an older epoch are cleared on next
 /// use instead of leaking data from a previous [`collect`] call.
 static EPOCH: AtomicU64 = AtomicU64::new(1);
+
+/// True while a [`collect`] run is active. Closed spans are logged as
+/// [`SpanRecord`]s only then; otherwise they feed just their duration
+/// histogram and their request's trace.
+static COLLECTING: AtomicBool = AtomicBool::new(false);
 
 /// Dense thread ordinals for span records (thread names are not guaranteed
 /// and `ThreadId` has no stable integer form on older toolchains).
@@ -423,7 +429,8 @@ pub fn enabled() -> bool {
 
 /// Turns recording on or off globally. Prefer [`collect`], which also
 /// isolates the data of one run; this is the escape hatch for long-lived
-/// recording (e.g. a server exporting metrics periodically).
+/// recording (e.g. a server exporting metrics periodically). Recording
+/// switched on here logs no span records, only their histograms and traces.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -490,7 +497,7 @@ struct OpenSpan {
     epoch: u64,
     start: Instant,
     start_ns: u64,
-    trace: Option<TraceId>,
+    trace: Option<TraceContext>,
 }
 
 impl SpanGuard {
@@ -519,7 +526,7 @@ impl SpanGuard {
                 epoch,
                 start,
                 start_ns,
-                trace: trace::current().map(|ctx| ctx.trace_id),
+                trace: trace::current(),
             }),
         }
     }
@@ -549,15 +556,19 @@ impl Drop for SpanGuard {
                 thread: s.thread,
                 start_ns: open.start_ns,
                 duration_ns,
-                trace: open.trace,
+                trace: open.trace.map(|ctx| ctx.trace_id),
             };
-            trace::note_closed_span(&record);
-            s.tables.spans.push(record);
             s.tables
                 .histograms
                 .entry(("span", open.name))
                 .and_modify(|h| h.observe(duration_ns))
                 .or_insert_with(|| HistogramSummary::new(duration_ns));
+            if let Some(ctx) = &open.trace {
+                trace::attach(ctx, record.clone());
+            }
+            if COLLECTING.load(Ordering::Relaxed) {
+                s.tables.spans.push(record);
+            }
         });
     }
 }
@@ -583,11 +594,7 @@ macro_rules! span {
 /// Worker threads merge automatically on exit; the thread driving a
 /// collection calls this (via [`collect`]) before snapshotting.
 pub fn flush() {
-    with_shard(merge_into_global_entry);
-}
-
-fn merge_into_global_entry(shard: &mut Shard) {
-    merge_into_global(shard);
+    with_shard(merge_into_global);
 }
 
 /// Everything one [`collect`] run recorded, with keys flattened to
@@ -607,6 +614,7 @@ pub struct MetricsSnapshot {
     /// [`collect`] run.
     pub windows: BTreeMap<String, HistogramSummary>,
     /// Closed spans in merge order. Ids and timings vary run to run.
+    /// Only filled by [`collect`]: outside a collection no span is logged.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -684,44 +692,29 @@ impl MetricsSnapshot {
                 .map(|(k, &v)| (flat_key(k), v))
                 .collect(),
             windows: BTreeMap::new(),
-            spans: tables.spans.clone(),
+            spans: Vec::new(),
         }
     }
 }
 
 thread_local! {
     /// True while this thread is inside the closure of an active
-    /// [`collect`] / [`try_collect`] call. Used to reject same-thread
-    /// nesting before touching the collection lock (which is not
-    /// reentrant — a nested lock attempt would deadlock).
+    /// [`collect`] call. Used to reject same-thread nesting before touching
+    /// the collection lock (which is not reentrant — a nested lock attempt
+    /// would deadlock).
     static IN_COLLECT: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Error returned by [`try_collect`] when the caller is already inside an
-/// active collection on the same thread. The nested closure is not run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NestedCollectError;
-
-impl std::fmt::Display for NestedCollectError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(
-            "lsd_obs::collect called inside an active collection on the same thread; \
-             nested collections would reset the outer run's data (record into the \
-             outer collection instead, or collect from a separate thread)",
-        )
-    }
-}
-
-impl std::error::Error for NestedCollectError {}
-
-/// Restores the enabled flag and the in-collect marker even if the wrapped
-/// closure panics, so a failed collection cannot poison later ones.
+/// Restores the enabled flag, the collecting flag and the in-collect marker
+/// even if the wrapped closure panics, so a failed collection cannot poison
+/// later ones.
 struct CollectRestore {
     was_enabled: bool,
 }
 
 impl Drop for CollectRestore {
     fn drop(&mut self) {
+        COLLECTING.store(false, Ordering::SeqCst);
         ENABLED.store(self.was_enabled, Ordering::SeqCst);
         IN_COLLECT.with(|c| c.set(false));
     }
@@ -734,32 +727,26 @@ impl Drop for CollectRestore {
 /// *different* threads run one after another so their data cannot
 /// interleave. A nested call on the *same* thread (from inside `f`) is a
 /// programming error — it would reset the outer run's tables mid-flight —
-/// and panics; use [`try_collect`] to detect that case without panicking.
+/// and panics without running its closure; the outer run carries on.
 /// Worker threads created inside `f` with `std::thread::scope` merge their
 /// shards when they exit, i.e. before `f` returns; threads that outlive `f`
 /// contribute whatever they flushed in time.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
-    match try_collect(f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`collect`], except same-thread nesting returns
-/// `Err(`[`NestedCollectError`]`)` (without running `f`) instead of
-/// panicking.
-pub fn try_collect<R>(f: impl FnOnce() -> R) -> Result<(R, MetricsSnapshot), NestedCollectError> {
     if IN_COLLECT.with(Cell::get) {
-        return Err(NestedCollectError);
+        panic!(
+            "lsd_obs::collect called inside an active collection on the same thread; \
+             nested collections would reset the outer run's data (record into the \
+             outer collection instead, or collect from a separate thread)"
+        );
     }
     let _guard = COLLECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    Ok(collect_locked(f))
+    collect_locked(f)
 }
 
 /// Serializes collections process-wide.
 static COLLECT_LOCK: Mutex<()> = Mutex::new(());
 
-/// The body of [`try_collect`]; the caller holds [`COLLECT_LOCK`].
+/// The body of [`collect`]; the caller holds [`COLLECT_LOCK`].
 fn collect_locked<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
     EPOCH.fetch_add(1, Ordering::SeqCst);
     {
@@ -770,12 +757,15 @@ fn collect_locked<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
     let restore = CollectRestore {
         was_enabled: ENABLED.swap(true, Ordering::SeqCst),
     };
+    COLLECTING.store(true, Ordering::SeqCst);
     let result = f();
     flush();
     drop(restore);
     let snapshot = {
-        let agg = global().lock().unwrap_or_else(|e| e.into_inner());
-        MetricsSnapshot::from_tables(&agg)
+        let mut agg = global().lock().unwrap_or_else(|e| e.into_inner());
+        let mut snap = MetricsSnapshot::from_tables(&agg);
+        snap.spans = std::mem::take(&mut agg.spans);
+        snap
     };
     (result, snapshot)
 }
@@ -784,20 +774,17 @@ fn collect_locked<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
 /// to [`set_enabled`] for long-lived recording (a server scraping its own
 /// metrics periodically). The calling thread's shard is flushed first;
 /// counters, gauges and histograms stay in place and keep accumulating
-/// (cumulative, Prometheus-style), while spans are **drained** into the
-/// returned snapshot so an always-on process does not grow its span log
-/// without bound.
+/// (cumulative, Prometheus-style). The snapshot carries no spans: their
+/// durations are in the `span/<name>` histograms, and only [`collect`]
+/// returns the span records.
 ///
 /// Inside a [`collect`] run prefer the snapshot `collect` returns; calling
 /// this mid-collection observes the partial aggregate (merged shards only).
 pub fn snapshot() -> MetricsSnapshot {
     flush();
     let mut snap = {
-        let mut agg = global().lock().unwrap_or_else(|e| e.into_inner());
-        let spans = std::mem::take(&mut agg.spans);
-        let mut snap = MetricsSnapshot::from_tables(&agg);
-        snap.spans = spans;
-        snap
+        let agg = global().lock().unwrap_or_else(|e| e.into_inner());
+        MetricsSnapshot::from_tables(&agg)
     };
     snap.windows = window::window_snapshot();
     snap
@@ -942,31 +929,28 @@ mod tests {
     }
 
     #[test]
-    fn nested_try_collect_errors_without_running_the_closure() {
+    fn nested_collect_panics_with_a_clear_message() {
         let ((), _snap) = collect(|| {
             let mut ran = false;
-            let nested = try_collect(|| ran = true);
-            assert_eq!(nested.unwrap_err(), NestedCollectError);
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| collect(|| ran = true)))
+                    .unwrap_err();
+            let msg = err
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("nested"), "panic message was: {msg}");
             assert!(!ran, "nested closure must not run");
             assert!(enabled(), "outer collection must stay live");
         });
         // The outer collection finished normally; a fresh one still works.
-        let (value, snap) = try_collect(|| {
+        let (value, snap) = collect(|| {
             counter_add("after", "", 1);
             7
-        })
-        .expect("top-level collect works after a rejected nested call");
+        });
         assert_eq!(value, 7);
         assert_eq!(snap.counter("after"), 1);
-    }
-
-    #[test]
-    fn nested_collect_panics_with_a_clear_message() {
-        let ((), _snap) = collect(|| {
-            let err = std::panic::catch_unwind(|| collect(|| ())).unwrap_err();
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("nested"), "panic message was: {msg}");
-        });
     }
 
     #[test]
@@ -1025,29 +1009,63 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_accumulates_counters_and_drains_spans() {
+    fn snapshot_accumulates_counters_and_leaves_spans_to_collect() {
         // Run inside `collect` so the global tables are owned by this test
         // (collections are serialized process-wide); `snapshot` observes the
         // partial aggregate without resetting it.
-        let ((), _outer) = collect(|| {
+        let ((), outer) = collect(|| {
             counter_add("live.requests", "", 2);
             {
                 let _s = span!("live.span");
             }
             let first = snapshot();
             assert_eq!(first.counter("live.requests"), 2);
-            assert_eq!(first.spans.len(), 1, "span drained into the snapshot");
+            assert!(first.spans.is_empty(), "snapshot carries no span records");
             assert!(first.histogram("span/live.span").is_some());
 
             counter_add("live.requests", "", 3);
             let second = snapshot();
             assert_eq!(second.counter("live.requests"), 5, "counters accumulate");
-            assert!(second.spans.is_empty(), "first snapshot drained the spans");
             assert!(
                 second.histogram("span/live.span").is_some(),
                 "duration histograms persist across snapshots"
             );
         });
+        assert_eq!(outer.spans.len(), 1, "the collection still gets its span");
+    }
+
+    #[test]
+    fn spans_outside_collect_feed_only_their_histogram_and_trace() {
+        // Hold the collection lock so no other test's `collect` runs (and
+        // logs spans) while recording is switched on here.
+        let _guard = COLLECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        const N: usize = 5;
+        let ctx = TraceContext::generate();
+        assert!(trace::begin(&ctx));
+        {
+            let _scope = TraceScope::enter(ctx);
+            for _ in 0..N {
+                let _s = span!("live.unlogged");
+            }
+        }
+        flush();
+        let logged = global()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .spans
+            .iter()
+            .filter(|s| s.name == "live.unlogged")
+            .count();
+        let histogram = snapshot()
+            .histogram("span/live.unlogged")
+            .map_or(0, |h| h.count);
+        let (traced, _) = trace::finish(&ctx);
+        set_enabled(false);
+        assert_eq!(logged, 0, "no span reaches the process-wide log");
+        assert_eq!(histogram, N as u64, "every span is counted");
+        assert_eq!(traced.len(), N, "every span joins its request's trace");
+        assert!(traced.iter().all(|s| s.trace == Some(ctx.trace_id)));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   [`synthetic_span`]) to any live trace, so the interval shows up in
 //!   the request's span tree with its true start and duration.
 //!
-//! Traces are tracked between [`begin`] and [`finish`]; `finish` returns
+//! Traces are tracked between [`begin`] and [`finish`], keyed by the
+//! request's own context (trace id *and* span id), so two requests that
+//! continue one upstream trace keep separate span trees. `finish` returns
 //! the collected spans (sorted by start time) for the caller to render,
 //! tail-sample into the [`FlightRecorder`](crate::FlightRecorder), or
 //! drop. The collector is bounded: at most [`MAX_ACTIVE_TRACES`] live
@@ -211,27 +213,35 @@ struct ActiveTrace {
     truncated: u64,
 }
 
-fn active() -> &'static Mutex<HashMap<u128, ActiveTrace>> {
-    static ACTIVE: OnceLock<Mutex<HashMap<u128, ActiveTrace>>> = OnceLock::new();
+/// A live trace's key: the trace id plus the request's own span id.
+type ActiveKey = (u128, u64);
+
+fn key(context: &TraceContext) -> ActiveKey {
+    (context.trace_id.0, context.span_id)
+}
+
+fn active() -> &'static Mutex<HashMap<ActiveKey, ActiveTrace>> {
+    static ACTIVE: OnceLock<Mutex<HashMap<ActiveKey, ActiveTrace>>> = OnceLock::new();
     ACTIVE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Starts tracking `context`'s trace. Returns `false` (and tracks nothing)
-/// when [`MAX_ACTIVE_TRACES`] traces are already live or the trace id is
+/// Starts tracking `context`. Returns `false` (and tracks nothing) when
+/// [`MAX_ACTIVE_TRACES`] traces are already live or this context is
 /// already tracked — the request still runs, it just cannot be sampled.
 pub fn begin(context: &TraceContext) -> bool {
     let mut map = active().lock().unwrap_or_else(|e| e.into_inner());
-    if map.len() >= MAX_ACTIVE_TRACES || map.contains_key(&context.trace_id.0) {
+    if map.len() >= MAX_ACTIVE_TRACES || map.contains_key(&key(context)) {
         return false;
     }
-    map.insert(context.trace_id.0, ActiveTrace::default());
+    map.insert(key(context), ActiveTrace::default());
     true
 }
 
-/// Appends a span record to a live trace; a no-op for untracked traces.
-pub fn attach(trace_id: TraceId, record: SpanRecord) {
+/// Appends a span record to the live trace of `context`; a no-op for
+/// untracked contexts.
+pub fn attach(context: &TraceContext, record: SpanRecord) {
     let mut map = active().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(entry) = map.get_mut(&trace_id.0) {
+    if let Some(entry) = map.get_mut(&key(context)) {
         if entry.spans.len() < MAX_SPANS_PER_TRACE {
             entry.spans.push(record);
         } else {
@@ -240,19 +250,12 @@ pub fn attach(trace_id: TraceId, record: SpanRecord) {
     }
 }
 
-/// Called by `SpanGuard` when a span closed under an active scope.
-pub(crate) fn note_closed_span(record: &SpanRecord) {
-    if let Some(trace) = record.trace {
-        attach(trace, record.clone());
-    }
-}
-
-/// Stops tracking the trace and returns `(spans sorted by start, spans
-/// dropped over the per-trace cap)`. Untracked traces yield `([], 0)`.
-pub fn finish(trace_id: TraceId) -> (Vec<SpanRecord>, u64) {
+/// Stops tracking `context` and returns `(spans sorted by start, spans
+/// dropped over the per-trace cap)`. Untracked contexts yield `([], 0)`.
+pub fn finish(context: &TraceContext) -> (Vec<SpanRecord>, u64) {
     let entry = {
         let mut map = active().lock().unwrap_or_else(|e| e.into_inner());
-        map.remove(&trace_id.0)
+        map.remove(&key(context))
     };
     match entry {
         Some(mut entry) => {
@@ -368,21 +371,15 @@ mod tests {
         let ctx = TraceContext::generate();
         assert!(begin(&ctx));
         assert!(!begin(&ctx), "double-begin is rejected");
-        attach(
-            ctx.trace_id,
-            synthetic_span("b", "", 20, 5, ctx.trace_id, None),
-        );
-        attach(
-            ctx.trace_id,
-            synthetic_span("a", "", 10, 5, ctx.trace_id, None),
-        );
-        let (spans, truncated) = finish(ctx.trace_id);
+        attach(&ctx, synthetic_span("b", "", 20, 5, ctx.trace_id, None));
+        attach(&ctx, synthetic_span("a", "", 10, 5, ctx.trace_id, None));
+        let (spans, truncated) = finish(&ctx);
         assert_eq!(truncated, 0);
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["a", "b"], "sorted by start_ns");
         assert!(spans.iter().all(|s| s.trace == Some(ctx.trace_id)));
         // Finished traces are gone.
-        assert_eq!(finish(ctx.trace_id).0.len(), 0);
+        assert_eq!(finish(&ctx).0.len(), 0);
     }
 
     #[test]
@@ -390,12 +387,9 @@ mod tests {
         let ctx = TraceContext::generate();
         assert!(begin(&ctx));
         for i in 0..(MAX_SPANS_PER_TRACE as u64 + 7) {
-            attach(
-                ctx.trace_id,
-                synthetic_span("s", "", i, 1, ctx.trace_id, None),
-            );
+            attach(&ctx, synthetic_span("s", "", i, 1, ctx.trace_id, None));
         }
-        let (spans, truncated) = finish(ctx.trace_id);
+        let (spans, truncated) = finish(&ctx);
         assert_eq!(spans.len(), MAX_SPANS_PER_TRACE);
         assert_eq!(truncated, 7);
     }
@@ -409,12 +403,36 @@ mod tests {
             let _outer = crate::span!("traced.outer");
             let _inner = crate::span!("traced.inner");
         });
-        let (spans, _) = finish(ctx.trace_id);
+        let (spans, _) = finish(&ctx);
         let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert!(
             names.contains(&"traced.outer") && names.contains(&"traced.inner"),
             "{names:?}"
         );
         assert!(spans.iter().all(|s| s.trace == Some(ctx.trace_id)));
+    }
+
+    #[test]
+    fn requests_continuing_one_upstream_trace_keep_separate_trees() {
+        // Two requests carrying the same client `traceparent` share a trace
+        // id; each gets its own span id, and so its own tree.
+        let upstream = TraceContext::generate();
+        let (a, b) = (upstream.child(), upstream.child());
+        assert!(begin(&a), "request A is tracked");
+        assert!(begin(&b), "request B is tracked too");
+        let ((), _snap) = crate::collect(|| {
+            let _a = TraceScope::enter(a);
+            let _span_a = crate::span!("request.a");
+            let _b = TraceScope::enter(b);
+            let _span_b = crate::span!("request.b");
+        });
+        attach(&b, synthetic_span("wait.b", "", 0, 1, b.trace_id, None));
+        let names = |ctx: &TraceContext| -> Vec<&str> {
+            let mut names: Vec<&str> = finish(ctx).0.iter().map(|s| s.name).collect();
+            names.sort_unstable();
+            names
+        };
+        assert_eq!(names(&a), ["request.a"]);
+        assert_eq!(names(&b), ["request.b", "wait.b"]);
     }
 }

@@ -1,21 +1,8 @@
 //! Property-based tests for the metrics aggregation layer: quantile
-//! estimates, shard-merge equivalence, and the event sink's drop
-//! accounting.
+//! estimates and shard-merge equivalence.
 
-use lsd_obs::export::{EventSink, ExportEvent};
 use lsd_obs::HistogramSummary;
 use proptest::prelude::*;
-
-fn event(i: u64) -> ExportEvent {
-    ExportEvent {
-        kind: "counter".to_string(),
-        name: format!("e{i}"),
-        label: String::new(),
-        value: i,
-        thread: 0,
-        start_ns: 0,
-    }
-}
 
 proptest! {
     /// Quantile estimates are monotone in `q`, bracketed by the observed
@@ -101,33 +88,5 @@ proptest! {
         prop_assert_eq!(with_empty.sum, ha.sum);
         prop_assert_eq!(with_empty.min, ha.min);
         prop_assert_eq!(with_empty.bucket_counts(), ha.bucket_counts());
-    }
-
-    /// The event sink's accounting is exact at every capacity boundary:
-    /// `len + dropped == pushed`, `len <= capacity`, the buffer holds
-    /// exactly the newest events in order, and `dropped` counts the oldest.
-    #[test]
-    fn event_sink_drop_accounting_is_exact(
-        capacity in 1usize..20,
-        pushed in 0u64..60,
-    ) {
-        let mut sink = EventSink::with_capacity(capacity);
-        for i in 0..pushed {
-            sink.push(event(i));
-        }
-        prop_assert_eq!(sink.capacity(), capacity);
-        prop_assert_eq!(sink.len() as u64 + sink.dropped(), pushed);
-        prop_assert!(sink.len() <= capacity);
-        prop_assert_eq!(
-            sink.dropped(),
-            pushed.saturating_sub(capacity as u64),
-            "exactly the overflow is dropped"
-        );
-        // Survivors are the newest `len` events, oldest first.
-        let first_kept = pushed.saturating_sub(capacity as u64);
-        let kept: Vec<u64> = sink.events().map(|e| e.value).collect();
-        let expected: Vec<u64> = (first_kept..pushed).collect();
-        prop_assert_eq!(kept, expected);
-        prop_assert_eq!(sink.is_empty(), pushed == 0);
     }
 }

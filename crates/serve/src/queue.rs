@@ -286,7 +286,7 @@ fn process_job(job: Job, stats: &ServeStats) {
 /// [`lsd_obs::SpanGuard`] can cover it.
 fn note_queue_wait(job: &Job, wait_ns: u64) {
     trace::attach(
-        job.trace.trace_id,
+        &job.trace,
         trace::synthetic_span(
             "serve.queue_wait",
             "",

@@ -504,7 +504,7 @@ fn finish_request_trace(
 ) {
     let total_ns = total.as_nanos() as u64;
     let (spans, truncated_spans) = if tracked {
-        trace::finish(obs.trace.trace_id)
+        trace::finish(&obs.trace)
     } else {
         (Vec::new(), 0)
     };

@@ -230,29 +230,6 @@ fn chrome_trace_is_well_formed_across_thread_counts() {
 }
 
 #[test]
-fn report_events_round_trip_through_jsonl() {
-    let _serial = serial();
-    let (lsd, targets) = build_trained();
-    let (_, report) = lsd
-        .match_batch_with_report(&targets, &ExecPolicy::with_threads(2))
-        .unwrap();
-    let jsonl = report.events_jsonl(10_000);
-    let events = lsd::obs::export::parse_jsonl(&jsonl).expect("round-trip");
-    assert!(!events.is_empty());
-    // Every counter in the snapshot appears as an event with its value.
-    for (key, value) in &report.metrics.counters {
-        let event = events
-            .iter()
-            .find(|e| e.kind == "counter" && e.name == *key)
-            .unwrap_or_else(|| panic!("counter {key} must be exported"));
-        assert_eq!(event.value, *value);
-    }
-    // Spans appear too, with their durations.
-    let span_events = events.iter().filter(|e| e.kind == "span").count();
-    assert_eq!(span_events, report.metrics.spans.len());
-}
-
-#[test]
 fn deterministic_metrics_agree_across_thread_counts() {
     let _serial = serial();
     let (lsd, targets) = build_trained();
