@@ -21,14 +21,12 @@
 //! down with `LSD_TRIALS=1 LSD_LISTINGS=80` for a smoke pass (see
 //! [`ExperimentParams::from_env`] for every override).
 
-use lsd_bench::{run_matrix, Config, DomainAccuracy, ExperimentParams};
-use lsd_core::feedback::simulate_feedback_session;
-use lsd_core::TrainedSource;
+use lsd_bench::{
+    feedback_runs, run_matrix, Config, DomainAccuracy, ExperimentParams, FEEDBACK_DOMAINS,
+    FIG8A_CONFIGS, FIG8A_SINGLES,
+};
 use lsd_datagen::DomainId;
 use lsd_xml::SchemaTree;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde_json::{json, Value};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -234,9 +232,7 @@ fn table3(params: &ExperimentParams) -> Option<Value> {
 /// the meta-learner, the constraint handler and the XML learner added.
 fn fig8a(params: &ExperimentParams) -> Option<Value> {
     println!("-- Figure 8a: average matching accuracy --");
-    let singles = ["name-matcher", "content-matcher", "naive-bayes"];
-    let mut configs: Vec<Config> = singles.iter().map(|&l| Config::Single(l)).collect();
-    configs.extend([Config::Meta, Config::MetaConstraints, Config::Full]);
+    let (singles, configs) = (FIG8A_SINGLES, FIG8A_CONFIGS);
     let mut fig8a = serde_json::Map::new();
     for id in DomainId::ALL {
         let r = run_matrix(id, &configs, params);
@@ -385,43 +381,21 @@ fn fig9b(params: &ExperimentParams) -> Option<Value> {
 fn feedback(params: &ExperimentParams) -> Option<Value> {
     println!("-- Section 6.3: user feedback --");
     let mut feedback = serde_json::Map::new();
-    for id in [DomainId::TimeSchedule, DomainId::RealEstate2] {
-        let mut corrections = Vec::new();
-        let mut tags = Vec::new();
-        let mut converged = Vec::new();
-        for run in 0..3u64 {
-            let seed = params.seed.wrapping_add(run).wrapping_mul(0x9E37_79B9);
-            let domain = id.generate(params.listings, seed);
-            let mut order: Vec<usize> = (0..5).collect();
-            order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-            let (test, train) = (order[0], &order[1..4]);
-            let mut lsd = lsd_bench::build_lsd(&domain, lsd_bench::Setup::FULL, params.lsd);
-            let training: Vec<TrainedSource> = train
-                .iter()
-                .map(|&i| TrainedSource {
-                    source: lsd_bench::to_sources(&domain.sources[i]),
-                    mapping: domain.sources[i].mapping.clone(),
-                })
-                .collect();
-            lsd.train(&training)
-                .expect("training sources have listings");
-            let gs = &domain.sources[test];
-            let outcome = simulate_feedback_session(&lsd, &lsd_bench::to_sources(gs), &gs.mapping)
-                .expect("bench sources are well-formed");
+    for id in FEEDBACK_DOMAINS {
+        let runs = feedback_runs(id, params);
+        for (i, run) in runs.iter().enumerate() {
             println!(
                 "{:<16} run={} tags={} corrections={} converged={}",
                 id.name(),
-                run + 1,
-                gs.dtd.len(),
-                outcome.corrections.len(),
-                outcome.converged
+                i + 1,
+                run.tags,
+                run.corrections,
+                run.converged
             );
-            corrections.push(outcome.corrections.len() as f64);
-            tags.push(gs.dtd.len() as f64);
-            converged.push(outcome.converged);
         }
-        let avg_c = corrections.iter().sum::<f64>() / 3.0;
-        let avg_t = tags.iter().sum::<f64>() / 3.0;
+        let corrections: Vec<f64> = runs.iter().map(|r| r.corrections as f64).collect();
+        let avg_c = corrections.iter().sum::<f64>() / runs.len() as f64;
+        let avg_t = runs.iter().map(|r| r.tags as f64).sum::<f64>() / runs.len() as f64;
         println!(
             "{:<16} avg corrections={:.1} over avg {:.1} tags",
             id.name(),
@@ -434,7 +408,7 @@ fn feedback(params: &ExperimentParams) -> Option<Value> {
                 "avg_corrections": avg_c,
                 "avg_tags": avg_t,
                 "runs": corrections,
-                "converged": converged,
+                "converged": runs.iter().map(|r| r.converged).collect::<Vec<_>>(),
             }),
         );
     }

@@ -30,6 +30,7 @@ pub use bench_report::{
 };
 pub use runner::{
     accuracy_of, accuracy_of_outcome, all_splits, build_lsd, collect_split_metrics,
-    constraints_for, domain_slug, resolve_domain, run_matrix, to_sources, train_full_model, Config,
-    ConstraintMode, DomainAccuracy, ExperimentParams, LearnerSet, Setup, SplitMetrics,
+    constraints_for, domain_slug, feedback_runs, resolve_domain, run_matrix, to_sources,
+    train_full_model, Config, ConstraintMode, DomainAccuracy, ExperimentParams, FeedbackRun,
+    LearnerSet, Setup, SplitMetrics, FEEDBACK_DOMAINS, FIG8A_CONFIGS, FIG8A_SINGLES,
 };

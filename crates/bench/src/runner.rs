@@ -1,11 +1,15 @@
 //! Shared experiment machinery: system construction, splits, accuracy.
 
+use lsd_core::feedback::simulate_feedback_session;
 use lsd_core::learners::{
     county_name_recognizer, ContentMatcher, FormatLearner, NaiveBayesLearner, NameMatcher,
 };
 use lsd_core::{Lsd, LsdBuilder, LsdConfig, MatchOutcome, Source, TrainedSource};
 use lsd_datagen::{DomainId, GeneratedDomain, GeneratedSource};
 use lsd_learn::{metrics, ExecPolicy};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Which base learners a configuration uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -346,14 +350,18 @@ pub struct DomainAccuracy {
     pub std_dev: f64,
     /// Number of (trial, split, test source) measurements.
     pub samples: usize,
+    /// How many of those matches found no feasible mapping, so the
+    /// constraint handler fell back to the per-tag argmax.
+    pub infeasible: usize,
 }
 
 impl DomainAccuracy {
-    fn from_samples(samples: &[f64]) -> Self {
+    fn from_samples(samples: &[f64], infeasible: usize) -> Self {
         DomainAccuracy {
             mean: metrics::mean(samples).unwrap_or(0.0),
             std_dev: metrics::std_dev(samples),
             samples: samples.len(),
+            infeasible,
         }
     }
 }
@@ -499,6 +507,7 @@ pub fn run_matrix(
     params: &ExperimentParams,
 ) -> Vec<DomainAccuracy> {
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
+    let mut infeasible = vec![0usize; configs.len()];
     for trial in 0..params.trials {
         let seed = params
             .seed
@@ -542,13 +551,77 @@ pub fn run_matrix(
                     .expect("bench sources are well-formed");
                 for (&t, outcome) in test.iter().zip(&outcomes) {
                     samples[ci].push(100.0 * accuracy_of_outcome(outcome, &domain.sources[t]));
+                    infeasible[ci] += usize::from(!outcome.result.feasible);
                 }
             }
         }
     }
     samples
         .iter()
-        .map(|s| DomainAccuracy::from_samples(s))
+        .zip(infeasible)
+        .map(|(s, n)| DomainAccuracy::from_samples(s, n))
+        .collect()
+}
+
+/// The base learners Figure 8a runs on their own.
+pub const FIG8A_SINGLES: [&str; 3] = ["name-matcher", "content-matcher", "naive-bayes"];
+
+/// Figure 8a's configurations, in the order of its bars: the three single
+/// base learners of [`FIG8A_SINGLES`], then the meta-learner, the
+/// constraint handler and the XML learner added in turn.
+pub const FIG8A_CONFIGS: [Config; 6] = [
+    Config::Single(FIG8A_SINGLES[0]),
+    Config::Single(FIG8A_SINGLES[1]),
+    Config::Single(FIG8A_SINGLES[2]),
+    Config::Meta,
+    Config::MetaConstraints,
+    Config::Full,
+];
+
+/// The domains of Section 6.3's feedback study.
+pub const FEEDBACK_DOMAINS: [DomainId; 2] = [DomainId::TimeSchedule, DomainId::RealEstate2];
+
+/// One simulated feedback session of Section 6.3.
+#[derive(Debug, Clone, Copy)]
+pub struct FeedbackRun {
+    /// Tags in the held-out source's schema.
+    pub tags: usize,
+    /// Corrections the simulated user made.
+    pub corrections: usize,
+    /// True if the session ended with a perfect matching.
+    pub converged: bool,
+}
+
+/// Section 6.3's three feedback sessions for `id`: each run generates the
+/// domain afresh, trains the complete system on three random sources and
+/// corrects its matching of a fourth until it is perfect.
+pub fn feedback_runs(id: DomainId, params: &ExperimentParams) -> Vec<FeedbackRun> {
+    (0..3u64)
+        .map(|run| {
+            let seed = params.seed.wrapping_add(run).wrapping_mul(0x9E37_79B9);
+            let domain = id.generate(params.listings, seed);
+            let mut order: Vec<usize> = (0..5).collect();
+            order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+            let (test, train) = (order[0], &order[1..4]);
+            let mut lsd = build_lsd(&domain, Setup::FULL, params.lsd);
+            let training: Vec<TrainedSource> = train
+                .iter()
+                .map(|&i| TrainedSource {
+                    source: to_sources(&domain.sources[i]),
+                    mapping: domain.sources[i].mapping.clone(),
+                })
+                .collect();
+            lsd.train(&training)
+                .expect("training sources have listings");
+            let gs = &domain.sources[test];
+            let outcome = simulate_feedback_session(&lsd, &to_sources(gs), &gs.mapping)
+                .expect("bench sources are well-formed");
+            FeedbackRun {
+                tags: gs.dtd.len(),
+                corrections: outcome.corrections.len(),
+                converged: outcome.converged,
+            }
+        })
         .collect()
 }
 

@@ -62,7 +62,7 @@ pub mod trace;
 pub mod window;
 
 pub use recorder::{flight_recorder, FlightRecorder, TraceSample};
-pub use trace::{TraceContext, TraceId, TraceScope};
+pub use trace::{SpanId, TraceContext, TraceId, TraceScope};
 pub use window::{window_record, window_record_duration, window_snapshot, RollingWindow};
 
 /// Global on/off switch. Off by default; [`collect`] turns it on for the

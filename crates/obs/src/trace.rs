@@ -71,6 +71,39 @@ impl Serialize for TraceId {
     }
 }
 
+/// 64-bit span identifier. Displays (and serializes) as the 16 lowercase
+/// hex digits of a `traceparent`'s parent-id field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SpanId(pub u64);
+
+impl fmt::Display for SpanId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0)
+    }
+}
+
+impl std::str::FromStr for SpanId {
+    type Err = ();
+
+    /// Parses exactly 16 lowercase/uppercase hex digits; the all-zero id is
+    /// rejected (the W3C spec reserves it as "invalid").
+    fn from_str(s: &str) -> Result<SpanId, ()> {
+        if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(());
+        }
+        match u64::from_str_radix(s, 16) {
+            Ok(0) | Err(_) => Err(()),
+            Ok(v) => Ok(SpanId(v)),
+        }
+    }
+}
+
+impl Serialize for SpanId {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
 /// One request's position in a distributed trace: which trace it belongs
 /// to, which span represents it, and whether the upstream asked for it to
 /// be sampled.
@@ -126,14 +159,7 @@ impl TraceContext {
             return None;
         }
         let trace_id: TraceId = parts.next()?.parse().ok()?;
-        let span_hex = parts.next()?;
-        if span_hex.len() != 16 || !span_hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return None;
-        }
-        let span_id = u64::from_str_radix(span_hex, 16).ok()?;
-        if span_id == 0 {
-            return None;
-        }
+        let SpanId(span_id) = parts.next()?.parse().ok()?;
         let flags = parts.next()?;
         if flags.len() != 2 || !flags.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;

@@ -22,7 +22,7 @@ use crate::media;
 use crate::queue::{worker_loop, Job, JobKind, JobTimings, RequestQueue};
 use crate::registry::ModelRegistry;
 use lsd_core::{Feedback, FeedbackRecord};
-use lsd_obs::{trace, TraceContext, TraceId, TraceSample, TraceScope};
+use lsd_obs::{trace, SpanId, TraceContext, TraceId, TraceSample, TraceScope};
 use serde::Value;
 use std::cell::RefCell;
 use std::io::BufReader;
@@ -390,7 +390,8 @@ fn healthz_body(shared: &Shared) -> String {
 }
 
 /// Renders `GET /debug/traces`: with `?trace_id=` a single sampled trace
-/// (404 when it was not sampled or has been evicted), otherwise the most
+/// (404 when it was not sampled or has been evicted), the most recent one
+/// unless `&span_id=` names the request's own span; otherwise the most
 /// recent sampled traces plus the recorder's accounting.
 fn debug_traces_body(request: &Request) -> Result<String, ServeError> {
     let recorder = lsd_obs::flight_recorder();
@@ -404,10 +405,18 @@ fn debug_traces_body(request: &Request) -> Result<String, ServeError> {
             let trace_id: TraceId = id.parse().map_err(|()| ServeError::BadRequest {
                 detail: format!("invalid trace_id {id:?}: expected 32 hex digits"),
             })?;
+            let span_id: Option<SpanId> = request
+                .query_param("span_id")
+                .map(|span| {
+                    span.parse().map_err(|()| ServeError::BadRequest {
+                        detail: format!("invalid span_id {span:?}: expected 16 hex digits"),
+                    })
+                })
+                .transpose()?;
             let sample = recorder
-                .find(trace_id)
+                .find(trace_id, span_id)
                 .ok_or_else(|| ServeError::NotFound {
-                    path: format!("/debug/traces?trace_id={id}"),
+                    path: format!("/debug/traces?{}", request.query),
                 })?;
             render(&serde::Serialize::to_value(&sample))
         }
@@ -519,6 +528,7 @@ fn finish_request_trace(
         lsd_obs::counter_add("serve.traces_sampled", reason, 1);
         lsd_obs::flight_recorder().record(TraceSample {
             trace_id: obs.trace.trace_id,
+            span_id: SpanId(obs.trace.span_id),
             route: endpoint_label(&request.path).to_string(),
             model: obs.model.borrow().clone(),
             status,

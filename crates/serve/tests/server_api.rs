@@ -823,6 +823,77 @@ fn sampled_traces_are_retrievable_from_debug_traces_with_span_tree() {
 }
 
 #[test]
+fn requests_continuing_one_traceparent_are_told_apart_by_span_id() {
+    let dir = model_dir("flightrec-spans");
+    model_a().save_json(dir.join("m.json")).expect("saves");
+    let config = ServeConfig {
+        slow_threshold: Duration::ZERO,
+        ..ServeConfig::default()
+    };
+    let (handle, join) = boot(&dir, config);
+    let addr = handle.addr();
+
+    // Two requests continue one client trace: a match and an explain, so
+    // their samples differ in route as well as in span id.
+    let trace = "5ca1ab1e5ca1ab1e0123456789abcdef";
+    let upstream = format!("00-{trace}-0123456789abcdef-01");
+    let mut spans = Vec::new();
+    for path in ["/v1/match", "/v1/explain"] {
+        let response = http(
+            addr,
+            "POST",
+            path,
+            &[("traceparent", upstream.as_str())],
+            match_request_body().as_bytes(),
+        );
+        assert_eq!(response.status, 200, "{path}: {}", response.text());
+        let (echoed_trace, span) =
+            traceparent_parts(response.header("traceparent").expect("echoed"));
+        assert_eq!(echoed_trace, trace);
+        spans.push(span);
+    }
+    assert_ne!(spans[0], spans[1], "each request gets its own span id");
+
+    // Each span id selects its own request's sample.
+    for (span, route) in spans.iter().zip(["match", "explain"]) {
+        let lookup = http(
+            addr,
+            "GET",
+            &format!("/debug/traces?trace_id={trace}&span_id={span}"),
+            &[],
+            b"",
+        );
+        assert_eq!(lookup.status, 200, "body: {}", lookup.text());
+        let body = lookup.text();
+        assert!(body.contains(&format!("\"span_id\":\"{span}\"")), "{body}");
+        assert!(body.contains(&format!("\"route\":\"{route}\"")), "{body}");
+    }
+    // Without a span id the newest sample answers, as before.
+    let newest = http(
+        addr,
+        "GET",
+        &format!("/debug/traces?trace_id={trace}"),
+        &[],
+        b"",
+    )
+    .text();
+    assert!(
+        newest.contains(&format!("\"span_id\":\"{}\"", spans[1])),
+        "{newest}"
+    );
+    // An unknown span id of a sampled trace is a miss; a malformed one is
+    // the caller's error.
+    let miss = format!("/debug/traces?trace_id={trace}&span_id=00000000000000ff");
+    assert_eq!(http(addr, "GET", &miss, &[], b"").status, 404);
+    let bad = format!("/debug/traces?trace_id={trace}&span_id=xyz");
+    assert_eq!(http(addr, "GET", &bad, &[], b"").status, 400);
+
+    handle.shutdown();
+    join.join().expect("server exits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn access_log_is_valid_jsonl_with_per_request_timings() {
     let dir = model_dir("accesslog");
     model_a().save_json(dir.join("m.json")).expect("saves");
