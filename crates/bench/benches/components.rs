@@ -186,7 +186,7 @@ fn bench_search(c: &mut Criterion) {
 
 fn bench_search_only(c: &mut Criterion) {
     // The A* search alone on the heaviest match-small input: Time Schedule
-    // source 4 (`utexas.edu`, 11 856 expansions) under the model perfbench
+    // source 4 (`utexas.edu`, 1 735 expansions) under the model perfbench
     // serves. The evaluator is built once outside the timed loop, so each
     // iteration is the search (candidate pruning, refinement order, A*) and
     // nothing else; `match_real_estate2` above times whole matches.

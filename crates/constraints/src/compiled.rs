@@ -217,6 +217,23 @@ impl CompiledConstraintSet {
             .collect()
     }
 
+    /// Labels a hard `AtMostOne`, `ExactlyOne` or `AtMostK { k: 1 }`
+    /// allows on at most one tag (the A\* bound's single-use labels).
+    fn single_use_labels(&self) -> Vec<usize> {
+        self.entries
+            .iter()
+            .filter_map(|e| match (&e.kind, &e.predicate) {
+                (
+                    ConstraintKind::Hard,
+                    HalfCompiled::AtMostOne { label }
+                    | HalfCompiled::ExactlyOne { label }
+                    | HalfCompiled::AtMostK { label, k: 1 },
+                ) => Some(*label),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Labels statically excluded from every mapping: a hard `AtMostK`
     /// with `k = 0` means no tag may ever carry the label.
     pub fn hard_excluded_labels(&self) -> Vec<usize> {
@@ -445,8 +462,9 @@ pub struct Evaluator<'a> {
     numeric_fraction: Vec<Option<f64>>,
     /// `assignment_cost[t][l]` — the `−α·log s` term.
     assignment_cost: Vec<Vec<f64>>,
-    /// Per tag: the cheapest assignment cost (heuristic building block).
-    best_cost: Vec<f64>,
+    /// `single_use[l]` — a hard constraint lets at most one tag take `l`
+    /// (never `OTHER`).
+    single_use: Vec<bool>,
     /// Labels every complete mapping must place.
     mandatory_labels: Vec<usize>,
     /// Hard and soft constraint indices, and the watch sets.
@@ -553,7 +571,10 @@ impl<'a> Evaluator<'a> {
         let assignment_cost: Vec<Vec<f64>> = (0..q)
             .map(|t| (0..n).map(|l| ctx.assignment_cost(t, l)).collect())
             .collect();
-        let best_cost: Vec<f64> = (0..q).map(|t| ctx.best_assignment_cost(t)).collect();
+        let mut single_use = vec![false; n];
+        for label in set.single_use_labels() {
+            single_use[label] = label != ctx.labels.other();
+        }
         let watches = Watches::new(&compiled, q, n, ctx.labels.other());
 
         Evaluator {
@@ -565,7 +586,7 @@ impl<'a> Evaluator<'a> {
             has_duplicates,
             numeric_fraction,
             assignment_cost,
-            best_cost,
+            single_use,
             mandatory_labels: set.mandatory_labels(),
             watches,
             fd_cache: RefCell::new(HashMap::new()),
@@ -618,9 +639,16 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The admissible per-tag heuristic value (cheapest probability cost).
-    pub fn best_cost(&self, tag: usize) -> f64 {
-        self.best_cost[tag]
+    /// The `−α·log s` cost of assigning `label` to `tag`, the probability
+    /// term every score sums.
+    pub fn assignment_cost(&self, tag: usize, label: usize) -> f64 {
+        self.assignment_cost[tag][label]
+    }
+
+    /// True if a hard `AtMostOne`, `ExactlyOne` or `AtMostK { k: 1 }` lets
+    /// at most one tag take `label`; never for `OTHER`.
+    pub fn is_single_use(&self, label: usize) -> bool {
+        self.single_use[label]
     }
 
     /// Fast equivalent of [`crate::evaluate_partial`], for scoring any

@@ -8,7 +8,10 @@
 //! [`evaluate_partial`] also scores *partial* assignments, counting only
 //! violations that are already certain; since constraints can only add cost
 //! as more tags are assigned, the partial cost is a lower bound on any
-//! completion — which is exactly what the A\* heuristic needs.
+//! completion — which is exactly what the A\* heuristic needs. Functional
+//! dependencies are the exception: their verdict reads each label's first
+//! tag, which can move as tags are added, so a refuted dependency can be
+//! repaired by a completion.
 
 use crate::constraint::{ConstraintKind, DomainConstraint, Predicate};
 use crate::source_data::SourceData;
@@ -48,17 +51,6 @@ impl<'a> MatchingContext<'a> {
     /// The `−α·log prob` contribution of assigning `label` to tag `t`.
     pub fn assignment_cost(&self, t: usize, label: usize) -> f64 {
         -self.alpha * self.predictions[t].score(label).max(MIN_SCORE).ln()
-    }
-
-    /// The cheapest possible `−α·log prob` contribution of tag `t` — the
-    /// admissible per-tag heuristic value.
-    pub fn best_assignment_cost(&self, t: usize) -> f64 {
-        let best = self.predictions[t]
-            .scores()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        -self.alpha * best.max(MIN_SCORE).ln()
     }
 }
 

@@ -4,11 +4,19 @@
 //! decreasing structure-score order (the same order used for user feedback,
 //! Section 6.3), the path cost `g` is the partial-mapping cost from the
 //! compiled [`Evaluator`] (the cost [`crate::evaluate_partial`] defines),
-//! and the admissible heuristic `h` is the sum over unassigned tags of
-//! their cheapest possible `−α·log s` contribution (constraints can only
-//! *add* cost, so `h` never overestimates). [`search_mapping`] is the entry
-//! point; [`crate::ConstraintHandler::find_mapping`] prepares its candidate
-//! sets and refinement order.
+//! and the admissible heuristic `h` knows the mapping is 1-1 where the
+//! constraints say so. Each unassigned tag must take one of its candidate
+//! labels, so `h` sums, over those tags, the cheapest `−α·log s` of a
+//! candidate the node still allows. A label is ruled out only when a hard
+//! `AtMostOne`, `ExactlyOne` or `AtMostK { k: 1 }` limits it to one tag
+//! and the node already placed it ([`Evaluator::is_single_use`]; never
+//! `OTHER`). Constraints can only add cost, so `h` never overestimates. A
+//! child with no feasible completion, because some tag after it has no
+//! allowed candidate left or its own label is a single-use label the
+//! parent placed, is pruned as infeasible without being scored.
+//! [`search_mapping`] is the entry point;
+//! [`crate::ConstraintHandler::find_mapping`] prepares its candidate sets
+//! and refinement order.
 //!
 //! Because the paper notes the handler can take minutes on large schemas,
 //! the A\* expansion count is capped; on overflow the best frontier node is
@@ -25,11 +33,17 @@
 //! holds one `(parent id, label)` link per node (a node's tag is
 //! `order[depth − 1]`); a popped node's assignment and per-label tag lists
 //! are rebuilt once from its chain, then shared by all of its children.
-//! `h` is precomputed per depth, each entry summed forward over
-//! `order[d..]`: a suffix-sum table would round differently and could
-//! reorder equal-looking pops. `search.evaluations` counts one evaluation
-//! per scored child, plus the final cost of a greedy completion and of the
-//! argmax fallback.
+//!
+//! `h` depends on the node but stays cheap. Each tag's candidates are
+//! ranked by `(cost, label)` once per search. Per popped node, each
+//! unassigned tag's cheapest allowed candidate is cached (with the next
+//! one, where a child may take the first), and so is their forward sum.
+//! That sum is a child's `h` unless its label is one of those cheapest
+//! candidates; then the child's `h` is the forward sum with that tag's
+//! next candidate. Either way it is the same additions in the same order
+//! as summing each tag's cheapest allowed candidate directly.
+//! `search.evaluations` counts one evaluation per scored child, plus the
+//! final cost of a greedy completion and of the argmax fallback.
 
 use crate::compiled::{Evaluator, PartialAssignment};
 use crate::evaluate::INFEASIBLE;
@@ -70,12 +84,14 @@ impl Default for SearchAlgorithm {
 pub struct SearchConfig {
     /// The algorithm to run.
     pub algorithm: SearchAlgorithm,
-    /// Heuristic inflation ε for weighted A\* (`f = g + ε·h`). With ε = 1
-    /// the search is admissible and the returned mapping provably optimal,
-    /// but on large schemas with flat prediction scores the frontier
-    /// explodes (the paper reports constraint-handler runtimes up to 20
-    /// minutes). ε slightly above 1 trades the optimality proof for
-    /// rapid convergence; 1.2 is the default.
+    /// Heuristic inflation ε for weighted A\* (`f = g + ε·h`, with `h` the
+    /// 1-1-aware bound of the module docs). With ε = 1 the search is
+    /// admissible and the returned mapping provably optimal among those
+    /// the candidate sets allow, but on large schemas with flat prediction
+    /// scores the frontier explodes (the paper reports constraint-handler
+    /// runtimes up to 20 minutes). ε slightly above 1 trades the
+    /// optimality proof for rapid convergence: the result costs at most ε
+    /// times the optimum. 1.2 is the default.
     pub heuristic_weight: f64,
 }
 
@@ -274,6 +290,121 @@ impl Arena {
     }
 }
 
+/// The A\* heuristic: a lower bound on what the tags a node has not
+/// assigned add to any feasible completion. Each such tag takes one of its
+/// candidates, and a single-use label the node already placed is out of
+/// reach, so each contributes its cheapest candidate still allowed.
+struct Bound<'r, 'e> {
+    evaluator: &'r Evaluator<'e>,
+    /// `ranked[t]` — tag `t`'s candidates as `(label, cost)`, ascending by
+    /// `(cost, label)`, each label once. Built once per search.
+    ranked: Vec<Vec<(usize, f64)>>,
+    /// `offers[t][l]` — label `l` is one of tag `t`'s candidates, so a
+    /// child of a node expanding `t` may take it.
+    offers: Vec<Vec<bool>>,
+    /// `taken[l]` — the loaded node placed the single-use label `l`.
+    taken: Vec<bool>,
+    /// For each tag the loaded node leaves unassigned, in refinement
+    /// order: the label and cost of its cheapest candidate the node
+    /// allows, and the cost of the next cheapest when a child may take
+    /// that label. [`Bound::NONE`] and [`INFEASIBLE`] where there is none.
+    cheapest: Vec<(usize, f64, f64)>,
+    /// The loaded node's `h` for a child whose label is none of the
+    /// cheapest candidates: their costs summed forward.
+    base: f64,
+    /// `contested[l]` — a child may take the single-use label `l`, and it
+    /// is some remaining tag's cheapest candidate.
+    contested: Vec<bool>,
+}
+
+impl<'r, 'e> Bound<'r, 'e> {
+    /// No label.
+    const NONE: usize = usize::MAX;
+
+    fn new(evaluator: &'r Evaluator<'e>, candidates: &[Vec<usize>]) -> Self {
+        let n = evaluator.context().labels.len();
+        let ranked = candidates
+            .iter()
+            .enumerate()
+            .map(|(tag, labels)| {
+                let mut ranked: Vec<(usize, f64)> = labels
+                    .iter()
+                    .map(|&l| (l, evaluator.assignment_cost(tag, l)))
+                    .collect();
+                ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                ranked.dedup_by_key(|&mut (l, _)| l);
+                ranked
+            })
+            .collect();
+        let offers = candidates
+            .iter()
+            .map(|labels| {
+                let mut offers = vec![false; n];
+                labels.iter().for_each(|&l| offers[l] = true);
+                offers
+            })
+            .collect();
+        Bound {
+            evaluator,
+            ranked,
+            offers,
+            taken: vec![false; n],
+            cheapest: Vec::new(),
+            base: 0.0,
+            contested: vec![false; n],
+        }
+    }
+
+    /// Caches the cheapest allowed candidates of each tag in `rest` (the
+    /// tags after `tag`, in order) for the node `partial`, whose children
+    /// assign `tag`.
+    fn load(&mut self, partial: &PartialAssignment, tag: usize, rest: &[usize]) {
+        let single_use = |l: usize| self.evaluator.is_single_use(l);
+        self.taken.fill(false);
+        for &label in partial.assignment().iter().flatten() {
+            self.taken[label] = single_use(label);
+        }
+        let (taken, offers) = (&self.taken, &self.offers[tag]);
+        self.cheapest.clear();
+        self.contested.fill(false);
+        self.base = 0.0;
+        for &t in rest {
+            let mut allowed = self.ranked[t].iter().filter(|&&(l, _)| !taken[l]);
+            let (first, cost) = allowed.next().copied().unwrap_or((Self::NONE, INFEASIBLE));
+            self.base += cost;
+            let next = if first != Self::NONE && offers[first] && single_use(first) {
+                self.contested[first] = true;
+                allowed.next().map_or(INFEASIBLE, |&(_, c)| c)
+            } else {
+                INFEASIBLE
+            };
+            self.cheapest.push((first, cost, next));
+        }
+    }
+
+    /// `h` of the loaded node's child that assigns `label`, summed forward
+    /// over the remaining tags. [`INFEASIBLE`] when the child has no
+    /// feasible completion: some remaining tag has no allowed candidate,
+    /// or `label` is a single-use label the node already placed.
+    fn child(&self, label: usize) -> f64 {
+        if self.base == INFEASIBLE || self.taken[label] {
+            return INFEASIBLE;
+        }
+        if !self.contested[label] {
+            return self.base;
+        }
+        let mut h = 0.0;
+        for &(first, cost, next) in &self.cheapest {
+            let cost = if first == label { next } else { cost };
+            if cost == INFEASIBLE {
+                return INFEASIBLE;
+            }
+            h += cost;
+        }
+        h
+    }
+}
+
 /// Deadline propagation for mandatory labels: a hard `ExactlyOne(l)`
 /// constraint is only *detectably* violated at the final node of a path
 /// (when no tag took `l`), which makes A\* dive to the bottom, fail, and
@@ -394,11 +525,14 @@ struct Run<'r, 'e> {
 impl Run<'_, '_> {
     /// Scores the child of the feasible `parent` that assigns `label` to
     /// `order[pos]`, counting it as pruned or generated. `None` if pruned.
+    /// A `doomed` child (no feasible completion, by the A\* bound) that
+    /// meets its deadlines is pruned as infeasible without being scored.
     fn score_child(
         &mut self,
         parent: &mut PartialAssignment,
         pos: usize,
         label: usize,
+        doomed: bool,
     ) -> Option<f64> {
         let tag = self.order[pos];
         if !self.deadlines.satisfied(pos, parent, label) {
@@ -406,7 +540,11 @@ impl Run<'_, '_> {
             self.events.record_pruned_deadline(tag, label);
             return None;
         }
-        let g = self.evaluator.evaluate_extension(parent, tag, label);
+        let g = if doomed {
+            INFEASIBLE
+        } else {
+            self.evaluator.evaluate_extension(parent, tag, label)
+        };
         if g == INFEASIBLE {
             self.stats.pruned += 1;
             self.events.record_pruned_infeasible(tag, label);
@@ -435,25 +573,16 @@ impl Run<'_, '_> {
     fn astar(&mut self, max_expansions: usize, heuristic_weight: f64) -> Option<MappingResult> {
         let q = self.order.len();
         self.stats.optimal = heuristic_weight <= 1.0;
-        // `h[d]`: the cheapest probability cost of the tags not yet
-        // assigned at depth `d`, summed forward from `order[d]` (a suffix
-        // sum would round differently).
-        let h: Vec<f64> = (0..=q)
-            .map(|d| {
-                self.order[d..]
-                    .iter()
-                    .map(|&t| self.evaluator.best_cost(t))
-                    .sum()
-            })
-            .collect();
+        let mut bound = Bound::new(self.evaluator, self.candidates);
         let mut arena = Arena::default();
         let mut partial = self.evaluator.partial();
         let mut open = BinaryHeap::new();
+        // The root is the only node in the frontier, so its `f` is moot.
         open.push(Open {
             id: Arena::ROOT,
             depth: 0,
             g: 0.0,
-            f: heuristic_weight * h[0],
+            f: 0.0,
         });
 
         while let Some(node) = open.pop() {
@@ -469,13 +598,15 @@ impl Run<'_, '_> {
             }
             self.stats.expansions += 1;
             let tag = self.order[depth];
+            bound.load(&partial, tag, &self.order[depth + 1..]);
             for &label in &self.candidates[tag] {
-                if let Some(g) = self.score_child(&mut partial, depth, label) {
+                let h = bound.child(label);
+                if let Some(g) = self.score_child(&mut partial, depth, label, h == INFEASIBLE) {
                     open.push(Open {
                         id: arena.push(node.id, label),
                         depth: node.depth + 1,
                         g,
-                        f: g + heuristic_weight * h[depth + 1],
+                        f: g + heuristic_weight * h,
                     });
                 }
             }
@@ -494,7 +625,7 @@ impl Run<'_, '_> {
             let tag = self.order[pos];
             let mut best: Option<(usize, f64)> = None;
             for &label in &self.candidates[tag] {
-                if let Some(g) = self.score_child(&mut partial, pos, label) {
+                if let Some(g) = self.score_child(&mut partial, pos, label, false) {
                     if g < best.map_or(INFEASIBLE, |(_, c)| c) {
                         best = Some((label, g));
                     }
@@ -526,7 +657,7 @@ impl Run<'_, '_> {
                 self.stats.expansions += 1;
                 arena.load(id, pos, self.order, &mut partial);
                 for &label in &self.candidates[tag] {
-                    if let Some(g) = self.score_child(&mut partial, pos, label) {
+                    if let Some(g) = self.score_child(&mut partial, pos, label, false) {
                         next.push((arena.push(id, label), g));
                     }
                 }
@@ -708,6 +839,44 @@ mod tests {
         // (score 0.3) rather than PRICE (0.1).
         assert_eq!(r.assignment[0], 0);
         assert_eq!(r.assignment[2], f.labels.other());
+    }
+
+    #[test]
+    fn bound_keeps_a_single_use_label_to_one_tag() {
+        // `extra` (ADDRESS 0.6) is refined before `area` (ADDRESS 0.8), and
+        // at most one of them may take ADDRESS; each may also take OTHER.
+        // A bound that lets both tags use ADDRESS scores `extra → ADDRESS`
+        // as the cheapest child and expands it, only to find `area` forced
+        // to OTHER; then it expands `extra → OTHER` and `area → ADDRESS`:
+        // 4 expansions with the root. Knowing ADDRESS is taken, the bound
+        // prices `area` at OTHER under `extra → ADDRESS`, so A* never
+        // expands that child.
+        let f = Fixture::new();
+        let ctx = f.ctx();
+        let cs = [DomainConstraint::hard(Predicate::AtMostOne {
+            label: "ADDRESS".into(),
+        })];
+        let other = f.labels.other();
+        let candidates = [vec![0, other], vec![1], vec![0, other]];
+        let order = [2, 0, 1];
+        let r = search_under(
+            &ctx,
+            &cs,
+            &candidates,
+            &order,
+            SearchAlgorithm::AStar {
+                max_expansions: 10_000,
+            },
+        );
+        assert!(r.feasible && r.stats.optimal);
+        assert_eq!(r.stats.expansions, 3, "root, extra → OTHER, area → ADDRESS");
+        assert_eq!(r.assignment, vec![0, 1, other]);
+        let best = [0, other]
+            .into_iter()
+            .flat_map(|a| [0, other].map(|c| [Some(a), Some(1), Some(c)]))
+            .map(|m| evaluate_partial(&ctx, &cs, &m))
+            .fold(INFEASIBLE, f64::min);
+        assert!((r.cost - best).abs() < 1e-9, "{} vs {best}", r.cost);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the constraint engine: random constraint sets
 //! and predictions must never panic, the search must uphold its contracts
-//! (assignment shape, feasibility flag, greedy ≥ A\* cost), scoring a
-//! feasible parent's child must give the bits a full evaluation gives, and
-//! the search must return exactly what full-evaluation search loops return
-//! (the test-only oracle below).
+//! (assignment shape, feasibility flag, greedy ≥ A\* cost, an optimal A\*
+//! result costs the exhaustive minimum), scoring a feasible parent's child
+//! must give the bits a full evaluation gives, and the search must return
+//! exactly what full-evaluation search loops return (the test-only oracle
+//! below).
 
 use lsd_constraints::{
     evaluate_partial, search_mapping, ConstraintHandler, DomainConstraint, Evaluator,
@@ -285,21 +286,7 @@ proptest! {
     ) {
         let (labels, schema, data) = (LabelSet::new(LABELS), schema(), data());
         let ctx = context(&labels, &schema, &data, predictions);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (q, n) = (TAGS.len(), labels.len());
-        // Random candidate lists (in random order, now and then empty) and
-        // a random refinement order.
-        let candidates: Vec<Vec<usize>> = (0..q)
-            .map(|_| {
-                let mut all: Vec<usize> = (0..n).collect();
-                all.shuffle(&mut rng);
-                let keep = if rng.gen_bool(0.03) { 0 } else { rng.gen_range(1..=n) };
-                all.truncate(keep);
-                all
-            })
-            .collect();
-        let mut order: Vec<usize> = (0..q).collect();
-        order.shuffle(&mut rng);
+        let (candidates, order) = candidates_and_order(seed, labels.len());
         let config = SearchConfig { algorithm, heuristic_weight };
 
         let fast = Evaluator::new(&ctx, &constraints);
@@ -313,6 +300,84 @@ proptest! {
         prop_assert_eq!(&got.events, &want.events);
         prop_assert_eq!(fast.evaluations(), slow.evaluations());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Admissible A\* (ε = 1, an expansion cap it never reaches) finds a
+    /// feasible mapping exactly when one exists within the candidate
+    /// lists, and a mapping it reports optimal costs the exhaustive
+    /// minimum over every complete assignment those lists allow. Functional
+    /// dependencies are left out: their verdict reads each label's first
+    /// tag, which moves as tags are added, so a partial cost under one is
+    /// not a lower bound on its completions.
+    #[test]
+    fn optimal_astar_cost_is_the_exhaustive_minimum(
+        constraints in prop::collection::vec(arb_constraint(), 0..10),
+        predictions in arb_predictions(),
+        seed in any::<u64>(),
+    ) {
+        let constraints: Vec<DomainConstraint> = constraints
+            .into_iter()
+            .filter(|c| !matches!(c.predicate, Predicate::FunctionalDependency { .. }))
+            .collect();
+        let (labels, schema, data) = (LabelSet::new(LABELS), schema(), data());
+        let ctx = context(&labels, &schema, &data, predictions);
+        let (candidates, order) = candidates_and_order(seed, labels.len());
+        let q = TAGS.len();
+        let evaluator = Evaluator::new(&ctx, &constraints);
+        let config = SearchConfig {
+            algorithm: SearchAlgorithm::AStar { max_expansions: 1_000_000 },
+            heuristic_weight: 1.0,
+        };
+        let got = search_mapping(&evaluator, &candidates, &order, config);
+
+        // Every complete assignment within the candidate lists, as an
+        // odometer over the lists.
+        let mut scratch = evaluator.scratch();
+        let mut best = INFEASIBLE;
+        let mut digits = vec![0usize; q];
+        if candidates.iter().all(|c| !c.is_empty()) {
+            loop {
+                let assignment: Vec<Option<usize>> =
+                    (0..q).map(|t| Some(candidates[t][digits[t]])).collect();
+                best = best.min(evaluator.evaluate(&assignment, &mut scratch));
+                let Some(t) = (0..q).find(|&t| digits[t] + 1 < candidates[t].len()) else {
+                    break;
+                };
+                digits[t] += 1;
+                digits[..t].fill(0);
+            }
+        }
+        prop_assert_eq!(got.feasible, best != INFEASIBLE);
+        prop_assert_eq!(got.stats.optimal, got.feasible);
+        if got.stats.optimal {
+            prop_assert_eq!(got.cost.to_bits(), best.to_bits(), "{} vs {}", got.cost, best);
+        }
+    }
+}
+
+/// Random candidate lists over `labels` labels (in random order, now and
+/// then empty) and a random refinement order, from `seed`.
+fn candidates_and_order(seed: u64, labels: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let candidates = (0..TAGS.len())
+        .map(|_| {
+            let mut all: Vec<usize> = (0..labels).collect();
+            all.shuffle(&mut rng);
+            let keep = if rng.gen_bool(0.03) {
+                0
+            } else {
+                rng.gen_range(1..=labels)
+            };
+            all.truncate(keep);
+            all
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..TAGS.len()).collect();
+    order.shuffle(&mut rng);
+    (candidates, order)
 }
 
 fn context<'a>(
@@ -424,8 +489,9 @@ mod oracle {
             table[tag * labels + label] += 1;
         }
 
-        /// Scores one child; `None` if pruned.
-        fn child(&mut self, pos: usize, assignment: &[Option<usize>]) -> Option<f64> {
+        /// Scores one child; `None` if pruned. A `doomed` child that meets
+        /// its deadlines is pruned as infeasible without being scored.
+        fn child(&mut self, pos: usize, assignment: &[Option<usize>], doomed: bool) -> Option<f64> {
             let tag = self.order[pos];
             let label = assignment[tag].expect("child assigns its tag");
             let labels = self.events.num_labels;
@@ -434,7 +500,11 @@ mod oracle {
                 Self::bump(&mut self.events.pruned_deadline, labels, tag, label);
                 return None;
             }
-            let g = self.evaluator.evaluate(assignment, &mut self.scratch);
+            let g = if doomed {
+                INFEASIBLE
+            } else {
+                self.evaluator.evaluate(assignment, &mut self.scratch)
+            };
             if g == INFEASIBLE {
                 self.stats.pruned += 1;
                 Self::bump(&mut self.events.pruned_infeasible, labels, tag, label);
@@ -445,11 +515,26 @@ mod oracle {
             Some(g)
         }
 
-        fn heuristic(&self, depth: usize) -> f64 {
-            self.order[depth..]
-                .iter()
-                .map(|&t| self.evaluator.best_cost(t))
-                .sum()
+        /// `h` of a node at `depth`, from its own assignment: summed forward
+        /// over the tags after it in the order, each tag's cheapest
+        /// candidate that is not a single-use label already placed;
+        /// `INFEASIBLE` when a tag has no such candidate.
+        fn heuristic(&self, depth: usize, assignment: &[Option<usize>]) -> f64 {
+            let mut h = 0.0;
+            for &t in &self.order[depth..] {
+                let cheapest = self.candidates[t]
+                    .iter()
+                    .filter(|&&l| {
+                        !(self.evaluator.is_single_use(l) && assignment.contains(&Some(l)))
+                    })
+                    .map(|&l| self.evaluator.assignment_cost(t, l))
+                    .fold(INFEASIBLE, f64::min);
+                if cheapest == INFEASIBLE {
+                    return INFEASIBLE;
+                }
+                h += cheapest;
+            }
+            h
         }
 
         fn done(&self, assignment: Vec<Option<usize>>, cost: f64) -> MappingResult {
@@ -473,7 +558,7 @@ mod oracle {
                 assignment: vec![None; q],
                 depth: 0,
                 g: 0.0,
-                f: weight * self.heuristic(0),
+                f: 0.0,
             });
             while let Some(node) = open.pop() {
                 if node.depth == q {
@@ -488,8 +573,13 @@ mod oracle {
                 for &label in &self.candidates[tag] {
                     let mut assignment = node.assignment.clone();
                     assignment[tag] = Some(label);
-                    if let Some(g) = self.child(node.depth, &assignment) {
-                        let f = g + weight * self.heuristic(node.depth + 1);
+                    let h = self.heuristic(node.depth + 1, &assignment);
+                    // A single-use label taken twice dooms the child too.
+                    let repeated = self.evaluator.is_single_use(label)
+                        && node.assignment.contains(&Some(label));
+                    let doomed = h == INFEASIBLE || repeated;
+                    if let Some(g) = self.child(node.depth, &assignment, doomed) {
+                        let f = g + weight * h;
                         open.push(Node {
                             assignment,
                             depth: node.depth + 1,
@@ -509,7 +599,7 @@ mod oracle {
                 let mut best: Option<(usize, f64)> = None;
                 for &label in &self.candidates[tag] {
                     assignment[tag] = Some(label);
-                    if let Some(g) = self.child(pos, &assignment) {
+                    if let Some(g) = self.child(pos, &assignment, false) {
                         if g < best.map_or(INFEASIBLE, |(_, c)| c) {
                             best = Some((label, g));
                         }
@@ -543,7 +633,7 @@ mod oracle {
                     for &label in &self.candidates[tag] {
                         let mut assignment = node.assignment.clone();
                         assignment[tag] = Some(label);
-                        if let Some(g) = self.child(pos, &assignment) {
+                        if let Some(g) = self.child(pos, &assignment, false) {
                             next.push(Node {
                                 assignment,
                                 depth: node.depth + 1,
