@@ -1,14 +1,17 @@
 //! Static audit of `SavedModel` snapshots (the `LSD20x` family).
 //!
 //! A snapshot is the serving side's unit of deployment: the trained state
-//! of every learner, the stacking weights, the label set and the mediated
-//! schema, serialized as one JSON document (`lsd_core::persist`). Between
-//! training and serving it crosses process and machine boundaries, and a
-//! silently corrupted snapshot — a NaN weight written as `null`, a learner
-//! whose vocabulary never made it to disk, a label set that drifted away
-//! from the mediated schema — only surfaces as wrong *answers*, not as a
-//! load failure. [`audit_snapshot`] finds those defects statically, before
-//! the artifact is allowed anywhere near traffic.
+//! of every learner, the label set and the mediated schema, serialized as
+//! one JSON document (`lsd_core::persist`). Between training and serving it
+//! crosses process and machine boundaries, and a silently corrupted
+//! snapshot — a learner whose vocabulary never made it to disk, a label set
+//! that drifted away from the mediated schema — only surfaces as wrong
+//! *answers*, not as a load failure. [`audit_snapshot`] finds those defects
+//! statically, before the artifact is allowed anywhere near traffic.
+//!
+//! `LSD202`, `LSD203` and `LSD205` are retired: they checked the stacking
+//! weights that snapshots no longer carry. Version 1 snapshots still hold a
+//! `meta` object; the audit ignores it, as loading does.
 //!
 //! The auditor works on the artifact *text*, not on a deserialized
 //! `SavedModel` (`lsd-core` depends on this crate, not the other way
@@ -122,8 +125,6 @@ pub fn audit_snapshot_with_summary(text: &str) -> (Vec<Diagnostic>, SnapshotSumm
         .map(|(j, l)| learner_kind(l).unwrap_or_else(|| format!("learner {j}")))
         .collect();
 
-    audit_meta_weights(text, fields, &summary, &learner_names, &mut out);
-
     if summary.trained {
         for (j, learner) in learners.iter().enumerate() {
             if let Some(why) = degenerate_learner(learner) {
@@ -234,145 +235,6 @@ fn audit_inferred_provenance(text: &str, fields: &[(String, Value)], out: &mut V
     }
 }
 
-/// Checks the meta-weight matrix: every entry a finite number, the row
-/// count equal to the label count, the column count equal to the learner
-/// count, and no all-zero learner column.
-fn audit_meta_weights(
-    text: &str,
-    fields: &[(String, Value)],
-    summary: &SnapshotSummary,
-    learner_names: &[String],
-    out: &mut Vec<Diagnostic>,
-) {
-    let weights = match get(fields, "meta") {
-        Some(Value::Map(meta)) => match get(meta, "weights") {
-            Some(Value::Seq(rows)) => rows,
-            _ => {
-                out.push(
-                    Diagnostic::new(
-                        Code::MalformedSnapshot,
-                        "snapshot has no `meta.weights` matrix",
-                    )
-                    .with_span(key_span(text, "meta")),
-                );
-                return;
-            }
-        },
-        _ => {
-            out.push(
-                Diagnostic::new(Code::MalformedSnapshot, "snapshot has no `meta` object")
-                    .with_span(key_span(text, "meta")),
-            );
-            return;
-        }
-    };
-    let span = key_span(text, "weights");
-
-    // An untrained snapshot legitimately carries `MetaLearner::uniform(0, n)`
-    // (an empty matrix); shape checks only make sense on trained models.
-    if summary.trained {
-        if weights.len() != summary.labels.len() {
-            out.push(
-                Diagnostic::new(
-                    Code::MetaLabelSkew,
-                    format!(
-                        "meta-weight matrix has {} label row(s) but the label set has {} label(s)",
-                        weights.len(),
-                        summary.labels.len()
-                    ),
-                )
-                .with_span(span)
-                .with_note("every label must have exactly one stacking-weight row")
-                .with_help("the snapshot mixes state from two different models; retrain"),
-            );
-        }
-        for (i, row) in weights.iter().enumerate() {
-            let Value::Seq(row) = row else { continue };
-            if row.len() != learner_names.len() {
-                out.push(
-                    Diagnostic::new(
-                        Code::MetaLabelSkew,
-                        format!(
-                            "meta-weight row {i} has {} column(s) but the snapshot holds {} \
-                             learner(s)",
-                            row.len(),
-                            learner_names.len()
-                        ),
-                    )
-                    .with_span(span),
-                );
-                break;
-            }
-        }
-    }
-
-    let mut nonfinite = 0usize;
-    for (i, row) in weights.iter().enumerate() {
-        let Value::Seq(row) = row else { continue };
-        for (j, w) in row.iter().enumerate() {
-            if !is_finite_number(w) {
-                nonfinite += 1;
-                if nonfinite <= 3 {
-                    let label = summary
-                        .labels
-                        .get(i)
-                        .map_or_else(|| format!("row {i}"), |l| format!("`{l}`"));
-                    let learner = learner_names
-                        .get(j)
-                        .map_or_else(|| format!("column {j}"), |n| format!("`{n}`"));
-                    out.push(
-                        Diagnostic::new(
-                            Code::NonFiniteMetaWeight,
-                            format!(
-                                "stacking weight of {learner} for {label} is not a finite \
-                                 number ({})",
-                                render_scalar(w)
-                            ),
-                        )
-                        .with_span(span)
-                        .with_note("JSON has no NaN/Infinity; serializers write them as `null`")
-                        .with_help("the regression produced a non-finite weight; retrain"),
-                    );
-                }
-            }
-        }
-    }
-    if nonfinite > 3 {
-        out.push(
-            Diagnostic::new(
-                Code::NonFiniteMetaWeight,
-                format!(
-                    "...and {} more non-finite stacking weight(s)",
-                    nonfinite - 3
-                ),
-            )
-            .with_span(span),
-        );
-    }
-
-    if summary.trained && nonfinite == 0 && !weights.is_empty() {
-        for (j, name) in learner_names.iter().enumerate() {
-            let all_zero = weights.iter().all(|row| match row {
-                Value::Seq(row) => num_is_zero(row.get(j)),
-                _ => false,
-            });
-            if all_zero {
-                out.push(
-                    Diagnostic::new(
-                        Code::ZeroWeightLearner,
-                        format!(
-                            "learner `{name}` has an all-zero stacking-weight column: it is \
-                             loaded and run but contributes nothing to any label"
-                        ),
-                    )
-                    .with_span(span)
-                    .with_help("drop the learner from the configuration or retrain the stack"),
-                );
-            }
-        }
-    }
-}
-
 /// Cross-checks the stored mediated DTD against the stored label set.
 fn audit_mediated_dtd(text: &str, summary: &SnapshotSummary, out: &mut Vec<Diagnostic>) {
     // Pre-analysis snapshots carry no mediated DTD; the label set alone is
@@ -466,14 +328,6 @@ fn degenerate_learner(learner: &Value) -> Option<String> {
     }
 }
 
-fn is_finite_number(v: &Value) -> bool {
-    match v {
-        Value::Int(_) => true,
-        Value::Float(f) => f.is_finite(),
-        _ => false,
-    }
-}
-
 fn num_is_zero(v: Option<&Value>) -> bool {
     match v {
         Some(Value::Int(i)) => *i == 0,
@@ -517,18 +371,6 @@ fn parse_error_span(message: &str, text: &str) -> Span {
     Span::new(offset, (offset + 1).min(text.len()))
 }
 
-fn render_scalar(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        Value::Str(s) => format!("{s:?}"),
-        Value::Seq(_) => "an array".to_string(),
-        Value::Map(_) => "an object".to_string(),
-    }
-}
-
 fn join(items: &[&String]) -> String {
     items
         .iter()
@@ -542,15 +384,14 @@ mod tests {
     use super::*;
     use crate::diagnostic::Severity;
 
-    fn minimal(trained: bool, weights: &str) -> String {
+    fn minimal(trained: bool) -> String {
         format!(
             r#"{{
-  "version": 1,
+  "version": 2,
   "mediated_dtd": "",
   "labels": ["A", "B", "OTHER"],
   "learners": [{{"Stats": {{"num_labels": 3, "moments": [], "class_counts": [1.0], "total": 3.0}}}}],
   "xml_index": null,
-  "meta": {{"weights": {weights}}},
   "constraints": [],
   "trained": {trained},
   "feedback_applied": 0
@@ -564,7 +405,18 @@ mod tests {
 
     #[test]
     fn clean_snapshot_is_clean() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]");
+        assert_eq!(audit_snapshot(&minimal(true)), Vec::new());
+    }
+
+    #[test]
+    fn version_1_stacking_weights_are_ignored() {
+        // Version 1 snapshots carry a `meta` weight matrix; whatever it
+        // holds, it no longer reaches matching, so the audit ignores it.
+        let text = minimal(true).replace(
+            "\"version\": 2,",
+            "\"version\": 1,\n  \"meta\": {\"weights\": [[null], [0.0]]},",
+        );
+        assert!(text.contains("\"meta\""));
         assert_eq!(audit_snapshot(&text), Vec::new());
     }
 
@@ -579,7 +431,7 @@ mod tests {
 
     #[test]
     fn untrained_snapshot_is_lsd201() {
-        let text = minimal(false, "[]");
+        let text = minimal(false);
         let diags = audit_snapshot(&text);
         assert_eq!(codes(&diags), ["LSD201"]);
         let span = diags[0].span.expect("span points at the trained field");
@@ -587,46 +439,8 @@ mod tests {
     }
 
     #[test]
-    fn null_weight_is_lsd202() {
-        // `null` is exactly what the JSON serializer writes for a NaN
-        // weight, so a NaN-poisoned regression is detectable on disk.
-        let diags = audit_snapshot(&minimal(true, "[[null], [0.5], [0.2]]"));
-        assert_eq!(codes(&diags), ["LSD202"]);
-        assert!(diags[0].message.contains("`Stats`"));
-        assert!(diags[0].message.contains("`A`"));
-    }
-
-    #[test]
-    fn many_nonfinite_weights_are_summarized() {
-        let diags = audit_snapshot(&minimal(true, "[[null], [null], [null]]"));
-        assert_eq!(codes(&diags), ["LSD202", "LSD202", "LSD202"]);
-    }
-
-    #[test]
-    fn zero_column_is_lsd203_warning() {
-        let diags = audit_snapshot(&minimal(true, "[[0.0], [0], [0.0]]"));
-        assert_eq!(codes(&diags), ["LSD203"]);
-        assert_eq!(diags[0].severity, Severity::Warning);
-    }
-
-    #[test]
-    fn label_row_skew_is_lsd205() {
-        let diags = audit_snapshot(&minimal(true, "[[0.5], [0.5]]"));
-        assert_eq!(codes(&diags), ["LSD205"]);
-        assert!(diags[0].message.contains("2 label row(s)"));
-        assert!(diags[0].message.contains("3 label(s)"));
-    }
-
-    #[test]
-    fn learner_column_skew_is_lsd205() {
-        let diags = audit_snapshot(&minimal(true, "[[0.5, 0.1], [0.5, 0.1], [0.2, 0.1]]"));
-        assert_eq!(codes(&diags), ["LSD205"]);
-        assert!(diags[0].message.contains("2 column(s)"));
-    }
-
-    #[test]
     fn degenerate_stats_learner_is_lsd204() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]").replace("\"total\": 3.0", "\"total\": 0");
+        let text = minimal(true).replace("\"total\": 3.0", "\"total\": 0");
         let diags = audit_snapshot(&text);
         assert_eq!(codes(&diags), ["LSD204"]);
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -634,13 +448,13 @@ mod tests {
 
     #[test]
     fn untrained_learners_are_not_flagged_on_untrained_snapshots() {
-        let text = minimal(false, "[]").replace("\"total\": 3.0", "\"total\": 0");
+        let text = minimal(false).replace("\"total\": 3.0", "\"total\": 0");
         assert_eq!(codes(&audit_snapshot(&text)), ["LSD201"]);
     }
 
     #[test]
     fn empty_whirl_vocabulary_is_lsd204() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]").replace(
+        let text = minimal(true).replace(
             r#"{"Stats": {"num_labels": 3, "moments": [], "class_counts": [1.0], "total": 3.0}}"#,
             r#"{"Content": {"num_labels": 3, "config": {}, "whirl": {"docs": [], "examples": [], "num_labels": 3}}}"#,
         );
@@ -651,7 +465,7 @@ mod tests {
 
     #[test]
     fn mediated_dtd_label_disagreement_is_lsd206() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]").replace(
+        let text = minimal(true).replace(
             "\"mediated_dtd\": \"\"",
             "\"mediated_dtd\": \"<!ELEMENT A (#PCDATA)>\\n<!ELEMENT C (#PCDATA)>\"",
         );
@@ -669,7 +483,7 @@ mod tests {
 
     #[test]
     fn unparseable_mediated_dtd_is_lsd206() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]").replace(
+        let text = minimal(true).replace(
             "\"mediated_dtd\": \"\"",
             "\"mediated_dtd\": \"<!ELEMENT broken\"",
         );
@@ -679,7 +493,7 @@ mod tests {
     /// A clean trained snapshot plus one provenance entry with the given
     /// `inferred` JSON value.
     fn with_provenance(inferred: &str) -> String {
-        minimal(true, "[[0.5], [0.5], [0.2]]").replace(
+        minimal(true).replace(
             "\"feedback_applied\": 0",
             &format!(
                 "\"feedback_applied\": 0,\n  \"source_provenance\": [{{\"source\": \"bare.xml\", \
@@ -725,11 +539,10 @@ mod tests {
 
     #[test]
     fn summary_extracts_cross_check_context() {
-        let text = minimal(true, "[[0.5], [0.5], [0.2]]")
-            .replace("\"feedback_applied\": 0", "\"feedback_applied\": 7");
+        let text = minimal(true).replace("\"feedback_applied\": 0", "\"feedback_applied\": 7");
         let (diags, summary) = audit_snapshot_with_summary(&text);
         assert!(diags.is_empty());
-        assert_eq!(summary.version, Some(1));
+        assert_eq!(summary.version, Some(2));
         assert_eq!(summary.labels, ["A", "B", "OTHER"]);
         assert_eq!(summary.feedback_applied, 7);
         assert!(summary.trained);

@@ -30,7 +30,8 @@ impl fmt::Display for Severity {
 /// artifacts on disk (`LSD20x` snapshots, `LSD21x` feedback WALs, `LSD22x`
 /// registry directories, `LSD23x` inferred-schema provenance). Each code
 /// has exactly one default [`Severity`], listed in the table in
-/// `DESIGN.md`.
+/// `DESIGN.md`. Retired numbers (`LSD202`, `LSD203`, `LSD205`: checks of the
+/// stacking weights snapshots no longer carry) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Code {
     /// LSD001 — a content model is not 1-unambiguous (its Glushkov
@@ -70,19 +71,9 @@ pub enum Code {
     DegenerateConstraint,
     /// LSD201 — a snapshot claims `trained: false`; it can never serve.
     SnapshotUntrained,
-    /// LSD202 — a meta-learner stacking weight is not a finite number
-    /// (`null` is how a JSON serializer writes NaN/Infinity).
-    NonFiniteMetaWeight,
-    /// LSD203 — a base learner's stacking-weight column is all zero: the
-    /// learner is carried in the snapshot but contributes nothing.
-    ZeroWeightLearner,
     /// LSD204 — a trained snapshot carries a learner with no training
     /// state (empty WHIRL vocabulary / zero observed documents).
     EmptyLearnerState,
-    /// LSD205 — the meta-weight matrix shape disagrees with the label set
-    /// or learner list (a label present in the matrix but absent from the
-    /// label set, or vice versa).
-    MetaLabelSkew,
     /// LSD206 — the snapshot's mediated DTD does not parse, or its element
     /// names disagree with the stored label set.
     MediatedDtdMismatch,
@@ -137,10 +128,7 @@ impl Code {
             Code::DuplicateConstraint => "LSD105",
             Code::DegenerateConstraint => "LSD106",
             Code::SnapshotUntrained => "LSD201",
-            Code::NonFiniteMetaWeight => "LSD202",
-            Code::ZeroWeightLearner => "LSD203",
             Code::EmptyLearnerState => "LSD204",
-            Code::MetaLabelSkew => "LSD205",
             Code::MediatedDtdMismatch => "LSD206",
             Code::MalformedSnapshot => "LSD207",
             Code::WalBadMagic => "LSD211",
@@ -168,8 +156,6 @@ impl Code {
             | Code::ConflictingTagFeedback
             | Code::UnsatisfiableConstraintSet
             | Code::SnapshotUntrained
-            | Code::NonFiniteMetaWeight
-            | Code::MetaLabelSkew
             | Code::MediatedDtdMismatch
             | Code::MalformedSnapshot
             | Code::WalBadMagic
@@ -181,7 +167,6 @@ impl Code {
             | Code::DuplicateAttribute
             | Code::DuplicateConstraint
             | Code::DegenerateConstraint
-            | Code::ZeroWeightLearner
             | Code::EmptyLearnerState
             | Code::WalTornTail
             | Code::WalNonMonotoneTimestamps
@@ -284,6 +269,9 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 mod tests {
     use super::*;
 
+    /// Numbers of retired codes, never to be reused.
+    const RETIRED: [&str; 3] = ["LSD202", "LSD203", "LSD205"];
+
     #[test]
     fn codes_are_unique_and_stable() {
         let all = [
@@ -299,10 +287,7 @@ mod tests {
             Code::DuplicateConstraint,
             Code::DegenerateConstraint,
             Code::SnapshotUntrained,
-            Code::NonFiniteMetaWeight,
-            Code::ZeroWeightLearner,
             Code::EmptyLearnerState,
-            Code::MetaLabelSkew,
             Code::MediatedDtdMismatch,
             Code::MalformedSnapshot,
             Code::WalBadMagic,
@@ -321,6 +306,11 @@ mod tests {
         for c in all {
             assert!(seen.insert(c.as_str()), "duplicate code {}", c.as_str());
             assert!(c.as_str().starts_with("LSD"));
+            assert!(
+                !RETIRED.contains(&c.as_str()),
+                "retired code {} reused",
+                c.as_str()
+            );
         }
     }
 

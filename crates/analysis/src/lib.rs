@@ -19,8 +19,7 @@
 //! - **Artifact audits** (`LSD2xx`, [`audit_snapshot`] / [`audit_wal`] /
 //!   [`audit_registry`]) statically check the *serving* artifacts on disk:
 //!   `SavedModel` snapshots (`LSD20x` — untrained or degenerate learners,
-//!   non-finite stacking weights, label-set skew, mediated-DTD
-//!   disagreement), feedback WALs (`LSD21x` — torn tails, mid-file CRC
+//!   malformed documents, mediated-DTD disagreement), feedback WALs (`LSD21x` — torn tails, mid-file CRC
 //!   corruption, fold points beyond the log, corrections naming unknown
 //!   labels), and whole registry directories (`LSD22x` — duplicate slugs,
 //!   version skew, mediated-DTD drift, orphaned WALs).

@@ -215,12 +215,6 @@ mod tests {
     }
 
     fn snapshot(version: u32, dtd: &str, labels: &[&str]) -> String {
-        // One row of stacking weights per label, one learner column.
-        let weights = labels
-            .iter()
-            .map(|_| "[0.5]")
-            .collect::<Vec<_>>()
-            .join(", ");
         let labels = labels
             .iter()
             .map(|l| format!("{l:?}"))
@@ -233,7 +227,6 @@ mod tests {
   "labels": [{labels}],
   "learners": [{{"Stats": {{"num_labels": 2, "moments": [], "class_counts": [1.0], "total": 3.0}}}}],
   "xml_index": null,
-  "meta": {{"weights": [{weights}]}},
   "constraints": [],
   "trained": true,
   "feedback_applied": 0

@@ -1,9 +1,9 @@
 //! Integration tests for the artifact auditors against REAL artifacts:
 //! snapshots written by `Lsd::save_json` and WALs written by
 //! `FeedbackWal::append` (via the `lsd-core` dev-dependency), corrupted
-//! the way production artifacts actually corrupt — a NaN weight that the
-//! JSON serializer writes as `null`, a crash-torn tail at every possible
-//! byte offset, a flipped byte mid-record.
+//! the way production artifacts actually corrupt — a mediated schema edited
+//! out from under its label set, a crash-torn tail at every possible byte
+//! offset, a flipped byte mid-record.
 
 use lsd_analysis::{
     audit_registry, audit_snapshot, audit_snapshot_with_summary, audit_wal, Diagnostic, Severity,
@@ -91,7 +91,7 @@ fn snapshot_text(label: &str) -> String {
 }
 
 /// Edits one field of a snapshot through the JSON layer — the same
-/// transformation a buggy writer or a NaN-poisoned regression performs.
+/// transformation a buggy writer performs.
 fn edit_snapshot(text: &str, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
     let mut value: Value = serde_json::from_str(text).expect("snapshot parses");
     let Value::Map(fields) = &mut value else {
@@ -132,39 +132,34 @@ fn real_trained_snapshot_audits_clean() {
     assert_eq!(audit_snapshot(&text), Vec::new());
     let (_, summary) = audit_snapshot_with_summary(&text);
     assert!(summary.trained);
-    assert_eq!(summary.version, Some(1));
+    assert_eq!(summary.version, Some(lsd_core::SAVED_MODEL_VERSION));
     assert_eq!(
         summary.labels,
         ["HOUSE", "ADDRESS", "DESCRIPTION", "PHONE", "OTHER"]
     );
 }
 
-#[test]
-fn nan_meta_weight_round_trips_as_null_and_is_lsd202() {
-    // The serializer genuinely writes NaN as null — the exact artifact a
-    // NaN-poisoned regression leaves on disk.
-    assert_eq!(
-        serde_json::to_string(&Value::Float(f64::NAN)).unwrap(),
-        "null"
-    );
+/// Renames one mediated element in the snapshot's stored DTD: the document
+/// still deserializes and the model still matches, but its label set no
+/// longer agrees with its schema.
+fn rename_mediated_element(text: &str) -> String {
+    edit_snapshot(text, |fields| {
+        let Value::Str(dtd) = field(fields, "mediated_dtd") else {
+            panic!("mediated_dtd is a string");
+        };
+        *dtd = dtd.replace("PHONE", "FAX");
+    })
+}
 
-    let text = snapshot_text("nan");
-    let poisoned = edit_snapshot(&text, |fields| {
-        let Value::Map(meta) = field(fields, "meta") else {
-            panic!("meta is an object");
-        };
-        let Value::Seq(rows) = field(meta, "weights") else {
-            panic!("weights is a matrix");
-        };
-        let Value::Seq(row) = &mut rows[0] else {
-            panic!("weight rows are arrays");
-        };
-        row[0] = Value::Null;
-    });
-    let diags = audit_snapshot(&poisoned);
-    assert_eq!(codes(&diags), ["LSD202"]);
+#[test]
+fn renamed_mediated_element_is_lsd206_error() {
+    let diags = audit_snapshot(&rename_mediated_element(&snapshot_text("renamed")));
+    assert_eq!(codes(&diags), ["LSD206"]);
     assert_eq!(diags[0].severity, Severity::Error);
-    assert!(diags[0].message.contains("`HOUSE`"), "{}", diags[0].message);
+    assert!(
+        diags[0].notes.iter().any(|n| n.contains("`FAX`")),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -179,7 +174,7 @@ fn untrained_flag_is_lsd201_error() {
 }
 
 #[test]
-fn dropped_label_is_lsd205_and_lsd206() {
+fn dropped_label_is_lsd206() {
     let text = snapshot_text("skew");
     let skewed = edit_snapshot(&text, |fields| {
         let Value::Seq(labels) = field(fields, "labels") else {
@@ -188,16 +183,12 @@ fn dropped_label_is_lsd205_and_lsd206() {
         labels.remove(0);
     });
     let diags = audit_snapshot(&skewed);
-    let found = codes(&diags);
-    assert!(
-        found.contains(&"LSD205"),
-        "meta rows now outnumber labels: {found:?}"
+    assert_eq!(
+        codes(&diags),
+        ["LSD206"],
+        "the DTD still declares the dropped label"
     );
-    assert!(
-        found.contains(&"LSD206"),
-        "DTD still declares the dropped label: {found:?}"
-    );
-    assert!(diags.iter().all(|d| d.severity == Severity::Error));
+    assert_eq!(diags[0].severity, Severity::Error);
 }
 
 #[test]
@@ -336,27 +327,15 @@ fn registry_with_duplicate_slugs_and_version_skew() {
 }
 
 #[test]
-fn acceptance_registry_healthy_plus_nan_plus_torn_wal() {
-    // The ISSUE's acceptance scenario: one healthy model, one NaN-weight
-    // snapshot, one torn WAL — exactly the expected codes, exactly the
-    // expected severities.
+fn registry_of_healthy_plus_corrupt_snapshot_plus_torn_wal() {
+    // One healthy model, one snapshot whose schema disagrees with its
+    // labels (and so drifts from the healthy model's schema), one torn WAL
+    // — exactly the expected codes, exactly the expected severities.
     let dir = temp_dir("acceptance");
     let text = snapshot_text("acceptance-model");
     std::fs::write(dir.join("healthy.json"), &text).expect("writes");
 
-    let poisoned = edit_snapshot(&text, |fields| {
-        let Value::Map(meta) = field(fields, "meta") else {
-            panic!("meta is an object");
-        };
-        let Value::Seq(rows) = field(meta, "weights") else {
-            panic!("weights is a matrix");
-        };
-        let Value::Seq(row) = &mut rows[0] else {
-            panic!("rows are arrays");
-        };
-        row[0] = Value::Null;
-    });
-    std::fs::write(dir.join("poisoned.json"), &poisoned).expect("writes");
+    std::fs::write(dir.join("poisoned.json"), rename_mediated_element(&text)).expect("writes");
 
     let wal_path = dir.join("healthy.wal");
     {
@@ -375,14 +354,18 @@ fn acceptance_registry_healthy_plus_nan_plus_torn_wal() {
     found.sort();
     assert_eq!(
         found,
-        [("LSD202", Severity::Error), ("LSD212", Severity::Warning),],
+        [
+            ("LSD206", Severity::Error),
+            ("LSD212", Severity::Warning),
+            ("LSD223", Severity::Warning),
+        ],
         "{diags:#?}"
     );
-    let nan = diags
+    let corrupt = diags
         .iter()
-        .find(|d| d.code.as_str() == "LSD202")
-        .expect("nan");
-    assert_eq!(nan.origin.as_deref(), Some("poisoned.json"));
+        .find(|d| d.code.as_str() == "LSD206")
+        .expect("corrupt");
+    assert_eq!(corrupt.origin.as_deref(), Some("poisoned.json"));
     let torn = diags
         .iter()
         .find(|d| d.code.as_str() == "LSD212")

@@ -222,7 +222,7 @@ proptest! {
     }
 
     /// A real snapshot with bytes overwritten is audited without a panic
-    /// (a harmless edit, say to a digit of a weight, may audit clean).
+    /// (a harmless edit, say to a digit of a count, may audit clean).
     #[test]
     fn snapshot_audit_of_a_mutated_snapshot_answers(
         edits in prop::collection::vec((any::<u16>(), any::<u8>()), 1..5),

@@ -1,18 +1,16 @@
 //! Criterion micro-benchmarks for LSD's components: base-learner training
-//! and prediction, meta-learner training (cross-validation + regression),
-//! the constraint handler's search algorithms, whole-match and
-//! search-only, and rendering response bodies and snapshots.
+//! and prediction, the constraint handler's search algorithms, whole-match
+//! and search-only, and rendering response bodies and snapshots.
 //!
 //! Run with `cargo bench -p lsd-bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsd_core::learners::{BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner};
 use lsd_core::{
-    Instance, LsdBuilder, LsdConfig, MetaLearner, SearchAlgorithm, SearchConfig, Source,
-    SourceWalk, TrainedSource,
+    Instance, LsdBuilder, LsdConfig, SearchAlgorithm, SearchConfig, Source, SourceWalk,
+    TrainedSource,
 };
 use lsd_datagen::{DomainId, GeneratedDomain};
-use lsd_learn::cross_validation_predictions;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -101,23 +99,6 @@ fn bench_learners(c: &mut Criterion) {
         b.iter(|| BaseLearner::predict(&trained_content, black_box(probe)))
     });
     group.finish();
-}
-
-fn bench_meta(c: &mut Criterion) {
-    let domain = DomainId::RealEstate1.generate(40, 2);
-    let examples = labelled_instances(&domain, 0);
-    let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
-    let n = domain.mediated.len() + 1;
-    let truths: Vec<usize> = examples.iter().map(|(_, l)| *l).collect();
-
-    c.bench_function("meta_cv_plus_regression", |b| {
-        b.iter(|| {
-            let cv = cross_validation_predictions(black_box(&refs), 5, 0, || {
-                Box::new(NaiveBayesLearner::new(n)) as Box<dyn BaseLearner>
-            });
-            MetaLearner::train(&[cv], &truths, n)
-        })
-    });
 }
 
 fn bench_search(c: &mut Criterion) {
@@ -418,7 +399,6 @@ fn bench_substrates(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_learners,
-    bench_meta,
     bench_search,
     bench_search_only,
     bench_render,

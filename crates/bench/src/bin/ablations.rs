@@ -1,11 +1,10 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //!
-//! 1. meta-learner regression vs uniform weights;
-//! 2. A\* vs beam search vs greedy in the constraint handler (accuracy and
+//! 1. A\* vs beam search vs greedy in the constraint handler (accuracy and
 //!    wall-clock);
-//! 3. WHIRL neighbour combination (noisy-or vs max vs mean);
-//! 4. Naive Bayes smoothing strength;
-//! 5. XML-learner structure tokens (text-only vs +node vs +node+edge).
+//! 2. WHIRL neighbour combination (noisy-or vs max vs mean);
+//! 3. Naive Bayes smoothing strength;
+//! 4. XML-learner structure tokens (text-only vs +node vs +node+edge).
 //!
 //! Run with `cargo run --release -p lsd-bench --bin ablations`.
 //! Env overrides: `LSD_TRIALS` (default 1 here), `LSD_LISTINGS` (default
@@ -24,7 +23,6 @@ use std::time::Instant;
 /// Builds the paper's learner suite with per-component overrides.
 struct Variant {
     label: &'static str,
-    train_meta: bool,
     whirl: Option<NeighborCombination>,
     nb_smoothing: Option<f64>,
     xml_tokens: Option<XmlTokenKinds>,
@@ -35,7 +33,6 @@ impl Variant {
     fn baseline(label: &'static str) -> Self {
         Variant {
             label,
-            train_meta: true,
             whirl: None,
             nb_smoothing: None,
             xml_tokens: None,
@@ -45,7 +42,6 @@ impl Variant {
 
     fn build(&self, domain: &GeneratedDomain, base: LsdConfig) -> Lsd {
         let mut config = base;
-        config.train_meta = self.train_meta;
         if let Some(s) = self.search {
             config.search = s;
         }
@@ -146,16 +142,6 @@ fn main() {
         }
     };
 
-    section(
-        "meta-learner",
-        vec![
-            Variant::baseline("stacking regression (paper)"),
-            Variant {
-                train_meta: false,
-                ..Variant::baseline("uniform weights")
-            },
-        ],
-    );
     section(
         "constraint-handler search",
         vec![

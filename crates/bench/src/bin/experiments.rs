@@ -228,8 +228,9 @@ fn table3(params: &ExperimentParams) -> Option<Value> {
     Some(table.into())
 }
 
-/// Figure 8a: average accuracy of the best single base learner, then with
-/// the meta-learner, the constraint handler and the XML learner added.
+/// Figure 8a: average accuracy of the best single base learner, then of
+/// all learners combined ("meta", equal weights), with the constraint
+/// handler and the XML learner added.
 fn fig8a(params: &ExperimentParams) -> Option<Value> {
     println!("-- Figure 8a: average matching accuracy --");
     let (singles, configs) = (FIG8A_SINGLES, FIG8A_CONFIGS);

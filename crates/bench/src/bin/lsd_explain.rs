@@ -13,8 +13,7 @@
 //! Trains the FULL configuration on the domain's first three sources, then
 //! matches the held-out fourth source and prints, per source tag, the
 //! complete "why": every candidate label with each base learner's score,
-//! the meta-learner's stacking weight, the combined converter score, the
-//! constraint verdict that rejected any higher-ranked candidate, and the
+//! the combined converter score, the constraint verdict that rejected any higher-ranked candidate, and the
 //! A\* search counters attributed to the (tag, label) pair. The candidate
 //! order matches `MatchOutcome::candidates` exactly, and the output is
 //! byte-identical across `LSD_THREADS` settings.

@@ -54,11 +54,7 @@ fn main() {
             100.0 * accuracy_of_outcome(outcome, gs)
         );
     }
-    println!(
-        "train: examples={} cv_folds={}",
-        train_report.examples(),
-        train_report.cv_folds()
-    );
+    println!("train: examples={}", train_report.examples());
     println!(
         "match: sources={} astar-expanded={} pruned={} constraint-evals={}",
         match_report.sources_matched(),

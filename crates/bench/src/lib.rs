@@ -8,7 +8,7 @@
 //! | binary        | what it runs                                        |
 //! |---------------|-----------------------------------------------------|
 //! | `experiments` | every table and figure of Section 6, writing `experiment_results.json`; `--only <section>` runs one (`table3`, `fig8a`, `fig8bc`, `fig9a`, `fig9b`, `feedback`, `metrics`) |
-//! | `ablations`   | design-choice ablations (meta weights, search, WHIRL, NB smoothing, XML tokens) |
+//! | `ablations`   | design-choice ablations (search, WHIRL, NB smoothing, XML tokens) |
 //! | `lsd-serve`   | boots the `lsd-serve` matching server on a datagen-trained snapshot |
 //! | `serve-load`  | load driver for the server; writes `BENCH_serve.json` (p50/p95/p99, throughput) |
 //! | `lsd-infer`   | learns DTDs from DTD-less corpora; writes `BENCH_infer.json` (wall time, element/edge counts, fallback rate) |

@@ -95,9 +95,6 @@ pub struct Setup {
     pub xml_learner: bool,
     /// Constraint subset.
     pub constraints: ConstraintMode,
-    /// Train the stacking meta-learner? (false = uniform weights, used
-    /// for single-learner baselines).
-    pub train_meta: bool,
 }
 
 impl Setup {
@@ -106,23 +103,6 @@ impl Setup {
         learners: LearnerSet::PAPER,
         xml_learner: true,
         constraints: ConstraintMode::All,
-        train_meta: true,
-    };
-
-    /// Base learners + meta-learner, no constraint handler, no XML learner.
-    pub const META: Setup = Setup {
-        learners: LearnerSet::PAPER,
-        xml_learner: false,
-        constraints: ConstraintMode::None,
-        train_meta: true,
-    };
-
-    /// Base learners + meta-learner + constraint handler.
-    pub const META_CONSTRAINTS: Setup = Setup {
-        learners: LearnerSet::PAPER,
-        xml_learner: false,
-        constraints: ConstraintMode::All,
-        train_meta: true,
     };
 }
 
@@ -181,9 +161,7 @@ pub fn to_sources(gs: &GeneratedSource) -> Source {
 }
 
 /// Builds an LSD system for a configuration over a generated domain.
-pub fn build_lsd(domain: &GeneratedDomain, setup: Setup, lsd_config: LsdConfig) -> Lsd {
-    let mut config = lsd_config;
-    config.train_meta = setup.train_meta;
+pub fn build_lsd(domain: &GeneratedDomain, setup: Setup, config: LsdConfig) -> Lsd {
     let mut builder = LsdBuilder::new(&domain.mediated).with_config(config);
     let n = builder.labels().len();
 
@@ -371,11 +349,12 @@ impl DomainAccuracy {
 /// handler knows) are trained once per split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Config {
-    /// One base learner by itself (no meta-learner, no constraints).
+    /// One base learner by itself (no constraints).
     Single(&'static str),
-    /// All base learners + meta-learner (no constraints, no XML learner).
+    /// All base learners combined with equal weights (no constraints, no
+    /// XML learner).
     Meta,
-    /// Base learners + meta-learner + constraint handler.
+    /// [`Config::Meta`] + constraint handler.
     MetaConstraints,
     /// The complete system: + XML learner (Figure 8a rightmost bar).
     Full,
@@ -414,7 +393,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::only(l),
                     xml: false,
-                    meta: false,
                 },
                 ConstraintMode::None,
             ),
@@ -422,7 +400,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::PAPER,
                     xml: false,
-                    meta: true,
                 },
                 ConstraintMode::None,
             ),
@@ -430,7 +407,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::PAPER,
                     xml: false,
-                    meta: true,
                 },
                 ConstraintMode::All,
             ),
@@ -438,7 +414,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::PAPER,
                     xml: true,
-                    meta: true,
                 },
                 ConstraintMode::All,
             ),
@@ -446,7 +421,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::PAPER,
                     xml: true,
-                    meta: true,
                 },
                 ConstraintMode::None,
             ),
@@ -454,7 +428,6 @@ impl Config {
                 TrainKey {
                     learners: LearnerSet::without(l),
                     xml: true,
-                    meta: true,
                 },
                 ConstraintMode::All,
             ),
@@ -468,7 +441,6 @@ impl Config {
                         format_learner: false,
                     },
                     xml: false,
-                    meta: true,
                 },
                 ConstraintMode::SchemaOnly,
             ),
@@ -482,7 +454,6 @@ impl Config {
                         format_learner: false,
                     },
                     xml: true,
-                    meta: true,
                 },
                 ConstraintMode::DataOnly,
             ),
@@ -495,7 +466,6 @@ impl Config {
 struct TrainKey {
     learners: LearnerSet,
     xml: bool,
-    meta: bool,
 }
 
 /// Runs a whole configuration matrix for one domain, sharing trained
@@ -531,7 +501,6 @@ pub fn run_matrix(
                         learners: key.learners,
                         xml_learner: key.xml,
                         constraints: ConstraintMode::None, // set per eval below
-                        train_meta: key.meta,
                     };
                     let mut lsd = build_lsd(&domain, setup, params.lsd);
                     lsd.train(&training)
@@ -567,7 +536,7 @@ pub fn run_matrix(
 pub const FIG8A_SINGLES: [&str; 3] = ["name-matcher", "content-matcher", "naive-bayes"];
 
 /// Figure 8a's configurations, in the order of its bars: the three single
-/// base learners of [`FIG8A_SINGLES`], then the meta-learner, the
+/// base learners of [`FIG8A_SINGLES`], then their combination, the
 /// constraint handler and the XML learner added in turn.
 pub const FIG8A_CONFIGS: [Config; 6] = [
     Config::Single(FIG8A_SINGLES[0]),

@@ -5,8 +5,9 @@
 //! `LSD_TRIALS=1 LSD_LISTINGS=20 experiments --only <section>` runs), the
 //! table holds, through the same `lsd_bench` code as `experiments`:
 //!
-//! - Figure 8a per domain: the best single base learner, the meta-learner,
-//!   the constraint handler added, and the complete system (percent, three
+//! - Figure 8a per domain: the best single base learner, all learners
+//!   combined with equal weights ("meta"), the constraint handler added,
+//!   and the complete system (percent, three
 //!   decimals), each with the number of its matches that found no feasible
 //!   mapping and fell back to the per-tag argmax;
 //! - Section 6.3 per domain: each feedback run's corrections and their

@@ -2,7 +2,7 @@
 //!
 //! CI's exact `bench-smoke` gate covers two small searches (40 expansions
 //! in all). The searches pinned here are the ones that dominate a match:
-//! a Time Schedule source whose A\* expands about seventeen hundred nodes,
+//! a Time Schedule source whose A\* expands about two thousand nodes,
 //! and a Real Estate II source that hits the 20 000-expansion cap and is
 //! finished by greedy completion. Both use the model perfbench serves
 //! (`train_full_model` at 15 listings, seed 1) and the held-out source
@@ -68,10 +68,10 @@ fn time_schedule_utexas_search_is_pinned() {
     check(&Pinned {
         domain: DomainId::TimeSchedule,
         source: "utexas.edu",
-        expansions: 1_735,
-        evaluations: 6_989,
-        generated_pruned: (4_384, 6_210),
-        cost_bits: 0x403c_3df0_2468_12d8,
+        expansions: 2_005,
+        evaluations: 7_697,
+        generated_pruned: (4_778, 8_590),
+        cost_bits: 0x403c_c67c_fe64_6aad,
         labels: &[
             "COURSE-OFFERING",
             "CODE",
@@ -81,7 +81,7 @@ fn time_schedule_utexas_search_is_pinned() {
             "SECTION-ID",
             "OTHER",
             "ENROLLMENT",
-            "OTHER",
+            "SLN",
             "MEETING",
             "DAYS",
             "TIME",
@@ -102,17 +102,17 @@ fn real_estate_2_houseweb_search_hits_the_cap_and_is_pinned() {
         domain: DomainId::RealEstate2,
         source: "houseweb.com",
         expansions: 20_000,
-        evaluations: 109_564,
-        generated_pruned: (71_837, 66_634),
-        cost_bits: 0x4056_b339_db4e_0f1a,
+        evaluations: 93_500,
+        generated_pruned: (59_091, 78_679),
+        cost_bits: 0x4055_ca37_1dd9_352f,
         labels: &[
             "LISTING",
             "HOUSE",
             "BASIC",
-            "SQFT",
+            "COUNTY",
             "BATHS",
-            "BEDS",
-            "OTHER",
+            "HALF-BATHS",
+            "SQFT",
             "YEAR-BUILT",
             "INTERIOR",
             "FLOORING",
@@ -123,18 +123,18 @@ fn real_estate_2_houseweb_search_hits_the_cap_and_is_pinned() {
             "ROOF",
             "OTHER",
             "OTHER",
-            "ADDRESS",
-            "STREET",
-            "CITY",
             "STATE",
+            "STREET",
+            "OTHER",
+            "OTHER",
             "ZIP",
             "SCHOOL-DISTRICT",
+            "FINANCIAL",
             "PRICING",
-            "TAXES",
             "PRICE",
+            "TAXES",
             "OTHER",
-            "OTHER",
-            "STATUS",
+            "LISTING-INFO",
             "LISTING-ID",
             "MLS",
             "OTHER",

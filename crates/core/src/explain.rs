@@ -5,8 +5,7 @@
 //! the pipeline already captured while matching — no second pass:
 //!
 //! - each base learner's converted tag-level score for every candidate
-//!   label, together with the stacking weight `W(label, learner)` the
-//!   meta-learner applied to it (Section 3.2's worked example, live);
+//!   label (every learner carries the same weight in the combination);
 //! - the combined converter score the constraint handler ranked by;
 //! - for every candidate that outranked the chosen label, *why it lost*:
 //!   the hard constraints it violates, or the cost delta the swap would
@@ -55,10 +54,6 @@ pub struct LearnerContribution {
     pub learner: String,
     /// The learner's converted tag-level score for this label.
     pub score: f64,
-    /// The meta-learner's stacking weight `W(label, learner)`.
-    pub weight: f64,
-    /// `weight × score` — the term this learner adds to the stacked sum.
-    pub weighted: f64,
 }
 
 /// Per-(tag, label) constraint-search telemetry.
@@ -106,8 +101,8 @@ pub struct Explanation {
     pub feasible: bool,
     /// How many data instances of this tag the pipeline examined.
     pub instances_examined: usize,
-    /// Every candidate label, best first, with scores, weights and
-    /// rejection verdicts.
+    /// Every candidate label, best first, with scores and rejection
+    /// verdicts.
     pub candidates: Vec<CandidateExplanation>,
 }
 
@@ -140,11 +135,7 @@ impl Explanation {
                 marker,
             );
             for lc in &cand.learners {
-                let _ = writeln!(
-                    out,
-                    "      {:<12} w={:.3} x s={:.4} = {:.4}",
-                    lc.learner, lc.weight, lc.score, lc.weighted,
-                );
+                let _ = writeln!(out, "      {:<12} s={:.4}", lc.learner, lc.score);
             }
             match &cand.rejection {
                 Some(RejectionReason::Constraint { violated }) => {
@@ -179,8 +170,8 @@ impl Explanation {
 }
 
 impl MatchOutcome {
-    /// The provenance record for one source tag: per-learner scores with
-    /// their stacking weights, combined scores, rejection verdicts for
+    /// The provenance record for one source tag: per-learner scores,
+    /// combined scores, rejection verdicts for
     /// every candidate that outranked the chosen label, and per-(tag,
     /// label) search counters. `None` for a tag the source does not have.
     ///
@@ -209,20 +200,9 @@ impl MatchOutcome {
                     .learner_names
                     .iter()
                     .zip(&cand.per_learner)
-                    .enumerate()
-                    .map(|(j, (name, &score))| {
-                        let weight = self
-                            .meta_weights
-                            .get(cand.label_id)
-                            .and_then(|row| row.get(j))
-                            .copied()
-                            .unwrap_or(0.0);
-                        LearnerContribution {
-                            learner: name.to_string(),
-                            score,
-                            weight,
-                            weighted: weight * score,
-                        }
+                    .map(|(name, &score)| LearnerContribution {
+                        learner: name.to_string(),
+                        score,
                     })
                     .collect();
                 CandidateExplanation {

@@ -90,10 +90,6 @@ impl BaseLearner for ContentMatcher {
     fn reads(&self) -> Reads {
         Reads::Text
     }
-
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(ContentMatcher::with_config(self.num_labels, self.config))
-    }
 }
 
 #[cfg(test)]
@@ -155,12 +151,5 @@ mod tests {
         .unwrap();
         let p = m.predict(&Instance::new(element, vec!["info".into()]));
         assert_eq!(p.best_label(), 0);
-    }
-
-    #[test]
-    fn fresh_is_untrained() {
-        let m = trained();
-        let p = m.fresh().predict(&inst("x", "blue"));
-        assert!(p.scores().iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-9));
     }
 }

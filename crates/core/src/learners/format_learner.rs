@@ -141,10 +141,6 @@ impl BaseLearner for FormatLearner {
     fn reads(&self) -> Reads {
         Reads::Text
     }
-
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(FormatLearner::new(self.num_labels))
-    }
 }
 
 #[cfg(test)]
@@ -206,11 +202,5 @@ mod tests {
         let code = m.predict(&inst("CHEM237"));
         let credit = m.predict(&inst("3"));
         assert_ne!(code.best_label(), credit.best_label());
-    }
-
-    #[test]
-    fn fresh_is_untrained() {
-        let p = trained().fresh().predict(&inst("CSE142"));
-        assert!(p.scores().iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-9));
     }
 }

@@ -23,7 +23,7 @@ pub use xml_learner::{XmlLearner, XmlTokenKinds};
 
 use crate::instance::Instance;
 use crate::persist::SavedLearner;
-use lsd_learn::{Classifier, Prediction};
+use lsd_learn::Prediction;
 
 /// What part of an [`Instance`] a learner's prediction depends on — the
 /// contract that lets the matcher predict once per distinct input.
@@ -47,9 +47,9 @@ pub enum Reads {
 ///
 /// `Send + Sync` is part of the contract: the batch-matching engine shares
 /// a trained system across scoped worker threads (`&Lsd` per worker), and
-/// the meta-learner's cross-validation calls [`BaseLearner::fresh`] from
-/// per-fold workers. All built-in learners are plain data; a custom learner
-/// with interior mutability must use thread-safe primitives.
+/// training runs each learner on its own thread. All built-in learners are
+/// plain data; a custom learner with interior mutability must use
+/// thread-safe primitives.
 pub trait BaseLearner: Send + Sync {
     /// Stable display name, used in lesion studies and experiment reports.
     fn name(&self) -> &'static str;
@@ -67,10 +67,6 @@ pub trait BaseLearner: Send + Sync {
     fn reads(&self) -> Reads {
         Reads::Instance
     }
-
-    /// A fresh, untrained learner with the same configuration — used by the
-    /// meta-learner's cross-validation, which must train per-fold copies.
-    fn fresh(&self) -> Box<dyn BaseLearner>;
 
     /// A serializable snapshot of the trained state, if this learner
     /// supports persistence (all built-in learners do; custom learners may
@@ -100,18 +96,6 @@ pub trait BaseLearner: Send + Sync {
     fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
         let _ = examples;
         false
-    }
-}
-
-/// Adapter so boxed base learners plug into `lsd-learn`'s generic
-/// cross-validation machinery.
-impl Classifier<Instance> for Box<dyn BaseLearner> {
-    fn train(&mut self, examples: &[(&Instance, usize)]) {
-        BaseLearner::train(self.as_mut(), examples);
-    }
-
-    fn predict(&self, example: &Instance) -> Prediction {
-        BaseLearner::predict(self.as_ref(), example)
     }
 }
 

@@ -151,15 +151,6 @@ impl BaseLearner for NameMatcher {
     fn reads(&self) -> Reads {
         Reads::Path
     }
-
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(NameMatcher {
-            num_labels: self.num_labels,
-            whirl_config: self.whirl_config,
-            synonyms: self.synonyms.clone(),
-            whirl: Whirl::new(self.num_labels, self.whirl_config),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,13 +219,5 @@ mod tests {
         let p = m.predict(&inst(&["zzz", "qqq"]));
         let s = p.scores();
         assert!(s.iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-6), "{s:?}");
-    }
-
-    #[test]
-    fn fresh_is_untrained() {
-        let m = trained();
-        let f = m.fresh();
-        let p = f.predict(&inst(&["listing", "price"]));
-        assert!(p.scores().iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-9));
     }
 }

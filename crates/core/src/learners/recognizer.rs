@@ -95,10 +95,6 @@ impl BaseLearner for Recognizer {
         Reads::Text
     }
 
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(self.clone())
-    }
-
     /// Only the built-in county recognizer is reconstructible from
     /// parameters; custom recognizers carry arbitrary closures.
     fn snapshot(&self) -> Option<crate::persist::SavedLearner> {
@@ -165,13 +161,5 @@ mod tests {
         let i = inst("whatever");
         r.train(&[(&i, 2)]);
         assert_eq!(r.predict(&inst("King")).best_label(), 0);
-    }
-
-    #[test]
-    fn fresh_preserves_behavior() {
-        let r = county_name_recognizer(3, 0);
-        let f = r.fresh();
-        assert_eq!(f.predict(&inst("King")).best_label(), 0);
-        assert_eq!(f.name(), "county-recognizer");
     }
 }

@@ -191,10 +191,6 @@ impl BaseLearner for StatsLearner {
     fn reads(&self) -> Reads {
         Reads::Text
     }
-
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(StatsLearner::new(self.num_labels))
-    }
 }
 
 #[cfg(test)]
@@ -270,12 +266,5 @@ mod tests {
             let f = StatsLearner::features(&inst(text));
             assert!(f.iter().all(|x| x.is_finite()), "{text:?}: {f:?}");
         }
-    }
-
-    #[test]
-    fn fresh_is_untrained() {
-        let l = trained();
-        let p = l.fresh().predict(&inst("$100,000"));
-        assert!(p.scores().iter().all(|&s| (s - 1.0 / 3.0).abs() < 1e-9));
     }
 }

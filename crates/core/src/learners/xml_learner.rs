@@ -215,10 +215,6 @@ impl BaseLearner for XmlLearner {
         let tokens = self.tree_tokens();
         self.model.predict_with(|sink| tokens.feed(instance, sink))
     }
-
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(XmlLearner::with_token_kinds(self.num_labels, self.kinds))
-    }
 }
 
 #[cfg(test)]
@@ -399,15 +395,5 @@ mod tests {
             let m = XmlLearner::with_token_kinds(12, kinds);
             assert_eq!(m.tokens(&inst), reference_tokens(&m, &inst), "{kinds:?}");
         }
-    }
-
-    #[test]
-    fn fresh_is_untrained() {
-        let m = trained(XmlTokenKinds::default());
-        let p = m.fresh().predict(&contact("A B", "C D"));
-        assert!(p
-            .scores()
-            .iter()
-            .all(|&x| (x - 1.0 / N as f64).abs() < 1e-9));
     }
 }

@@ -13,10 +13,10 @@
 //!    the [`learners::XmlLearner`] (structure tokens, Section 5), dictionary
 //!    [`learners::Recognizer`]s such as the county-name recognizer, and the
 //!    [`learners::FormatLearner`] extension suggested in Section 7.
-//! 2. **Meta-learner** ([`MetaLearner`]) — stacking: per-(label, learner)
-//!    weights fit by least-squares regression on cross-validated base
-//!    learner predictions (Section 3.1 step 5).
-//! 3. **Prediction converter** ([`converter`]) — averages per-instance
+//! 2. **Combination** ([`combine_learners`]) — every base learner's
+//!    prediction for an instance, with equal weights. The paper's stacking
+//!    meta-learner (Section 3.1 step 5) is left out; DESIGN.md records why.
+//! 3. **Prediction converter** ([`convert_column`]) — averages per-instance
 //!    predictions into one prediction per source tag (Section 3.2 step 2).
 //! 4. **Constraint handler** (re-exported from `lsd-constraints`) — A\*
 //!    search for the least-cost mapping under domain constraints and user
@@ -36,14 +36,13 @@ pub mod feedback;
 pub mod hierarchy;
 mod instance;
 pub mod learners;
-mod meta;
 pub mod persist;
 pub mod readers;
 pub mod report;
 mod system;
 pub mod wal;
 
-pub use converter::{convert_column, CombinationRule};
+pub use converter::{combine_learners, convert_column};
 pub use error::LsdError;
 pub use explain::{
     CandidateExplanation, Explanation, LearnerContribution, RejectionReason, TagLabelSearch,
@@ -53,7 +52,6 @@ pub use feedback::{
 };
 pub use hierarchy::{most_specific_unambiguous, PartialMatch};
 pub use instance::{Instance, SourceWalk};
-pub use meta::MetaLearner;
 pub use persist::{PersistError, SavedLearner, SavedModel, SAVED_MODEL_VERSION};
 pub use readers::{
     synthesize_dtd, CsvReader, JsonReader, ReadError, SourceContents, SourceFormat, SourceReader,

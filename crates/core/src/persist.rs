@@ -3,9 +3,13 @@
 //! The paper's workflow separates an offline training phase from an
 //! interactive matching phase ("the training phase of LSD can be done
 //! offline", Section 7). [`SavedModel`] is the serializable snapshot that
-//! connects them: every built-in learner's trained state, the meta-learner
-//! weights, the domain constraints and the configuration, round-trippable
-//! through JSON.
+//! connects them: every built-in learner's trained state, the domain
+//! constraints and the configuration, round-trippable through JSON.
+//!
+//! Version 1 snapshots also carried fitted stacking weights (`meta`) and
+//! three configuration fields (`cv_folds`, `train_meta`, `converter`).
+//! They still load: unknown keys are ignored, so the model serves with
+//! equal learner weights, as every model now does.
 //!
 //! Custom [`BaseLearner`] implementations added by downstream users are not
 //! serializable through this path (they are trait objects with arbitrary
@@ -16,7 +20,6 @@ use crate::learners::{
     county_name_recognizer, BaseLearner, ContentMatcher, FormatLearner, NaiveBayesLearner,
     NameMatcher, StatsLearner, XmlLearner,
 };
-use crate::meta::MetaLearner;
 use crate::system::{Lsd, LsdConfig, SourceProvenance};
 use lsd_constraints::{ConstraintHandler, DomainConstraint};
 use lsd_learn::LabelSet;
@@ -156,8 +159,6 @@ pub struct SavedModel {
     pub learners: Vec<SavedLearner>,
     /// Index of the XML learner within `learners`, if present.
     pub xml_index: Option<usize>,
-    /// The trained stacking weights.
-    pub meta: MetaLearner,
     /// The domain constraints.
     pub constraints: Vec<DomainConstraint>,
     /// Pipeline configuration.
@@ -175,8 +176,9 @@ pub struct SavedModel {
     pub feedback_applied: u64,
 }
 
-/// Current snapshot format version.
-pub const SAVED_MODEL_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 dropped the stacking weights;
+/// version 1 snapshots still load (see the module docs).
+pub const SAVED_MODEL_VERSION: u32 = 2;
 
 impl SavedModel {
     /// Parses a snapshot from JSON text, rejecting snapshots stamped with a
@@ -204,7 +206,7 @@ impl SavedModel {
 }
 
 impl Lsd {
-    /// Snapshots the system (learners, meta weights, constraints, config).
+    /// Snapshots the system (learners, constraints, config).
     ///
     /// # Errors
     /// [`PersistError::UnsupportedLearner`] if a custom learner without a
@@ -226,7 +228,6 @@ impl Lsd {
             labels: self.labels.clone(),
             learners,
             xml_index: self.xml_index,
-            meta: self.meta.clone(),
             constraints: self.handler.constraints().to_vec(),
             config: self.config,
             trained: self.trained,
@@ -252,7 +253,6 @@ impl Lsd {
             labels: saved.labels,
             learners,
             xml_index: saved.xml_index,
-            meta: saved.meta,
             handler,
             compiled,
             config: saved.config,

@@ -11,7 +11,7 @@ use lsd_obs::MetricsSnapshot;
 use serde::Serialize;
 
 /// Everything one training run recorded: per-learner train wall time,
-/// cross-validation fold counts, parallelism counters and spans.
+/// example counts and spans.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct TrainReport {
     /// The full metrics snapshot of the training run.
@@ -19,11 +19,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Number of cross-validation folds executed (summed over learners).
-    pub fn cv_folds(&self) -> u64 {
-        self.metrics.counter("crossval.folds")
-    }
-
     /// Number of training examples the run was fed.
     pub fn examples(&self) -> u64 {
         self.metrics.counter("train.examples")

@@ -2,13 +2,14 @@
 //! Figure 4).
 //!
 //! **Training** (Section 3.1): the user maps a few sources by hand; LSD
-//! extracts data, creates per-learner training examples, trains the base
-//! learners, and trains the stacking meta-learner on cross-validated
-//! base-learner predictions.
+//! extracts data, creates per-learner training examples and trains the base
+//! learners. The paper's fifth step, fitting stacking weights on
+//! cross-validated predictions, is left out: every learner gets the same
+//! weight (see [`crate::converter`]).
 //!
 //! **Matching** (Section 3.2): for a new source, LSD extracts a column of
 //! instances per source tag, applies the base learners to each instance,
-//! combines their predictions with the meta-learner, averages per column
+//! combines their predictions with equal weights, averages per column
 //! with the prediction converter, and hands the tag-level predictions to
 //! the constraint handler, which searches for the best global 1-1 mapping.
 //!
@@ -19,13 +20,12 @@
 //! from the other learners, then lets the XML learner vote with that
 //! structural context.
 
-use crate::converter::{convert_column, CombinationRule};
+use crate::converter::{combine_learners, convert_column};
 use crate::error::LsdError;
 use crate::explain::RejectionReason;
 use crate::feedback::Feedback;
 use crate::instance::{Instance, SourceWalk};
 use crate::learners::{BaseLearner, Reads, XmlLearner};
-use crate::meta::MetaLearner;
 use crate::readers::{ReadError, SourceFormat, SourceReader};
 use crate::report::{MatchReport, TrainReport};
 use lsd_analysis::Diagnostic;
@@ -34,9 +34,7 @@ use lsd_constraints::{
     MatchingContext, SearchConfig, INFEASIBLE,
 };
 use lsd_infer::InferenceStats;
-use lsd_learn::{
-    cross_validation_predictions_grouped, parallel_map, ExecPolicy, LabelSet, Prediction,
-};
+use lsd_learn::{parallel_map, ExecPolicy, LabelSet, Prediction};
 use lsd_xml::{Dtd, Element, SchemaTree};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -142,10 +140,7 @@ pub struct TrainedSource {
 /// Tunables for the pipeline.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub struct LsdConfig {
-    /// Cross-validation folds for meta-learner training (paper: d = 5).
-    pub cv_folds: usize,
-    /// RNG seed: fold assignment and instance subsampling are
-    /// deterministic given the seed.
+    /// RNG seed: instance subsampling is deterministic given the seed.
     pub seed: u64,
     /// Weight α of the `−log prob(m)` term in the mapping cost.
     pub alpha: f64,
@@ -158,20 +153,6 @@ pub struct LsdConfig {
     pub max_train_instances_per_tag: usize,
     /// Cap on instances per tag examined when matching; 0 = no cap.
     pub max_match_instances_per_tag: usize,
-    /// Train the stacking meta-learner (default). When false the
-    /// meta-learner stays uniform — used for the paper's "best single base
-    /// learner" baseline, where the learner's own prediction is the answer.
-    #[serde(default = "default_true")]
-    pub train_meta: bool,
-    /// How the prediction converter merges per-instance predictions into
-    /// the tag-level prediction (the paper averages).
-    #[serde(default)]
-    pub converter: CombinationRule,
-}
-
-/// Serde default for fields that are true unless stated otherwise.
-fn default_true() -> bool {
-    true
 }
 
 /// Counts accepted (warning-severity) analysis diagnostics in the metrics
@@ -189,15 +170,12 @@ fn record_diagnostics(diagnostics: &[Diagnostic]) {
 impl Default for LsdConfig {
     fn default() -> Self {
         LsdConfig {
-            cv_folds: 5,
             seed: 0,
             alpha: 1.0,
             search: SearchConfig::default(),
             candidate_limit: ConstraintHandler::DEFAULT_CANDIDATE_LIMIT,
             max_train_instances_per_tag: 40,
             max_match_instances_per_tag: 25,
-            train_meta: true,
-            converter: CombinationRule::default(),
         }
     }
 }
@@ -280,7 +258,6 @@ impl LsdBuilder {
             learners.push(Box::new(xl) as Box<dyn BaseLearner>);
             learners.len() - 1
         });
-        let num = learners.len();
         let handler = ConstraintHandler::new(self.constraints)
             .with_config(self.config.search)
             .with_candidate_limit(self.config.candidate_limit);
@@ -290,7 +267,6 @@ impl LsdBuilder {
             labels: self.labels,
             learners,
             xml_index,
-            meta: MetaLearner::uniform(0, num.max(1)),
             handler,
             compiled,
             config: self.config,
@@ -309,7 +285,6 @@ pub struct Lsd {
     pub(crate) learners: Vec<Box<dyn BaseLearner>>,
     /// Index of the XML learner within `learners`, if present.
     pub(crate) xml_index: Option<usize>,
-    pub(crate) meta: MetaLearner,
     pub(crate) handler: ConstraintHandler,
     /// The domain constraints compiled against `labels`, kept in lockstep
     /// with `handler` by [`Lsd::set_constraints`] — every match path shares
@@ -330,7 +305,7 @@ pub struct Lsd {
 pub struct LabelCandidate {
     /// The mediated-schema label name.
     pub label: String,
-    /// The combined tag-level score (post meta-learner and converter) —
+    /// The combined tag-level score (post combination and converter) —
     /// the value the constraint handler ranked this label by.
     pub score: f64,
     /// Per-learner tag-level scores for this label, parallel to
@@ -346,7 +321,7 @@ pub struct LabelCandidate {
 pub struct MatchOutcome {
     /// The source tags that were matched, in schema declaration order.
     pub tags: Vec<String>,
-    /// Final tag-level predictions (post meta-learner and converter),
+    /// Final tag-level predictions (post combination and converter),
     /// parallel to `tags`.
     pub predictions: Vec<Prediction>,
     /// The constraint handler's output, parallel to `tags`.
@@ -365,9 +340,6 @@ pub struct MatchOutcome {
     pub(crate) candidates: Vec<Vec<LabelCandidate>>,
     /// Instances examined per tag, parallel to `tags`.
     pub(crate) instances_examined: Vec<usize>,
-    /// The meta-learner's `weights[label][learner]` matrix at match time
-    /// (snapshotted so explanations outlive the system).
-    pub(crate) meta_weights: Vec<Vec<f64>>,
     /// `rejections[t][rank]` — why candidate `rank` of tag `t` lost,
     /// parallel to `candidates`. `None` for the chosen label, candidates
     /// ranked below it, and throughout infeasible mappings.
@@ -426,11 +398,6 @@ impl Lsd {
     /// Names of the base learners, in combination order.
     pub fn learner_names(&self) -> Vec<&'static str> {
         self.learners.iter().map(|l| l.name()).collect()
-    }
-
-    /// The trained meta-learner weights.
-    pub fn meta_learner(&self) -> &MetaLearner {
-        &self.meta
     }
 
     /// Runs the static-analysis pass over the mediated schema and the
@@ -504,15 +471,13 @@ impl Lsd {
         Ok(())
     }
 
-    /// Trains the base learners and the meta-learner on user-mapped sources
-    /// (Section 3.1). Retrains from scratch on each call; to *add* a source
-    /// incrementally (the paper's "reuse past matchings" loop), call again
-    /// with the extended source list.
+    /// Trains the base learners on user-mapped sources (Section 3.1).
+    /// Retrains from scratch on each call; to *add* a source incrementally
+    /// (the paper's "reuse past matchings" loop), call again with the
+    /// extended source list or use [`Self::train_incremental`].
     ///
-    /// Training is internally parallel: base learners train concurrently
-    /// (one scoped thread each), and the meta-learner's cross-validation
-    /// runs learners and folds concurrently under the default
-    /// [`ExecPolicy`]. Results are identical to serial execution.
+    /// Base learners train concurrently, one scoped thread each. Results
+    /// are identical to serial execution.
     ///
     /// # Errors
     /// [`LsdError::Analysis`] if the static-analysis pass finds
@@ -533,7 +498,7 @@ impl Lsd {
             return Err(LsdError::Analysis { diagnostics });
         }
         record_diagnostics(&diagnostics);
-        let (examples, groups) = self.training_examples(sources);
+        let examples = self.training_examples(sources);
         if examples.is_empty() {
             return Err(LsdError::NoTrainingData);
         }
@@ -560,9 +525,14 @@ impl Lsd {
             let _stage = lsd_obs::span!("train.base_learners");
             if self.learners.len() > 1 {
                 let refs = &refs;
+                // Each worker flushes its metric shard: the scope's implicit
+                // wait can return before a worker's TLS destructor merges it.
                 std::thread::scope(|scope| {
                     for learner in &mut self.learners {
-                        scope.spawn(move || train_timed(learner, refs));
+                        scope.spawn(move || {
+                            train_timed(learner, refs);
+                            lsd_obs::flush();
+                        });
                     }
                 });
             } else {
@@ -572,41 +542,6 @@ impl Lsd {
             }
         }
 
-        if !self.config.train_meta {
-            self.meta = MetaLearner::uniform(self.labels.len(), self.learners.len());
-            self.record_provenance(sources);
-            self.trained = true;
-            return Ok(());
-        }
-
-        // Meta-learner: cross-validated predictions per learner, then
-        // per-label non-negative least-squares regression. Folds are
-        // grouped by (source, tag): instances of one tag are
-        // near-duplicates for the name matcher, and example-level folds
-        // would leak them across the split, inflating its weight.
-        //
-        // Parallelism picks one level to avoid oversubscription: with
-        // several learners the learners run concurrently (folds serial
-        // within each); a single learner parallelizes its folds instead.
-        let _meta_span = lsd_obs::span!("train.meta");
-        let truths: Vec<usize> = examples.iter().map(|(_, l)| *l).collect();
-        let (learner_policy, fold_policy) = if self.learners.len() > 1 {
-            (ExecPolicy::default(), ExecPolicy::serial())
-        } else {
-            (ExecPolicy::serial(), ExecPolicy::default())
-        };
-        let cv_sets: Vec<Vec<Prediction>> =
-            parallel_map(&self.learners, &learner_policy, |_, learner| {
-                cross_validation_predictions_grouped(
-                    &refs,
-                    &groups,
-                    self.config.cv_folds,
-                    self.config.seed,
-                    &fold_policy,
-                    || learner.fresh(),
-                )
-            });
-        self.meta = MetaLearner::train(&cv_sets, &truths, self.labels.len());
         self.record_provenance(sources);
         self.trained = true;
         Ok(())
@@ -652,14 +587,12 @@ impl Lsd {
     /// warm-starting every base learner from its current state — the
     /// retrain step of the online feedback loop, where a correction batch
     /// becomes one small [`TrainedSource`] and a full retrain would be
-    /// wasteful. Meta-learner weights are kept (re-fitting them needs the
-    /// original example set, which a warm-started system no longer holds);
-    /// provenance entries are appended rather than replaced.
+    /// wasteful. Provenance entries are appended rather than replaced.
     ///
     /// As long as no tag's training data exceeds
-    /// [`LsdConfig::max_train_instances_per_tag`], the resulting base
-    /// learners are identical to a full [`Self::train`] over the
-    /// concatenated source list: warm-start is exact, not approximate.
+    /// [`LsdConfig::max_train_instances_per_tag`], the resulting system is
+    /// identical to a full [`Self::train`] over the concatenated source
+    /// list: warm-start is exact, not approximate.
     /// Above the cap, subsampling draws differ between the two paths.
     ///
     /// # Errors
@@ -688,7 +621,7 @@ impl Lsd {
                 learner: learner.name().to_string(),
             });
         }
-        let (examples, _groups) = self.training_examples(additional);
+        let examples = self.training_examples(additional);
         if examples.is_empty() {
             return Err(LsdError::NoTrainingData);
         }
@@ -712,7 +645,10 @@ impl Lsd {
             let refs = &refs;
             std::thread::scope(|scope| {
                 for learner in &mut self.learners {
-                    scope.spawn(move || warm_timed(learner, refs));
+                    scope.spawn(move || {
+                        warm_timed(learner, refs);
+                        lsd_obs::flush();
+                    });
                 }
             });
         } else {
@@ -749,13 +685,10 @@ impl Lsd {
     /// Creates the labelled training instances for all sources: one example
     /// per extracted element occurrence, labelled via the user mapping
     /// (`OTHER` when unmapped), with true structure labels attached for the
-    /// XML learner. The second return value holds one CV group id per
-    /// example — examples of the same (source, tag) share a group.
-    fn training_examples(&self, sources: &[TrainedSource]) -> (Vec<(Instance, usize)>, Vec<usize>) {
+    /// XML learner.
+    fn training_examples(&self, sources: &[TrainedSource]) -> Vec<(Instance, usize)> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut examples = Vec::new();
-        let mut groups = Vec::new();
-        let mut next_group = 0usize;
         for ts in sources {
             let tag_labels: HashMap<String, usize> = ts
                 .source
@@ -780,15 +713,12 @@ impl Lsd {
                     continue;
                 };
                 let kept = walk.sample(tag, self.config.max_train_instances_per_tag, &mut rng);
-                let group = next_group;
-                next_group += 1;
                 for id in kept {
                     examples.push((walk.instance(id).with_sub_labels(tag_labels.clone()), label));
-                    groups.push(group);
                 }
             }
         }
-        (examples, groups)
+        examples
     }
 
     /// `Err(NotTrained)` unless [`Self::train`] has completed.
@@ -851,7 +781,7 @@ impl Lsd {
     }
 
     /// [`Self::train`] wrapped in an observability collection: returns a
-    /// [`TrainReport`] with per-learner train wall time, fold counts and
+    /// [`TrainReport`] with per-learner train wall time, example counts and
     /// the full metrics snapshot. Observability is enabled only for the
     /// duration of the call.
     ///
@@ -982,19 +912,15 @@ impl Lsd {
                     .collect();
                 let combined: Vec<Prediction> = per_instance
                     .iter()
-                    .map(|preds| self.meta.combine_subset(preds, &stage1_learners))
+                    .map(|preds| combine_learners(preds, num_learners, self.labels.len()))
                     .collect();
-                tag_predictions.push(convert_column(
-                    &combined,
-                    self.labels.len(),
-                    self.config.converter,
-                ));
+                tag_predictions.push(convert_column(&combined, self.labels.len()));
                 stage1_instance_preds.push(per_instance);
             }
         }
 
         // Stage 2: the XML learner votes with the stage-1 labelling as
-        // structural context, and the meta-learner re-combines everything.
+        // structural context, and every learner's vote is re-combined.
         // Its per-instance predictions are kept so the per-learner views
         // below need no second predict pass.
         let mut xml_instance_preds: Vec<Vec<Prediction>> = vec![Vec::new(); tags.len()];
@@ -1041,11 +967,10 @@ impl Lsd {
                             }
                         }
                         xml_preds.push(xml_pred);
-                        self.meta.combine(&all)
+                        combine_learners(&all, num_learners, self.labels.len())
                     })
                     .collect();
-                tag_predictions[ti] =
-                    convert_column(&combined, self.labels.len(), self.config.converter);
+                tag_predictions[ti] = convert_column(&combined, self.labels.len());
                 xml_instance_preds[ti] = xml_preds;
             }
         }
@@ -1075,7 +1000,7 @@ impl Lsd {
                                 .expect("stage-1 learner index");
                             stage1.iter().map(|preds| preds[pos].clone()).collect()
                         };
-                        convert_column(&column, self.labels.len(), self.config.converter)
+                        convert_column(&column, self.labels.len())
                     })
                     .collect()
             })
@@ -1166,7 +1091,6 @@ impl Lsd {
             per_learner,
             candidates,
             instances_examined,
-            meta_weights: self.meta.weight_matrix().to_vec(),
             rejections,
         })
     }
@@ -1297,7 +1221,7 @@ pub struct TagExplanation {
     /// `(learner name, tag-level prediction)` per base learner, in
     /// combination order.
     pub per_learner: Vec<(String, Prediction)>,
-    /// The meta-combined, converted prediction the constraint handler saw.
+    /// The combined, converted prediction the constraint handler saw.
     pub combined: Prediction,
     /// How many instances of the tag were examined.
     pub instances_examined: usize,
@@ -1562,18 +1486,6 @@ mod tests {
             lsd.learner_names(),
             vec!["name-matcher", "content-matcher", "naive-bayes"]
         );
-    }
-
-    #[test]
-    fn meta_weights_are_trained() {
-        let mut lsd = build_system();
-        lsd.train(&[realestate(), homeseekers()]).unwrap();
-        let ml = lsd.meta_learner();
-        assert_eq!(ml.num_labels(), lsd.labels().len());
-        assert_eq!(ml.num_learners(), 3);
-        // Weights are non-uniform after training on real data.
-        let uniform = MetaLearner::uniform(lsd.labels().len(), 3);
-        assert_ne!(ml, &uniform);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the core pipeline's building blocks:
-//! instance extraction, the meta-learner and the converter.
+//! instance extraction, the learner combination and the converter.
 
-use lsd_core::{convert_column, CombinationRule, Instance, MetaLearner, SourceData, SourceWalk};
+use lsd_core::{combine_learners, convert_column, Instance, SourceData, SourceWalk};
 use lsd_learn::Prediction;
 use lsd_xml::{Element, Node};
 use proptest::prelude::*;
@@ -180,52 +180,38 @@ proptest! {
         }
     }
 
-    /// Meta-learner training on arbitrary CV sets yields non-negative
-    /// weights, and its combinations are distributions for full learner
-    /// sets and subsets alike.
+    /// The equal-weight combination is a distribution for full learner
+    /// sets and subsets alike, and a subset scores like the same learners
+    /// combined on their own.
     #[test]
-    fn meta_combination_is_distribution(
-        cv_scores in prop::collection::vec(
-            prop::collection::vec(prop::collection::vec(0.01f64..1.0, 4), 10),
-            3,
-        ),
-        truths in prop::collection::vec(0usize..4, 10),
+    fn learner_combination_is_distribution(
         scores in prop::collection::vec(prop::collection::vec(0.01f64..1.0, 4), 3),
     ) {
-        // 3 learners x 10 CV examples x 4 labels.
-        let cv: Vec<Vec<Prediction>> = cv_scores
-            .into_iter()
-            .map(|learner| learner.into_iter().map(Prediction::from_scores).collect())
-            .collect();
-        let ml = MetaLearner::train(&cv, &truths, 4);
-        for label in 0..4 {
-            for learner in 0..3 {
-                prop_assert!(ml.weight(label, learner) >= 0.0);
-            }
-        }
         let preds: Vec<Prediction> =
             scores.into_iter().map(Prediction::from_scores).collect();
-        let combined = ml.combine(&preds);
+        let combined = combine_learners(&preds, 3, 4);
         prop_assert!((combined.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let subset = ml.combine_subset(&preds[..2], &[0, 2]);
+        let subset = combine_learners(&preds[..2], 3, 4);
         prop_assert!((subset.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        let pair = combine_learners(&preds[..2], 2, 4);
+        for l in 0..4 {
+            prop_assert!((subset.score(l) - pair.score(l)).abs() < 1e-9);
+        }
     }
 
-    /// Every converter rule returns a distribution and agrees with the
+    /// The converter returns a distribution and agrees with the
     /// single-instance identity.
     #[test]
-    fn converter_rules_well_behaved(
+    fn converter_is_well_behaved(
         column in prop::collection::vec(prop::collection::vec(0.01f64..1.0, 5), 1..8),
     ) {
         let preds: Vec<Prediction> =
             column.into_iter().map(Prediction::from_scores).collect();
-        for rule in [CombinationRule::Average, CombinationRule::Max, CombinationRule::Median] {
-            let out = convert_column(&preds, 5, rule);
-            prop_assert!((out.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9, "{rule:?}");
-            if preds.len() == 1 {
-                for l in 0..5 {
-                    prop_assert!((out.score(l) - preds[0].score(l)).abs() < 1e-9);
-                }
+        let out = convert_column(&preds, 5);
+        prop_assert!((out.scores().iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        if preds.len() == 1 {
+            for l in 0..5 {
+                prop_assert!((out.score(l) - preds[0].score(l)).abs() < 1e-9);
             }
         }
     }

@@ -9,7 +9,6 @@
 //! log space for numerical stability.
 
 use crate::prediction::Prediction;
-use crate::Classifier;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -296,19 +295,6 @@ impl NaiveBayes {
     }
 }
 
-impl Classifier<[String]> for NaiveBayes {
-    fn train(&mut self, examples: &[(&[String], usize)]) {
-        *self = NaiveBayes::new(self.num_labels, self.config);
-        for (tokens, label) in examples {
-            self.add_example(tokens, *label);
-        }
-    }
-
-    fn predict(&self, example: &[String]) -> Prediction {
-        self.predict_tokens(example)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,18 +493,6 @@ mod tests {
         );
         assert_eq!(pw.best_label(), 0);
         assert_eq!(ps.best_label(), 0);
-    }
-
-    #[test]
-    fn classifier_trait_retrains_from_scratch() {
-        let mut nb = NaiveBayes::new(2, NaiveBayesConfig::default());
-        let a = toks("old data");
-        nb.train(&[(a.as_slice(), 0)]);
-        let b = toks("new tokens");
-        nb.train(&[(b.as_slice(), 1)]);
-        // After retraining, "old data" is no longer known to class 0.
-        assert_eq!(nb.vocab_size(), 2);
-        assert_eq!(nb.predict_tokens(&toks("new")).best_label(), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Thread-pool-free parallel execution on top of [`std::thread::scope`].
 //!
-//! LSD's workloads are embarrassingly parallel at two granularities — the
-//! d = 5 cross-validation folds inside [`crate::cross_validation_predictions`]
-//! and the per-source fan-out of `Lsd::match_batch` — and none of them need
-//! a persistent pool: scoped threads are spawned per call, borrow the
-//! shared read-only state directly, and join before the call returns. No
-//! external crates, no `'static` bounds, no channels.
+//! LSD's batch workload — the per-source fan-out of `Lsd::match_batch` — is
+//! embarrassingly parallel and needs no persistent pool: scoped threads are
+//! spawned per call, borrow the shared read-only state directly, and join
+//! before the call returns. No external crates, no `'static` bounds, no
+//! channels.
 //!
 //! Output order is **always** input order: every job writes its result into
 //! its own index slot, so the caller observes byte-identical results
@@ -41,14 +40,6 @@ impl Default for ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Everything on the calling thread.
-    pub fn serial() -> Self {
-        ExecPolicy {
-            threads: 1,
-            deterministic_order: true,
-        }
-    }
-
     /// A fixed worker count with the default (deterministic) scheduling.
     pub fn with_threads(threads: usize) -> Self {
         ExecPolicy {
@@ -158,7 +149,7 @@ mod tests {
         let items: Vec<usize> = (0..97).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * 3).collect();
         for policy in [
-            ExecPolicy::serial(),
+            ExecPolicy::with_threads(1),
             ExecPolicy::with_threads(2),
             ExecPolicy::with_threads(8),
             ExecPolicy {
@@ -192,7 +183,7 @@ mod tests {
     fn effective_threads_clamps_to_jobs() {
         assert_eq!(ExecPolicy::with_threads(8).effective_threads(3), 3);
         assert_eq!(ExecPolicy::with_threads(2).effective_threads(100), 2);
-        assert_eq!(ExecPolicy::serial().effective_threads(100), 1);
+        assert_eq!(ExecPolicy::with_threads(1).effective_threads(100), 1);
         assert!(ExecPolicy::default().effective_threads(100) >= 1);
     }
 

@@ -1,8 +1,6 @@
 //! Property-based tests for the learning framework.
 
-use lsd_learn::{
-    fold_assignments, linear_least_squares, nonnegative_least_squares, LabelSet, Prediction,
-};
+use lsd_learn::{LabelSet, Prediction};
 use proptest::prelude::*;
 
 proptest! {
@@ -44,69 +42,6 @@ proptest! {
             .map(|(i, _)| i)
             .expect("non-empty");
         prop_assert_eq!(p.best_label(), arg_logs);
-    }
-
-    /// Fold assignments are balanced (sizes differ by at most one) and
-    /// deterministic in the seed.
-    #[test]
-    fn folds_balanced(n in 1usize..200, d in 2usize..8, seed in any::<u64>()) {
-        let folds = fold_assignments(n, d, seed);
-        prop_assert_eq!(folds.clone(), fold_assignments(n, d, seed));
-        let mut counts = vec![0usize; d];
-        for f in &folds {
-            prop_assert!(*f < d);
-            counts[*f] += 1;
-        }
-        let max = counts.iter().max().expect("non-empty");
-        let min = counts.iter().min().expect("non-empty");
-        prop_assert!(max - min <= 1, "{counts:?}");
-    }
-
-    /// NNLS weights are always non-negative, and its residual is never
-    /// more than a hair worse than unconstrained least squares clamped at
-    /// zero would suggest (sanity: it actually fits).
-    #[test]
-    fn nnls_nonnegative_and_fits(
-        rows in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 3), 3..20),
-        true_w in prop::collection::vec(0.0f64..2.0, 3),
-    ) {
-        let y: Vec<f64> = rows
-            .iter()
-            .map(|r| r.iter().zip(&true_w).map(|(x, w)| x * w).sum())
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let w = nonnegative_least_squares(&refs, &y, 1e-9);
-        prop_assert!(w.iter().all(|&x| x >= 0.0), "{w:?}");
-        // The generating weights are non-negative, so NNLS must reach
-        // (near-)zero residual.
-        let rss: f64 = rows
-            .iter()
-            .zip(&y)
-            .map(|(r, &target)| {
-                let fit: f64 = r.iter().zip(&w).map(|(x, wi)| x * wi).sum();
-                (fit - target) * (fit - target)
-            })
-            .sum();
-        prop_assert!(rss < 1e-6, "rss = {rss}, w = {w:?}, true = {true_w:?}");
-    }
-
-    /// Plain least squares reproduces exact linear relationships.
-    #[test]
-    fn ls_exact_recovery(
-        rows in prop::collection::vec(prop::collection::vec(-5.0f64..5.0, 2), 8..20),
-        w0 in -3.0f64..3.0,
-        w1 in -3.0f64..3.0,
-    ) {
-        // Ensure the design matrix is not rank-deficient.
-        let distinct = rows.windows(2).any(|p| {
-            (p[0][0] * p[1][1] - p[0][1] * p[1][0]).abs() > 1e-3
-        });
-        prop_assume!(distinct);
-        let y: Vec<f64> = rows.iter().map(|r| w0 * r[0] + w1 * r[1]).collect();
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let w = linear_least_squares(&refs, &y, 0.0);
-        prop_assert!((w[0] - w0).abs() < 1e-6, "{w:?} vs ({w0}, {w1})");
-        prop_assert!((w[1] - w1).abs() < 1e-6);
     }
 
     /// Label sets index consistently for arbitrary distinct names.

@@ -122,7 +122,7 @@ type Key = (&'static str, &'static str);
 /// thread when this one was entered, or `None` for a root span.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpanRecord {
-    /// Static span name, e.g. `"train.cv_fold"`.
+    /// Static span name, e.g. `"train.base_learners"`.
     pub name: &'static str,
     /// Optional static label, e.g. a learner name. Empty when unused.
     pub label: &'static str,
@@ -576,7 +576,7 @@ impl Drop for SpanGuard {
 /// Opens a tracing span for the enclosing scope.
 ///
 /// ```
-/// let _span = lsd_obs::span!("train.cv_fold");
+/// let _span = lsd_obs::span!("train.base_learners");
 /// let _labeled = lsd_obs::span!("learner.train", "naive_bayes");
 /// ```
 #[macro_export]

@@ -255,7 +255,7 @@ mod tests {
             (
                 ServeError::AuditFailed {
                     name: "m".into(),
-                    detail: "LSD202: non-finite weight".into(),
+                    detail: "LSD206: label set disagrees with the mediated DTD".into(),
                 },
                 422,
             ),

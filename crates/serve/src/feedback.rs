@@ -252,7 +252,7 @@ fn retrain_one(
         .map_err(|e| internal(format!("cannot write retrained snapshot: {e}")))?;
 
     // Pre-hot-swap audit, always strict regardless of the registry's mode:
-    // a corrupted warm-start (non-finite weights, label skew, a fold point
+    // a corrupted warm-start (an empty learner, label skew, a fold point
     // the WAL cannot back) must never replace the on-disk snapshot, let
     // alone be promoted to a live generation. On failure the temp file is
     // removed and the served model keeps running on its old generation; the

@@ -408,10 +408,6 @@ mod tests {
             assert!(instance.text() != "boom", "learner hit a boom");
             lsd_learn::Prediction::uniform(2)
         }
-
-        fn fresh(&self) -> Box<dyn lsd_core::learners::BaseLearner> {
-            Box::new(PanicsOnBoom)
-        }
     }
 
     fn source(text: &str) -> Source {

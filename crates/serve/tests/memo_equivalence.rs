@@ -34,10 +34,6 @@ impl BaseLearner for Unmemoized {
         Reads::Instance
     }
 
-    fn fresh(&self) -> Box<dyn BaseLearner> {
-        Box::new(Unmemoized(self.0.fresh()))
-    }
-
     fn supports_warm_start(&self) -> bool {
         self.0.supports_warm_start()
     }

@@ -4,6 +4,9 @@
 //! report entry points (`train_with_report`, `match_source_with_report`,
 //! `train_incremental` under `collect`), then fails on any recorded key
 //! whose base name, or whose `span/<name>` label, has no row in the table.
+//! The other direction is a static scan: every row must name a metric or
+//! span whose string literal still occurs in some crate's `src`, so a row
+//! outlives neither its code nor a rename.
 //!
 //! It lives in its own file so it runs in its own process: recording is
 //! process-wide, and no other test's probes may land in its snapshots.
@@ -18,6 +21,7 @@ use lsd_xml::{parse_dtd, parse_fragment};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 const MEDIATED: &str = "<!ELEMENT HOUSE (ADDRESS, DESCRIPTION, PHONE)>\n\
@@ -314,7 +318,7 @@ fn every_recorded_metric_and_span_is_catalogued() {
         recorded.extend(keys(&snapshot));
     }
     for key in [
-        "crossval.folds",
+        "train.examples",
         "search.runs",
         "span/match.stage2",
         "train.incremental_examples",
@@ -333,5 +337,39 @@ fn every_recorded_metric_and_span_is_catalogued() {
     assert!(
         missing.is_empty(),
         "recorded but missing from DESIGN.md's Metric catalogue: {missing:?}"
+    );
+}
+
+/// The text of every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).expect("source dir readable") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).expect("source readable"));
+        }
+    }
+}
+
+#[test]
+fn every_catalogued_name_still_occurs_in_the_sources() {
+    let (metrics, spans) = catalogue();
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut text = String::new();
+    for entry in std::fs::read_dir(&crates).expect("crates dir readable") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut text);
+        }
+    }
+    let stale: Vec<&String> = metrics
+        .iter()
+        .chain(&spans)
+        .filter(|name| !text.contains(&format!("\"{name}\"")))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md's Metric catalogue names no longer in any crates/*/src: {stale:?}"
     );
 }

@@ -75,47 +75,65 @@ fn train_model() -> Lsd {
     lsd
 }
 
-/// Replaces the first meta-learner stacking weight in snapshot `text` with
-/// the literal `replacement` (e.g. `1e999`, which parses to `f64::INFINITY`
-/// — valid JSON, a valid `f64`, and invisible to everything but the audit).
-fn poison_first_weight(text: &str, replacement: &str) -> String {
-    let weights = text
-        .find("\"weights\"")
-        .expect("weights matrix in snapshot");
-    let start = weights
-        + text[weights..]
+/// Renames the mediated `PHONE` element to `FAX` in snapshot `text`'s
+/// stored DTD, leaving the label set as it was — valid JSON, a valid DTD,
+/// and invisible to everything but the audit.
+fn rename_mediated_element(text: &str) -> String {
+    text.lines()
+        .map(|line| {
+            if line.trim_start().starts_with("\"mediated_dtd\"") {
+                line.replace("PHONE", "FAX")
+            } else {
+                line.to_string()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Replaces the number after the first `"key"` in snapshot `text` with the
+/// literal `replacement`.
+fn replace_number(text: &str, key: &str, replacement: &str) -> String {
+    let at = text
+        .find(&format!("\"{key}\""))
+        .unwrap_or_else(|| panic!("`{key}` in snapshot"));
+    let start = at
+        + text[at..]
             .find(|c: char| c.is_ascii_digit() || c == '-')
-            .expect("a first weight");
+            .expect("a number");
     let len = text[start..]
         .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .expect("weight ends");
+        .expect("number ends");
     format!("{}{replacement}{}", &text[..start], &text[start + len..])
 }
 
-/// Writes one healthy snapshot and one copy whose first stacking weight is
-/// `Infinity` — it deserializes fine and passes `ensure_servable` (which
-/// checks schemas and constraints, not artifact bytes); only the artifact
-/// audit sees it (`LSD202`).
+/// Writes one healthy snapshot and one copy whose mediated DTD no longer
+/// names one of its labels — it deserializes fine and passes
+/// `ensure_servable` (which lints the schema and the constraints, not the
+/// label set against the schema); only the artifact audit sees it
+/// (`LSD206`).
 fn write_healthy_and_poisoned(dir: &Path) {
     let healthy = dir.join("healthy.json");
     train_model().save_json(&healthy).expect("saves");
     let text = std::fs::read_to_string(&healthy).expect("reads");
-    std::fs::write(
-        dir.join("poisoned.json"),
-        poison_first_weight(&text, "1e999"),
-    )
-    .expect("writes");
+    let poisoned = rename_mediated_element(&text);
+    assert_ne!(poisoned, text, "the snapshot stores its mediated DTD");
+    std::fs::write(dir.join("poisoned.json"), poisoned).expect("writes");
 }
 
 #[test]
 fn strict_registry_refuses_the_poisoned_model_and_serves_the_healthy_one() {
     let dir = temp_dir("strict");
     write_healthy_and_poisoned(&dir);
-    // A NaN weight can only appear in JSON as `null`; the deserializer
-    // refuses that one layer earlier, as ModelInvalid rather than
+    // A NaN can only appear in JSON as `null`; the deserializer refuses a
+    // NaN `alpha` one layer earlier, as ModelInvalid rather than
     // AuditFailed. Either way the model never serves.
     let healthy = std::fs::read_to_string(dir.join("healthy.json")).expect("reads");
-    std::fs::write(dir.join("nan.json"), poison_first_weight(&healthy, "null")).expect("writes");
+    std::fs::write(
+        dir.join("nan.json"),
+        replace_number(&healthy, "alpha", "null"),
+    )
+    .expect("writes");
 
     let registry = ModelRegistry::open_with(&dir, AuditMode::Strict).expect("opens");
     assert_eq!(registry.audit_mode(), AuditMode::Strict);
@@ -130,7 +148,7 @@ fn strict_registry_refuses_the_poisoned_model_and_serves_the_healthy_one() {
     let listing = registry.list_json();
     assert!(listing.contains("poisoned"), "failure listed: {listing}");
     assert!(
-        listing.contains("LSD202"),
+        listing.contains("LSD206"),
         "failure carries the code: {listing}"
     );
     assert!(

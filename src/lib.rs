@@ -11,11 +11,11 @@
 //!   rustc-style rendering ([`lsd_analysis`]); `Error`-severity findings
 //!   gate [`Lsd`]'s `train`/`set_constraints`.
 //! - [`text`] — tokenizer, Porter stemmer, TF/IDF, WHIRL ([`lsd_text`]).
-//! - [`learn`] — learner traits, cross-validation, regression ([`lsd_learn`]).
+//! - [`learn`] — label sets, predictions, Naive Bayes, metrics ([`lsd_learn`]).
 //! - [`constraints`] — domain constraints and the A\* constraint handler
 //!   ([`lsd_constraints`]).
-//! - [`core`] — the LSD system itself: base learners, meta-learner,
-//!   prediction converter, train/match pipeline ([`lsd_core`]).
+//! - [`core`] — the LSD system itself: base learners, their equal-weight
+//!   combination, prediction converter, train/match pipeline ([`lsd_core`]).
 //! - [`datagen`] — synthetic versions of the paper's four evaluation domains
 //!   ([`lsd_datagen`]).
 //! - [`obs`] — zero-dependency tracing spans and metrics registry

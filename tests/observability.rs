@@ -83,7 +83,7 @@ fn match_report_counts_search_work_and_learner_time() {
 }
 
 #[test]
-fn train_report_counts_folds_and_learner_time() {
+fn train_report_counts_examples_and_learner_time() {
     let _serial = serial();
     let domain = DomainId::FacultyListings.generate(6, 3);
     let builder = LsdBuilder::new(&domain.mediated).with_config(LsdConfig::default());
@@ -102,8 +102,7 @@ fn train_report_counts_folds_and_learner_time() {
         .collect();
     let report = lsd.train_with_report(&training).unwrap();
     assert!(report.examples() > 0);
-    // d = 5 folds per learner.
-    assert_eq!(report.cv_folds(), 2 * 5);
+    assert_eq!(report.metrics.counter("train.sources"), 3);
     for name in lsd.learner_names() {
         let nanos = report.train_nanos();
         let entry = nanos

@@ -3,10 +3,10 @@
 //! produce the *same model*, byte for byte — the property the serve-side
 //! retrain worker's correctness rests on.
 //!
-//! `train_meta: false` keeps the stacking weights uniform on both paths
-//! (the incremental path deliberately does not refit them), and listing
-//! counts stay below the per-tag subsampling cap so neither path draws
-//! from the RNG.
+//! The systems are built as served, with `LsdConfig::default()`: learners
+//! combine with equal weights, so there is nothing the incremental path
+//! could leave stale. Listing counts stay below the per-tag subsampling cap
+//! so neither path draws from the RNG.
 
 use lsd::core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
 use lsd::core::{Lsd, LsdBuilder, LsdConfig, LsdError, Source, TrainedSource};
@@ -30,11 +30,7 @@ fn trained_sources(
 }
 
 fn build(domain: &lsd::datagen::GeneratedDomain) -> Lsd {
-    let config = LsdConfig {
-        train_meta: false,
-        ..LsdConfig::default()
-    };
-    let builder = LsdBuilder::new(&domain.mediated).with_config(config);
+    let builder = LsdBuilder::new(&domain.mediated).with_config(LsdConfig::default());
     let n = builder.labels().len();
     let pairs: Vec<(&str, &str)> = domain
         .synonyms
