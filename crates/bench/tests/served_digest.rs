@@ -6,8 +6,13 @@
 //! snapshotted, reloaded from that snapshot as `lsd-serve` would load it,
 //! and matched against held-out sources 3 and 4 three ways: plainly, and
 //! under feedback pinning the first two and the last two mapped tags (in
-//! schema order) to their true labels. Every `json::match_body` and
-//! `json::explain_body`, and every snapshot, is hashed (64-bit FNV-1a).
+//! schema order) to their true labels. Each held-out source is also
+//! served schemaless, through the readers `POST /v1/match` uses: as JSON
+//! (`emit_json`), as a bare XML container (`emit_bare_xml`), and as JSON
+//! whose i-th listing has every object's keys rotated left by i, which
+//! orders some siblings both ways and so reaches the inference catch-all.
+//! Every `json::match_body` and `json::explain_body`, and every snapshot,
+//! is hashed (64-bit FNV-1a).
 //!
 //! A change that claims "same output" passes this test unchanged. A change
 //! that moves the output on purpose regenerates the file in the same
@@ -17,13 +22,17 @@
 //! cargo test --release -p lsd-bench --test served_digest -- --ignored regenerate
 //! ```
 //!
-//! The sweep trains 24 models and serves 144 matches, so the check only
+//! The sweep trains 24 models and serves 288 matches, so the check only
 //! runs in release builds; debug builds skip it.
 
 use lsd_bench::{train_full_model, ExperimentParams};
-use lsd_core::{Correction, Feedback, Lsd, SavedModel, Source};
-use lsd_datagen::DomainId;
+use lsd_core::{
+    Correction, Feedback, JsonReader, Lsd, MatchOutcome, SavedModel, Source, SourceReader,
+    XmlReader,
+};
+use lsd_datagen::{emit_bare_xml, emit_json, DomainId, GeneratedSource};
 use lsd_serve::json;
+use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -39,6 +48,68 @@ fn fnv1a(bytes: &[u8]) -> String {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{hash:016x}")
+}
+
+/// Rotates every object's keys left by `by`, at every depth.
+fn rotate_keys(value: &mut Value, by: usize) {
+    match value {
+        Value::Map(entries) => {
+            if !entries.is_empty() {
+                let shift = by % entries.len();
+                entries.rotate_left(shift);
+            }
+            entries.iter_mut().for_each(|(_, v)| rotate_keys(v, by));
+        }
+        Value::Seq(items) => items.iter_mut().for_each(|v| rotate_keys(v, by)),
+        _ => {}
+    }
+}
+
+/// The source as `emit_json` serializes it, with the i-th listing's keys
+/// rotated left by i.
+fn rotated_json(generated: &GeneratedSource) -> Value {
+    let mut doc: Value = serde_json::from_str(&emit_json(generated)).expect("emitted JSON parses");
+    let Value::Seq(listings) = &mut doc else {
+        panic!("emit_json writes an array");
+    };
+    for (i, listing) in listings.iter_mut().enumerate() {
+        rotate_keys(listing, i);
+    }
+    doc
+}
+
+/// The held-out source served without its DTD, three ways, each read the
+/// way the server reads that media type.
+fn schemaless(generated: &GeneratedSource) -> [(&'static str, Source); 3] {
+    let read = |reader: &dyn SourceReader| {
+        Source::from_reader(generated.name.clone(), reader).expect("reads")
+    };
+    let rotated = read(&JsonReader::from_value(rotated_json(generated)));
+    let fallbacks = rotated.inferred.as_ref().map_or(0, |stats| stats.fallbacks);
+    assert!(
+        fallbacks > 0,
+        "{}: key-rotated JSON never reached the catch-all",
+        generated.name
+    );
+    [
+        ("json", read(&JsonReader::new(emit_json(generated)))),
+        (
+            "bare-xml",
+            read(&XmlReader::from_document(emit_bare_xml(generated))),
+        ),
+        ("json-rotated", rotated),
+    ]
+}
+
+fn insert_bodies(digests: &mut BTreeMap<String, String>, key: &str, outcome: &MatchOutcome) {
+    digests.insert(
+        format!("{key}/match"),
+        fnv1a(json::match_body("m", outcome).as_bytes()),
+    );
+    digests.insert(
+        format!("{key}/explain"),
+        fnv1a(json::explain_body("m", outcome).as_bytes()),
+    );
 }
 
 fn digest_path() -> PathBuf {
@@ -90,14 +161,12 @@ fn sweep() -> BTreeMap<String, String> {
                     for (variant, feedback) in variants {
                         let outcome = lsd.match_source_with(&source, &feedback).expect("matches");
                         let key = format!("{prefix}/{}/{variant}", generated.name);
-                        digests.insert(
-                            format!("{key}/match"),
-                            fnv1a(json::match_body("m", &outcome).as_bytes()),
-                        );
-                        digests.insert(
-                            format!("{key}/explain"),
-                            fnv1a(json::explain_body("m", &outcome).as_bytes()),
-                        );
+                        insert_bodies(&mut digests, &key, &outcome);
+                    }
+                    for (variant, source) in schemaless(generated) {
+                        let outcome = lsd.match_source(&source).expect("matches");
+                        let key = format!("{prefix}/{}/{variant}", generated.name);
+                        insert_bodies(&mut digests, &key, &outcome);
                     }
                 }
             }
