@@ -13,10 +13,8 @@
 //! **same** name appear together in `first` or in any `follow(p)` — exactly
 //! the condition under which the Glushkov automaton is nondeterministic.
 //!
-//! The construction itself is exposed as [`GlushkovAutomaton`] so that
-//! other crates (notably `lsd-infer`, which runs the construction "in
-//! reverse" to learn content models from instance data) can reuse the
-//! position/first/follow machinery instead of duplicating it.
+//! The construction itself is exposed as [`GlushkovAutomaton`], with its
+//! position, first, last and follow sets.
 
 use lsd_xml::{ContentModel, Occurrence};
 use std::collections::BTreeSet;
@@ -55,9 +53,8 @@ impl Ambiguity {
 /// Every element-name occurrence in the model is a *position*; the
 /// automaton records, for each position, which positions may follow it,
 /// which positions may start the content, which may end it, and whether
-/// the empty child sequence is accepted. This is both the substrate of the
-/// 1-unambiguity lint ([`check_one_unambiguous`]) and a reusable sequence
-/// acceptor ([`GlushkovAutomaton::accepts`]) for schema inference.
+/// the empty child sequence is accepted. This is the substrate of the
+/// 1-unambiguity lint ([`check_one_unambiguous`]).
 #[derive(Debug, Clone)]
 pub struct GlushkovAutomaton {
     /// `symbols[p]` — the element name at position `p`.
@@ -108,37 +105,6 @@ impl GlushkovAutomaton {
             }
         }
         None
-    }
-
-    /// Whether the model accepts the child-name sequence `names`, by
-    /// position-set simulation (correct whether or not the model is
-    /// deterministic).
-    pub fn accepts(&self, names: &[&str]) -> bool {
-        let mut current: BTreeSet<usize> = match names.first() {
-            None => return self.nullable,
-            Some(&name) => self
-                .first
-                .iter()
-                .copied()
-                .filter(|&p| self.symbols[p] == name)
-                .collect(),
-        };
-        for &name in &names[1..] {
-            let mut next = BTreeSet::new();
-            for &p in &current {
-                next.extend(
-                    self.follow[p]
-                        .iter()
-                        .copied()
-                        .filter(|&q| self.symbols[q] == name),
-                );
-            }
-            current = next;
-            if current.is_empty() {
-                return false;
-            }
-        }
-        current.iter().any(|p| self.last.contains(p))
     }
 
     /// Two distinct positions with the same symbol in `set`?
@@ -360,29 +326,18 @@ mod tests {
     }
 
     #[test]
-    fn automaton_accepts_matches_model_semantics() {
+    fn automaton_positions_follow_the_model() {
+        // Positions: a=0, b=1, c=2, d=3.
         let auto = GlushkovAutomaton::from_model(&parse_model("(a, b*, (c | d))"));
-        assert!(auto.accepts(&["a", "c"]));
-        assert!(auto.accepts(&["a", "b", "b", "d"]));
-        assert!(!auto.accepts(&["a"]));
-        assert!(!auto.accepts(&["b", "c"]));
-        assert!(!auto.accepts(&[]));
-        assert!(!auto.accepts(&["a", "c", "c"]));
+        assert_eq!(auto.symbols, ["a", "b", "c", "d"]);
+        assert_eq!(auto.first, BTreeSet::from([0]));
+        assert_eq!(auto.follow[0], BTreeSet::from([1, 2, 3]));
+        assert_eq!(auto.follow[1], BTreeSet::from([1, 2, 3]));
+        assert_eq!(auto.last, BTreeSet::from([2, 3]));
+        assert!(!auto.nullable);
 
         let nullable = GlushkovAutomaton::from_model(&parse_model("(a | b)*"));
         assert!(nullable.nullable);
-        assert!(nullable.accepts(&[]));
-        assert!(nullable.accepts(&["b", "a", "b"]));
-        assert!(!nullable.accepts(&["b", "x"]));
-    }
-
-    #[test]
-    fn accepts_is_correct_on_nondeterministic_models() {
-        // Position-set simulation does not require 1-unambiguity.
-        let auto = GlushkovAutomaton::from_model(&parse_model("((a, b) | (a, c))"));
-        assert!(auto.ambiguity().is_some());
-        assert!(auto.accepts(&["a", "b"]));
-        assert!(auto.accepts(&["a", "c"]));
-        assert!(!auto.accepts(&["a"]));
+        assert_eq!(nullable.follow[0], BTreeSet::from([0, 1]));
     }
 }

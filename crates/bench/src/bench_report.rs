@@ -436,7 +436,7 @@ pub fn validate_bench_serve(text: &str) -> Result<(), String> {
 }
 
 /// Version stamp written into (and demanded from) `BENCH_infer.json`.
-pub const BENCH_INFER_SCHEMA_VERSION: i64 = 1;
+pub const BENCH_INFER_SCHEMA_VERSION: i64 = 2;
 
 /// One DTD-less corpus the `lsd-infer` binary learned a schema from,
 /// ready to render into `BENCH_infer.json`.
@@ -453,18 +453,14 @@ pub struct InferBenchCorpus {
     pub wall_ns: u64,
     /// Elements the learned DTD declares.
     pub elements: usize,
-    /// Single-occurrence-automaton edges summed over all elements — the
-    /// structural size inference had to rewrite.
-    pub edges: usize,
-    /// Elements whose model generalizes beyond the literal corpus
-    /// (`?`/`*`/`+` factoring, k-ORE escalation).
+    /// Occurrence factors (`?`/`*`/`+`) across the learned chains.
     pub generalizations: usize,
-    /// Elements that fell back to CHARE or the catch-all expression.
+    /// Elements whose content model is the catch-all `(a | b | …)*`.
     pub fallbacks: usize,
 }
 
 impl InferBenchCorpus {
-    /// Share of elements that needed a fallback model (0 when the corpus
+    /// Share of elements that got the catch-all (0 when the corpus
     /// declared no elements).
     pub fn fallback_rate(&self) -> f64 {
         if self.elements == 0 {
@@ -476,7 +472,7 @@ impl InferBenchCorpus {
 }
 
 /// Renders an `lsd-infer` run as the `BENCH_infer.json` document (schema
-/// version 1): per-corpus inference wall time, element/edge counts, and
+/// version 2): per-corpus inference wall time, element counts, and
 /// the generalization/fallback rates CI tracks across commits.
 pub fn bench_infer_json(listings: usize, seed: u64, corpora: &[InferBenchCorpus]) -> String {
     let corpora_value = Value::Map(
@@ -491,7 +487,6 @@ pub fn bench_infer_json(listings: usize, seed: u64, corpora: &[InferBenchCorpus]
                         ("wall_ns", int(c.wall_ns)),
                         ("wall_ms", Value::Float(c.wall_ns as f64 / 1e6)),
                         ("elements", int(c.elements as u64)),
-                        ("edges", int(c.edges as u64)),
                         ("generalizations", int(c.generalizations as u64)),
                         ("fallbacks", int(c.fallbacks as u64)),
                         ("fallback_rate", Value::Float(c.fallback_rate())),
@@ -514,7 +509,7 @@ pub fn bench_infer_json(listings: usize, seed: u64, corpora: &[InferBenchCorpus]
     serde_json::to_string_pretty(&root).expect("Value serialization cannot fail")
 }
 
-/// Checks a `BENCH_infer.json` document against schema version 1. Returns
+/// Checks a `BENCH_infer.json` document against schema version 2. Returns
 /// the first problem found, phrased with its JSON path.
 pub fn validate_bench_infer(text: &str) -> Result<(), String> {
     let root: Value = serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
@@ -547,7 +542,6 @@ pub fn validate_bench_infer(text: &str) -> Result<(), String> {
             "wall_ns",
             "wall_ms",
             "elements",
-            "edges",
             "generalizations",
             "fallbacks",
             "fallback_rate",
@@ -635,7 +629,6 @@ mod tests {
                 instances: 180,
                 wall_ns: 2_500_000,
                 elements: 15,
-                edges: 48,
                 generalizations: 4,
                 fallbacks: 1,
             },
@@ -645,7 +638,6 @@ mod tests {
                 instances: 96,
                 wall_ns: 900_000,
                 elements: 9,
-                edges: 20,
                 generalizations: 2,
                 fallbacks: 0,
             },
@@ -674,9 +666,12 @@ mod tests {
                 ..InferBenchCorpus::default()
             }],
         );
-        let missing = good.replace("\"edges\"", "\"hedges\"");
-        let err = validate_bench_infer(&missing).expect_err("missing edges");
-        assert!(err.contains("edges"), "{err}");
+        let missing = good.replace("\"fallbacks\"", "\"fallback\"");
+        let err = validate_bench_infer(&missing).expect_err("missing fallbacks");
+        assert!(err.contains("fallbacks"), "{err}");
+        let v1 = good.replace("\"schema_version\": 2", "\"schema_version\": 1");
+        let err = validate_bench_infer(&v1).expect_err("version 1");
+        assert!(err.contains("schema_version"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!                           source, discard the generated DTD and infer a
 //!                           schema from the bare listings
 //! lsd-infer --bench-out P   also write the BENCH_infer.json perf record
-//!                           (schema version 1) to path P
+//!                           (schema version 2) to path P
 //! ```
 //!
 //! Every learned DTD is verified the way CI gates it: the Glushkov lint
@@ -86,7 +86,6 @@ fn run_corpus(
         instances: stats.element_support.values().sum(),
         wall_ns,
         elements: stats.elements,
-        edges: stats.edges,
         generalizations: stats.generalizations,
         fallbacks: stats.fallbacks,
     });

@@ -11,7 +11,7 @@
 //! | `ablations`   | design-choice ablations (search, WHIRL, NB smoothing, XML tokens) |
 //! | `lsd-serve`   | boots the `lsd-serve` matching server on a datagen-trained snapshot |
 //! | `serve-load`  | load driver for the server; writes `BENCH_serve.json` (p50/p95/p99, throughput) |
-//! | `lsd-infer`   | learns DTDs from DTD-less corpora; writes `BENCH_infer.json` (wall time, element/edge counts, fallback rate) |
+//! | `lsd-infer`   | learns DTDs from DTD-less corpora; writes `BENCH_infer.json` (wall time, element counts, fallback rate) |
 //!
 //! The methodology follows Section 6: per domain, all C(5,3) = 10
 //! train/test splits (train on 3 sources, test on the other 2), repeated

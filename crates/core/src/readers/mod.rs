@@ -149,17 +149,16 @@ pub(crate) fn sanitize_tag(raw: &str) -> String {
 
 /// Infers a closed, 1-unambiguous DTD from listing trees: the schema
 /// skeleton for sources that do not ship one. This delegates to
-/// [`lsd_infer::infer_dtd`] — per element, the observed child sequences
-/// are folded into a single-occurrence automaton and rewritten into a
-/// deterministic expression (with k-ORE escalation and a CHARE fallback),
-/// so repeating groups, optional runs, and choices survive instead of
-/// flattening into a one-level sequence. The result passes the
+/// [`lsd_infer::infer_dtd`]: per element, a chain of the child names in
+/// the one order every listing agrees with, each with its occurrence
+/// factor (`?`, `*`, `+`), or the catch-all `(a | b | …)*` when the
+/// listings order some names both ways. The result passes the
 /// static-analysis gate (`LSD001`/`LSD002`/`LSD105`) that
 /// [`crate::Lsd::train`] runs over training-source schemas and accepts
 /// every listing it was derived from.
 ///
 /// The DTD comes with the inference evidence: corpus size, per-element
-/// support, generalization and fallback counts. Readers store the stats on
+/// support, occurrence-factor and catch-all counts. Readers store the stats on
 /// [`SourceContents::inferred`] so they travel into trained snapshots as
 /// provenance.
 ///

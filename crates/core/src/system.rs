@@ -572,10 +572,10 @@ impl Lsd {
     /// Learns a deterministic, 1-unambiguous DTD from raw XML instances —
     /// the schema-inference entry point for DTD-less sources, exposed on
     /// the facade so callers need not depend on `lsd-infer` directly.
-    /// Every returned model passes the Glushkov one-unambiguity check and
-    /// accepts every training instance; the returned
-    /// [`lsd_infer::InferenceStats`] reports corpus size, per-element
-    /// support, and how often inference generalized or fell back.
+    /// Every returned model is 1-unambiguous and accepts every training
+    /// instance; the returned [`lsd_infer::InferenceStats`] reports corpus
+    /// size, per-element support, the occurrence factors in the learned
+    /// chains and how many elements got the catch-all.
     ///
     /// # Errors
     /// [`lsd_infer::InferError::EmptyCorpus`] when `instances` is empty.

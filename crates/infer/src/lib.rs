@@ -3,26 +3,25 @@
 //! Deterministic DTD inference from raw, DTD-less XML instances.
 //!
 //! The paper's pipeline assumes every source ships a DTD; scraped data
-//! almost never does. This crate learns one from positive examples alone,
-//! following the program of Bex–Gelade–Neven–Vansummeren ("Learning
-//! Deterministic Regular Expressions for the Inference of Schemas from
-//! XML Data"): per element name, the observed child sequences are
-//! aggregated into a **single-occurrence automaton** (2T-INF style), which
-//! rewrite rules reduce to a **SORE** — a single-occurrence regular
-//! expression, 1-unambiguous by construction. Elements whose children
-//! interleave repeats (no SORE exists) escalate to **k-occurrence
-//! marking** (k = 2): occurrences are distinguished, the marked automaton
-//! is rewritten, and the marks are stripped — the result is kept only if
-//! it passes the Glushkov 1-unambiguity check and accepts the corpus.
-//! When that fails too, a **CHARE-style chain** of names with occurrence
-//! factors is tried, and finally the catch-all `(a | b | …)*`, both of
-//! which are deterministic and accept the corpus trivially.
+//! almost never does. This crate learns one from positive examples alone.
+//! Per element name, the observed child sequences are aggregated, and an
+//! element-only model is one of two shapes:
 //!
-//! Two invariants hold for every inferred model, enforced by
-//! verification against [`lsd_analysis::GlushkovAutomaton`]:
+//! 1. a **chain** `(a₁ᵒ¹, a₂ᵒ², …)`, a CHARE in the sense of
+//!    Bex–Gelade–Neven–Vansummeren ("Learning Deterministic Regular
+//!    Expressions for the Inference of Schemas from XML Data"), when some
+//!    linear order of the child names agrees with every sequence. Names
+//!    come in Kahn order with lexicographic ties; each factor is the
+//!    name's per-parent minimum and maximum count, in the spirit of
+//!    Ciucanu–Staworko's one multiplicity per child;
+//! 2. otherwise the **catch-all** `(a | b | …)*` by name.
 //!
-//! 1. it is 1-unambiguous (zero `LSD001` findings), and
-//! 2. it accepts every training instance.
+//! Both shapes name each child once, so both are 1-unambiguous, and both
+//! accept every training instance by construction (see the `chare`
+//! module). Matching reads only each element's child order from the
+//! schema, which the chain preserves whenever one exists. The property
+//! tests in `tests/proptests.rs` check both invariants over arbitrary
+//! child sequences against the Glushkov lint.
 //!
 //! Inference is **deterministic**: all intermediate state is kept in
 //! ordered containers keyed by element name, sequences are deduplicated
@@ -49,28 +48,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod chare;
-mod soa;
 
-use lsd_analysis::GlushkovAutomaton;
 use lsd_xml::{AttDef, AttlistDecl, ContentModel, Dtd, Element, ElementDecl, Occurrence, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Separator between a name and its occurrence index during k-ORE
-/// marking; cannot appear in a parsed XML name.
-const MARK: char = '\u{1}';
-
-/// How a content model was obtained, from strongest to weakest evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Method {
-    /// Single-occurrence rewriting succeeded directly.
-    Sore,
-    /// Needed k-occurrence marking (children repeat).
-    KOre,
-    /// Rewriting failed; CHARE chain or catch-all.
-    Fallback,
-}
 
 /// Aggregate statistics of one inference run. Recorded as provenance on
 /// trained models (`SourceProvenance::inferred`) so `lsd-audit` can flag
@@ -81,14 +63,11 @@ pub struct InferenceStats {
     pub corpus_size: usize,
     /// Declared elements in the inferred DTD.
     pub elements: usize,
-    /// Total single-occurrence-automaton edges across all elements
-    /// (including the virtual source/sink edges).
-    pub edges: usize,
-    /// Rewrite steps that introduced a generalizing operator
-    /// (`?`/`*`/`+`), plus one per k-ORE escalation.
+    /// Occurrence factors (`?`/`*`/`+`) across all chains: each is a
+    /// child whose count varies, or exceeds one, across its parents.
     pub generalizations: usize,
-    /// Elements whose content model came from the CHARE chain or the
-    /// catch-all rather than (k-)SORE rewriting.
+    /// Elements whose children no linear order fits, so their content
+    /// model is the catch-all `(a | b | …)*`.
     pub fallbacks: usize,
     /// Observed occurrences per element name — the evidence behind each
     /// declaration.
@@ -208,127 +187,40 @@ pub fn infer_dtd(instances: &[Element]) -> Result<Inference, InferError> {
 
 /// Infers one element's content model from its aggregated evidence.
 fn infer_content(f: &Facts, stats: &mut InferenceStats) -> ContentModel {
-    let all_empty = f.seqs.iter().all(Vec::is_empty);
-    if all_empty {
+    let names: BTreeSet<&str> = f.seqs.iter().flatten().map(String::as_str).collect();
+    if names.is_empty() {
         // Leaf element: text content (or nothing — `(#PCDATA)` accepts
         // the empty string too).
         return ContentModel::Pcdata;
     }
-    let names: BTreeSet<&str> = f.seqs.iter().flatten().map(String::as_str).collect();
     if f.has_text {
         // Text alongside child elements: the only DTD shape is mixed
         // content, `(#PCDATA | a | b)*`.
         return ContentModel::Mixed(names.iter().map(|n| n.to_string()).collect());
     }
-
-    stats.edges += soa::Soa::build(&f.seqs).edge_count();
-    let (model, method) = infer_element_only(&f.seqs, stats);
-    if method == Method::Fallback {
+    let Some(chain) = chare::chare(&names, &f.seqs) else {
+        // No order fits, so there are at least two names: the catch-all
+        // `(a | b | …)*`, deterministic (every name occurs once) and
+        // accepting any child sequence over the alphabet.
         stats.fallbacks += 1;
-    }
-    model
-}
-
-/// The element-only pipeline: SORE → k-ORE (k = 2) → CHARE → catch-all.
-fn infer_element_only(
-    seqs: &BTreeSet<Vec<String>>,
-    stats: &mut InferenceStats,
-) -> (ContentModel, Method) {
-    if let Some(out) = soa::rewrite(soa::Soa::build(seqs)) {
-        if verified(&out.model, seqs) {
-            stats.generalizations += out.generalizations;
-            return (out.model, Method::Sore);
-        }
-    }
-
-    let has_repeats = seqs.iter().any(|seq| {
-        let mut seen = BTreeSet::new();
-        seq.iter().any(|name| !seen.insert(name))
-    });
-    if has_repeats {
-        if let Some(out) = soa::rewrite(soa::Soa::build(&mark_sequences(seqs, 2))) {
-            let model = unmark(out.model);
-            // Stripping marks can reintroduce ambiguity, so the escaped
-            // result only stands if it verifies against the *unmarked*
-            // corpus.
-            if verified(&model, seqs) {
-                stats.generalizations += out.generalizations + 1;
-                return (model, Method::KOre);
-            }
-        }
-    }
-
-    if let Some(model) = chare::chare(seqs) {
-        if verified(&model, seqs) {
-            return (model, Method::Fallback);
-        }
-    }
-    (catch_all(seqs), Method::Fallback)
-}
-
-/// `(a | b | …)*` over the distinct observed names: deterministic (every
-/// name occurs once) and accepting any child sequence over the alphabet.
-fn catch_all(seqs: &BTreeSet<Vec<String>>) -> ContentModel {
-    let names: BTreeSet<&str> = seqs.iter().flatten().map(String::as_str).collect();
-    if let [name] = names.iter().copied().collect::<Vec<_>>()[..] {
-        return ContentModel::Name(name.to_string(), Occurrence::ZeroOrMore);
-    }
-    let parts: Vec<ContentModel> = names
+        let parts = names
+            .iter()
+            .map(|n| ContentModel::Name(n.to_string(), Occurrence::One))
+            .collect();
+        return ContentModel::Choice(parts, Occurrence::ZeroOrMore);
+    };
+    stats.generalizations += chain
         .iter()
-        .map(|n| ContentModel::Name(n.to_string(), Occurrence::One))
+        .filter(|(_, occ)| *occ != Occurrence::One)
+        .count();
+    let mut parts: Vec<ContentModel> = chain
+        .into_iter()
+        .map(|(name, occ)| ContentModel::Name(name.to_string(), occ))
         .collect();
-    ContentModel::Choice(parts, Occurrence::ZeroOrMore)
-}
-
-/// Both inference invariants at once: 1-unambiguous and accepting every
-/// training sequence.
-fn verified(model: &ContentModel, seqs: &BTreeSet<Vec<String>>) -> bool {
-    let auto = GlushkovAutomaton::from_model(model);
-    if auto.ambiguity().is_some() {
-        return false;
-    }
-    seqs.iter().all(|seq| {
-        let names: Vec<&str> = seq.iter().map(String::as_str).collect();
-        auto.accepts(&names)
-    })
-}
-
-/// k-ORE occurrence marking: the i-th occurrence of a name within a
-/// sequence is renamed `name␁min(i, k)`, so repeats up to `k` get their
-/// own automaton states while further repeats share the k-th (adjacent
-/// extras become a self-loop, i.e. a `+`).
-fn mark_sequences(seqs: &BTreeSet<Vec<String>>, k: usize) -> BTreeSet<Vec<String>> {
-    seqs.iter()
-        .map(|seq| {
-            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-            seq.iter()
-                .map(|name| {
-                    let c = counts.entry(name.as_str()).or_insert(0);
-                    *c += 1;
-                    format!("{name}{MARK}{}", (*c).min(k))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Strips k-ORE marks from an extracted expression.
-fn unmark(model: ContentModel) -> ContentModel {
-    match model {
-        ContentModel::Name(n, occ) => {
-            let base = match n.find(MARK) {
-                Some(i) => n[..i].to_string(),
-                None => n,
-            };
-            ContentModel::Name(base, occ)
-        }
-        ContentModel::Seq(parts, occ) => {
-            ContentModel::Seq(parts.into_iter().map(unmark).collect(), occ)
-        }
-        ContentModel::Choice(parts, occ) => {
-            ContentModel::Choice(parts.into_iter().map(unmark).collect(), occ)
-        }
-        other => other,
+    if parts.len() == 1 {
+        parts.remove(0)
+    } else {
+        ContentModel::Seq(parts, Occurrence::One)
     }
 }
 
@@ -371,13 +263,12 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_repeats_escalate_to_k_ore() {
-        // a b a has no SORE; the 2-ORE pipeline learns (a, b, a) — still
-        // deterministic, still accepting the corpus.
+    fn interleaved_repeats_fall_back_to_catch_all() {
+        // a b a orders a both before and after b: no chain fits.
         let inferred = infer(&["<r><a/><b/><a/></r>"]);
         let decl = inferred.dtd.decl("r").expect("r declared");
-        assert_eq!(decl.content.to_dtd_syntax(), "(a, b, a)");
-        assert_eq!(inferred.stats.fallbacks, 0);
+        assert_eq!(decl.content.to_dtd_syntax(), "(a | b)*");
+        assert_eq!(inferred.stats.fallbacks, 1);
         inferred
             .dtd
             .validate(&instances(&["<r><a/><b/><a/></r>"])[0])
@@ -413,7 +304,11 @@ mod tests {
         assert_eq!(inferred.stats.element_support["r"], 2);
         assert_eq!(inferred.stats.element_support["a"], 3);
         assert_eq!(inferred.stats.elements, 2);
-        assert!(inferred.stats.edges > 0);
+        // One factor, and a one-name chain is not wrapped in a sequence.
+        let decl = inferred.dtd.decl("r").expect("r declared");
+        assert_eq!(decl.content.to_dtd_syntax(), "a+");
+        assert_eq!(inferred.stats.generalizations, 1);
+        assert_eq!(inferred.stats.fallbacks, 0);
     }
 
     #[test]
