@@ -4,17 +4,64 @@
 //! diagnostics, never a panic. The inputs are arbitrary bytes, and
 //! truncations and byte-level mutations of a real WAL (written by
 //! `FeedbackWal::append`) and a real snapshot (written by `Lsd::save_json`).
+//! A snapshot whose WHIRL state parses but cannot be served must be refused
+//! at load with a typed error, without an allocation sized by the bad value.
 
 use lsd_analysis::{audit_snapshot, audit_wal, Severity};
 use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd_core::{
-    Correction, FeedbackRecord, FeedbackWal, LsdBuilder, Source, TrainedSource, WAL_MAGIC,
+    Correction, FeedbackRecord, FeedbackWal, Lsd, LsdBuilder, PersistError, SavedModel, Source,
+    TrainedSource, WAL_MAGIC,
 };
 use lsd_xml::{parse_dtd, parse_fragment};
 use proptest::prelude::*;
+use serde_json::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// The system allocator, recording the largest single request and
+/// refusing any above 1 GiB, so that an allocation sized by a hostile
+/// value aborts the test binary instead of exhausting memory.
+struct LargestRequest;
+
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+const REFUSED_ABOVE: usize = 1 << 30;
+
+// SAFETY: every call is forwarded unchanged to `System`, or answered with
+// null, which `GlobalAlloc` permits for any request; the wrapper keeps no
+// state but a statistic.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        if layout.size() > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
+        // SAFETY: the caller's `layout` is passed on as `alloc` requires.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` (this allocator's only source)
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        if new_size > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
 
 const SOURCE_DTD: &str = "<!ELEMENT home (location, comments, contact)>\n\
                           <!ELEMENT location (#PCDATA)>\n\
@@ -250,4 +297,105 @@ fn deeply_nested_snapshot_reports_an_error() {
     assert!(audit_snapshot(&text)
         .iter()
         .any(|d| d.severity == Severity::Error));
+}
+
+/// `value[key]` of a JSON object, for editing.
+fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Map(entries) => {
+            let entry = entries.iter_mut().find(|(k, _)| k == key);
+            &mut entry.unwrap_or_else(|| panic!("no field {key}")).1
+        }
+        other => panic!("{key}: expected an object, found {}", other.kind()),
+    }
+}
+
+/// `value[i]` of a JSON array, for editing.
+fn item(value: &mut Value, i: usize) -> &mut Value {
+    match value {
+        Value::Seq(items) => &mut items[i],
+        other => panic!("[{i}]: expected an array, found {}", other.kind()),
+    }
+}
+
+/// The real snapshot with its content matcher's WHIRL state edited.
+fn with_content_whirl(edit: impl FnOnce(&mut Value)) -> String {
+    let mut value: Value = serde_json::from_str(snapshot()).expect("parses");
+    let Value::Seq(learners) = field(&mut value, "learners") else {
+        panic!("learners is not an array");
+    };
+    let content = learners
+        .iter_mut()
+        .find_map(|learner| match learner {
+            Value::Map(entries) if entries[0].0 == "Content" => Some(&mut entries[0].1),
+            _ => None,
+        })
+        .expect("a content matcher");
+    edit(field(content, "whirl"));
+    serde_json::to_string(&value).expect("serializes")
+}
+
+/// The WHIRL learner's label count, as an out-of-range label.
+fn label_count(whirl: &mut Value) -> Value {
+    field(whirl, "num_labels").clone()
+}
+
+/// Loads `text` as a snapshot, through a file as the server does, and
+/// returns the refusal's reason.
+fn refusal(label: &str, text: &str) -> String {
+    let dir = scratch_dir(label);
+    let path = dir.join("model.json");
+    std::fs::write(&path, text).expect("writes");
+    let loaded = Lsd::load_json(&path);
+    std::fs::remove_dir_all(&dir).ok();
+    match loaded {
+        Err(PersistError::InvalidLearner { kind, reason }) => {
+            assert_eq!(kind, "Content");
+            reason
+        }
+        Err(e) => panic!("refused for another reason: {e}"),
+        Ok(_) => panic!("a snapshot that cannot be served loaded"),
+    }
+}
+
+/// A WHIRL label at or beyond the label count, in the document store or
+/// in a vectors-only snapshot's frozen examples, is refused at load: it
+/// would otherwise load, audit and then panic on every query reaching it.
+#[test]
+fn whirl_label_out_of_range_is_refused_at_load() {
+    let in_docs = with_content_whirl(|whirl| {
+        let bad = label_count(whirl);
+        *item(item(field(whirl, "docs"), 0), 1) = bad;
+    });
+    assert!(refusal("label-docs", &in_docs).starts_with("example label "));
+    let in_vectors = with_content_whirl(|whirl| {
+        let bad = label_count(whirl);
+        *field(whirl, "docs") = Value::Seq(Vec::new());
+        *field(item(field(whirl, "examples"), 0), "label") = bad;
+    });
+    assert!(refusal("label-vectors", &in_vectors).starts_with("example label "));
+    // The untouched snapshot loads.
+    assert!(SavedModel::from_json_str(snapshot()).is_ok());
+}
+
+/// A vectors-only snapshot naming dimension `u32::MAX` is refused at load,
+/// and neither the refusal nor rebuilding the index from the raw parse
+/// asks for memory in proportion to the dimension.
+#[test]
+fn whirl_dimension_beyond_the_vocabulary_is_refused_without_allocating_for_it() {
+    let text = with_content_whirl(|whirl| {
+        *field(whirl, "docs") = Value::Seq(Vec::new());
+        let vector = field(item(field(whirl, "examples"), 0), "vector");
+        *item(item(field(vector, "entries"), 0), 0) = Value::Int(i64::from(u32::MAX));
+    });
+    let reason = refusal("dimension", &text);
+    assert!(reason.contains("dimension 4294967295"), "{reason}");
+    // Past the check, `finalize` gives the dimension no posting slot.
+    let raw: SavedModel = serde_json::from_str(&text).expect("parses without the check");
+    drop(Lsd::from_saved(raw));
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest < 64 << 20,
+        "largest allocation request {largest} bytes"
+    );
 }

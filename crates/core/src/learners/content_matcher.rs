@@ -8,7 +8,7 @@
 use crate::instance::Instance;
 use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
-use lsd_text::{tokenize, Whirl, WhirlConfig};
+use lsd_text::{for_each_token, tokenize, TokenizeOptions, Whirl, WhirlConfig};
 
 /// WHIRL over the tokens of the instance's subtree text.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -38,6 +38,11 @@ impl ContentMatcher {
     /// part of the serialized form).
     pub(crate) fn rehydrate(&mut self) {
         self.whirl.finalize();
+    }
+
+    /// Checks the deserialized WHIRL state (see [`Whirl::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.whirl.validate()
     }
 
     fn tokens(instance: &Instance) -> Vec<String> {
@@ -82,8 +87,11 @@ impl BaseLearner for ContentMatcher {
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
-        let toks = Self::tokens(instance);
-        Prediction::from_scores(self.whirl.classify(toks.iter().map(String::as_str)))
+        let text = instance.text();
+        Prediction::from_scores(
+            self.whirl
+                .classify_with(|sink| for_each_token(&text, TokenizeOptions::default(), sink)),
+        )
     }
 
     /// Predicts from the instance text alone.

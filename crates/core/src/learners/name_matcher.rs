@@ -67,6 +67,11 @@ impl NameMatcher {
         self.whirl.finalize();
     }
 
+    /// Checks the deserialized WHIRL state (see [`Whirl::validate`]).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.whirl.validate()
+    }
+
     /// The feature tokens of one instance: every word of every path tag,
     /// plus synonyms. Two refinements over a naive path bag:
     ///

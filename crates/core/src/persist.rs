@@ -47,6 +47,15 @@ pub enum PersistError {
         /// The newest version this build can load.
         supported: u32,
     },
+    /// A learner's state parsed but is inconsistent: serving it would
+    /// panic or allocate without bound (say, a WHIRL example labelled
+    /// beyond the label count).
+    InvalidLearner {
+        /// The learner's snapshot kind (see [`SavedLearner::kind`]).
+        kind: &'static str,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -62,6 +71,9 @@ impl fmt::Display for PersistError {
                 "snapshot has schema version {found}, but this build supports \
                  at most version {supported}; load it with a newer lsd-core"
             ),
+            PersistError::InvalidLearner { kind, reason } => {
+                write!(f, "learner '{kind}' is invalid: {reason}")
+            }
         }
     }
 }
@@ -120,7 +132,27 @@ impl SavedLearner {
         }
     }
 
-    /// Restores the boxed learner, rebuilding any in-memory indexes.
+    /// Checks the state that parsing cannot, so that [`Self::restore`]
+    /// never rebuilds an index from a bad snapshot: each WHIRL learner's
+    /// labels and vector dimensions must be in range.
+    ///
+    /// # Errors
+    /// [`PersistError::InvalidLearner`] naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), PersistError> {
+        let checked = match self {
+            SavedLearner::Name(l) => l.validate(),
+            SavedLearner::Content(l) => l.validate(),
+            _ => Ok(()),
+        };
+        checked.map_err(|reason| PersistError::InvalidLearner {
+            kind: self.kind(),
+            reason,
+        })
+    }
+
+    /// Restores the boxed learner, rebuilding any in-memory indexes. The
+    /// learner must pass [`Self::validate`], as every snapshot parsed by
+    /// [`SavedModel::from_json_str`] or made by [`Lsd::to_saved`] does.
     pub fn restore(self) -> Box<dyn BaseLearner> {
         match self {
             SavedLearner::Name(mut l) => {
@@ -187,9 +219,13 @@ impl SavedModel {
     /// [`PersistError::UnsupportedVersion`] instead of an opaque
     /// missing-field parse error.
     ///
+    /// Each learner is then validated ([`SavedLearner::validate`]).
+    ///
     /// # Errors
     /// [`PersistError::UnsupportedVersion`] for newer snapshots,
-    /// [`PersistError::Json`] for malformed JSON or field mismatches.
+    /// [`PersistError::Json`] for malformed JSON or field mismatches,
+    /// [`PersistError::InvalidLearner`] for learner state that would
+    /// fail when served.
     pub fn from_json_str(text: &str) -> Result<SavedModel, PersistError> {
         let value: serde_json::Value = serde_json::from_str(text)?;
         if let Some(serde::Value::Int(found)) = value.get("version") {
@@ -201,7 +237,11 @@ impl SavedModel {
                 });
             }
         }
-        SavedModel::from_value(&value).map_err(|e| PersistError::Json(e.into()))
+        let saved = SavedModel::from_value(&value).map_err(|e| PersistError::Json(e.into()))?;
+        for learner in &saved.learners {
+            learner.validate()?;
+        }
+        Ok(saved)
     }
 }
 
@@ -236,7 +276,8 @@ impl Lsd {
         })
     }
 
-    /// Reconstructs a system from a snapshot.
+    /// Reconstructs a system from a snapshot whose learners pass
+    /// [`SavedLearner::validate`].
     pub fn from_saved(saved: SavedModel) -> Lsd {
         let learners: Vec<Box<dyn BaseLearner>> = saved
             .learners
@@ -274,7 +315,8 @@ impl Lsd {
     /// # Errors
     /// [`PersistError::UnsupportedVersion`] if the snapshot was produced by
     /// a newer build, [`PersistError::Json`] / [`PersistError::Io`] for
-    /// parse and file failures.
+    /// parse and file failures, [`PersistError::InvalidLearner`] for
+    /// inconsistent learner state.
     pub fn load_json(path: impl AsRef<std::path::Path>) -> Result<Lsd, PersistError> {
         let text = std::fs::read_to_string(path)?;
         Ok(Lsd::from_saved(SavedModel::from_json_str(&text)?))

@@ -205,18 +205,16 @@ impl TfIdfModel {
         ((1.0 + f64::from(self.num_docs)) / (1.0 + f64::from(df))).ln()
     }
 
-    /// Builds the L2-normalized TF/IDF vector for a token-id multiset.
-    pub fn vector_for_ids(&self, ids: &[u32]) -> SparseVector {
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        for &id in ids {
-            *counts.entry(id).or_insert(0) += 1;
+    /// Builds the L2-normalized TF/IDF vector for a token-id multiset:
+    /// sorts the ids and weighs each run of one id by its length.
+    pub fn vector_for_ids(&self, mut ids: Vec<u32>) -> SparseVector {
+        ids.sort_unstable();
+        let mut pairs = Vec::new();
+        for run in ids.chunk_by(|a, b| a == b) {
+            let count = run.len() as f64;
+            pairs.push((run[0], (1.0 + count.ln()) * self.idf(run[0])));
         }
-        let mut v = SparseVector::from_pairs(
-            counts
-                .into_iter()
-                .map(|(id, c)| (id, (1.0 + f64::from(c).ln()) * self.idf(id)))
-                .collect(),
-        );
+        let mut v = SparseVector::from_pairs(pairs);
         v.normalize();
         v
     }
@@ -224,11 +222,15 @@ impl TfIdfModel {
     /// Builds the vector for raw tokens; tokens outside the vocabulary are
     /// dropped (they carry no comparable weight).
     pub fn vector_for_tokens<'a>(&self, tokens: impl IntoIterator<Item = &'a str>) -> SparseVector {
-        let ids: Vec<u32> = tokens
-            .into_iter()
-            .filter_map(|t| self.vocab.get(t))
-            .collect();
-        self.vector_for_ids(&ids)
+        self.vector_with(|sink| tokens.into_iter().for_each(sink))
+    }
+
+    /// Builds the vector for the tokens that `feed` passes, one at a time,
+    /// to the sink it is given (see [`Self::vector_for_tokens`]).
+    pub(crate) fn vector_with(&self, feed: impl FnOnce(&mut dyn FnMut(&str))) -> SparseVector {
+        let mut ids = Vec::new();
+        feed(&mut |token: &str| ids.extend(self.vocab.get(token)));
+        self.vector_for_ids(ids)
     }
 }
 

@@ -30,7 +30,10 @@ pub enum NeighborCombination {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct WhirlConfig {
     /// Only neighbours with cosine similarity strictly above this threshold
-    /// vote (the paper's "within a δ distance").
+    /// vote (the paper's "within a δ distance"). Below 0, every stored
+    /// example that shares no token with the query also votes, at
+    /// similarity 0, ranked after every positive neighbour in example
+    /// order.
     pub min_similarity: f64,
     /// At most this many nearest neighbours vote.
     pub max_neighbors: usize,
@@ -95,10 +98,11 @@ pub struct Whirl {
     docs: Vec<(Vec<String>, usize)>,
     /// Frozen TF/IDF vectors, rebuilt from `docs` by [`Self::finalize`].
     examples: Vec<Example>,
-    /// Inverted index: `postings[dim]` lists `(example, weight)` pairs, so
-    /// a query only touches examples it shares at least one token with.
+    /// Inverted index, one slot per vocabulary id: `postings[dim]` lists
+    /// `(example, weight)` pairs in example order, so a query only touches
+    /// examples it shares at least one token with.
     #[serde(skip)]
-    postings: std::collections::HashMap<u32, Vec<(u32, f64)>>,
+    postings: Vec<Vec<(u32, f64)>>,
     num_labels: usize,
 }
 
@@ -110,7 +114,7 @@ impl Whirl {
             model: TfIdfModel::new(),
             docs: Vec::new(),
             examples: Vec::new(),
-            postings: std::collections::HashMap::new(),
+            postings: Vec::new(),
             num_labels,
         }
     }
@@ -138,38 +142,66 @@ impl Whirl {
         let stale = !self.docs.is_empty()
             && (self.examples.len() != self.docs.len() || self.postings.is_empty());
         if stale {
-            self.examples.clear();
-            self.postings.clear();
-            for (tokens, label) in &self.docs {
-                let vector = self
-                    .model
-                    .vector_for_tokens(tokens.iter().map(String::as_str));
-                let id = self.examples.len() as u32;
-                for &(dim, weight) in vector.entries() {
-                    self.postings.entry(dim).or_default().push((id, weight));
-                }
-                self.examples.push(Example {
-                    vector,
+            self.examples = self
+                .docs
+                .iter()
+                .map(|(tokens, label)| Example {
+                    vector: self
+                        .model
+                        .vector_for_tokens(tokens.iter().map(String::as_str)),
                     label: *label,
-                });
-            }
-        } else if self.postings.is_empty() && !self.examples.is_empty() {
-            // Vectors-only snapshot (no document store): rebuild the index
-            // from the frozen vectors.
+                })
+                .collect();
+        }
+        // A vectors-only snapshot (no document store) rebuilds the index
+        // from its frozen vectors.
+        if stale || self.postings.is_empty() {
+            self.postings = vec![Vec::new(); self.model.vocabulary().len()];
             for (id, ex) in self.examples.iter().enumerate() {
                 for &(dim, weight) in ex.vector.entries() {
-                    self.postings
-                        .entry(dim)
-                        .or_default()
-                        .push((id as u32, weight));
+                    // A dimension outside the vocabulary never meets a
+                    // query, whose ids all come from the vocabulary, so it
+                    // needs no slot. Snapshots holding one are refused at
+                    // load (see `Self::validate`).
+                    if let Some(posting) = self.postings.get_mut(dim as usize) {
+                        posting.push((id as u32, weight));
+                    }
                 }
             }
         }
         if lsd_obs::enabled() {
+            let dims = self.postings.iter().filter(|p| !p.is_empty()).count();
             lsd_obs::gauge_max("tfidf.vocab_size", "", self.model.vocabulary().len() as u64);
-            lsd_obs::gauge_max("tfidf.index_dims", "", self.postings.len() as u64);
+            lsd_obs::gauge_max("tfidf.index_dims", "", dims as u64);
             lsd_obs::gauge_max("whirl.examples", "", self.examples.len() as u64);
         }
+    }
+
+    /// Checks state that deserialization cannot: every stored label is
+    /// below [`Self::num_labels`] and every stored vector dimension is
+    /// below the vocabulary's length. A snapshot that fails would panic
+    /// on the first query reaching the bad label, or ask `finalize` for
+    /// one posting slot per claimed dimension.
+    ///
+    /// # Errors
+    /// A description of the first bad label or dimension.
+    pub fn validate(&self) -> Result<(), String> {
+        let mut labels = (self.docs.iter().map(|(_, label)| *label))
+            .chain(self.examples.iter().map(|ex| ex.label));
+        if let Some(label) = labels.find(|&l| l >= self.num_labels) {
+            return Err(format!(
+                "example label {label} is not below num_labels {}",
+                self.num_labels
+            ));
+        }
+        let vocab = self.model.vocabulary().len();
+        let mut dims = self.examples.iter().flat_map(|ex| ex.vector.entries());
+        if let Some(&(dim, _)) = dims.find(|&&(d, _)| d as usize >= vocab) {
+            return Err(format!(
+                "vector dimension {dim} is not below the vocabulary length {vocab}"
+            ));
+        }
+        Ok(())
     }
 
     /// Whether the raw document store is available, i.e. whether this
@@ -195,11 +227,17 @@ impl Whirl {
     /// over labels that sums to 1 (uniform if no neighbour qualifies, e.g.
     /// for an empty store or fully out-of-vocabulary query).
     pub fn classify<'a>(&self, tokens: impl IntoIterator<Item = &'a str>) -> Vec<f64> {
+        self.classify_with(|sink| tokens.into_iter().for_each(sink))
+    }
+
+    /// Classifies the token multiset that `feed` passes, one token at a
+    /// time, to the sink it is given (see [`Self::classify`]).
+    pub fn classify_with(&self, feed: impl FnOnce(&mut dyn FnMut(&str))) -> Vec<f64> {
         debug_assert!(
             self.docs.is_empty() || self.examples.len() == self.docs.len(),
             "classify called before finalize"
         );
-        let query = self.model.vector_for_tokens(tokens);
+        let query = self.model.vector_with(feed);
         let mut scores = self.label_scores(&query);
         let total: f64 = scores.iter().sum();
         let n = self.num_labels.max(1) as f64;
@@ -217,40 +255,54 @@ impl Whirl {
     /// Raw (unnormalized) per-label neighbour scores for a query vector.
     /// Both query and stored vectors are unit-normalized, so the cosine is
     /// a plain dot product, accumulated through the inverted index.
+    ///
+    /// The cost follows the postings the query reaches, not the number of
+    /// stored examples: only reached examples get an accumulator, and
+    /// the `max_neighbors` best are selected before the sort. Neighbours
+    /// rank by similarity, descending, then by example id, so ties between
+    /// equally similar examples always resolve the same way. Each reached
+    /// example's dot product sums its terms in query-dimension order.
     fn label_scores(&self, query: &SparseVector) -> Vec<f64> {
-        // Accumulate into a dense per-example array rather than a HashMap:
-        // hash iteration order varies between map instances, which would make
-        // neighbour tie-breaking (and hence scores) differ between otherwise
-        // identical queries. Example-id order is stable, and the stable sort
-        // below then breaks similarity ties by id.
-        let mut dots: Vec<f64> = vec![0.0; self.examples.len()];
+        // `slot[id]` is 1 + the index of example `id`'s `(dot, id)`
+        // accumulator in `sims`, or 0 while no posting has reached it.
+        let mut slot = vec![0u32; self.examples.len()];
+        let mut sims: Vec<(f64, u32)> = Vec::new();
         for &(dim, qw) in query.entries() {
-            if let Some(posting) = self.postings.get(&dim) {
-                for &(id, w) in posting {
-                    dots[id as usize] += qw * w;
+            let Some(posting) = self.postings.get(dim as usize) else {
+                continue;
+            };
+            for &(id, w) in posting {
+                let s = &mut slot[id as usize];
+                if *s == 0 {
+                    sims.push((0.0, id));
+                    *s = sims.len() as u32;
                 }
+                sims[*s as usize - 1].0 += qw * w;
             }
         }
-        let mut sims: Vec<(f64, usize)> = dots
-            .into_iter()
-            .enumerate()
-            .map(|(id, sim)| (sim.clamp(-1.0, 1.0), self.examples[id].label))
-            .filter(|&(sim, _)| sim > self.config.min_similarity)
-            .collect();
-        if lsd_obs::enabled() {
-            // One flush per query: every stored example was compared (via the
-            // inverted index), and `sims` survived the similarity threshold.
-            lsd_obs::counter_add("whirl.queries", "", 1);
-            lsd_obs::counter_add(
-                "whirl.neighbour_comparisons",
-                "",
-                self.examples.len() as u64,
-            );
-            lsd_obs::counter_add("whirl.neighbours_above_threshold", "", sims.len() as u64);
-            lsd_obs::gauge_max("whirl.vocab_size", "", self.model.vocabulary().len() as u64);
+        let min_similarity = self.config.min_similarity;
+        sims.retain_mut(|(sim, _)| {
+            *sim = sim.clamp(-1.0, 1.0);
+            *sim > min_similarity
+        });
+        if min_similarity < 0.0 {
+            // A negative threshold admits the examples sharing no token,
+            // at similarity 0.
+            let unreached = slot.iter().enumerate().filter(|&(_, &s)| s == 0);
+            sims.extend(unreached.map(|(id, _)| (0.0, id as u32)));
         }
-        sims.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        sims.truncate(self.config.max_neighbors);
+        let rank = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let k = self.config.max_neighbors;
+        if sims.len() > k {
+            if k > 0 {
+                sims.select_nth_unstable_by(k - 1, rank);
+            }
+            sims.truncate(k);
+        }
+        sims.sort_unstable_by(rank);
+        let sims = sims
+            .into_iter()
+            .map(|(sim, id)| (sim, self.examples[id as usize].label));
 
         let mut scores = vec![0.0; self.num_labels];
         match self.config.combination {
@@ -416,6 +468,71 @@ mod tests {
         w.finalize();
         let s = w.classify(["blue", "sky"].iter().copied());
         assert!(s[0] > s[1]);
+    }
+
+    #[test]
+    fn classifying_records_no_metric() {
+        let w = trained(NeighborCombination::NoisyOr);
+        let (_, metrics) = lsd_obs::collect(|| {
+            classify(&w, "Orlando, FL");
+            w.classify_with(|sink| crate::for_each_token("(415) 273", Default::default(), sink));
+        });
+        assert!(metrics.counters.is_empty(), "{:?}", metrics.counters);
+        assert!(metrics.gauges.is_empty(), "{:?}", metrics.gauges);
+        assert!(
+            metrics.histograms.is_empty(),
+            "{:?}",
+            metrics.histograms.keys()
+        );
+    }
+
+    #[test]
+    fn ties_rank_by_example_id() {
+        // Three identical "a" examples tie; the one kept is the lowest id.
+        let mut w = Whirl::new(
+            3,
+            WhirlConfig {
+                max_neighbors: 1,
+                combination: NeighborCombination::Max,
+                temper: 0.0,
+                ..Default::default()
+            },
+        );
+        for (tokens, label) in [(["b"], 0), (["a"], 2), (["a"], 1), (["a"], 0)] {
+            w.add_example(tokens, label);
+        }
+        w.finalize();
+        let s = w.classify(["a"]);
+        assert_eq!(s, vec![0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn validate_refuses_bad_labels_and_dimensions() {
+        let mut w = Whirl::new(2, WhirlConfig::default());
+        w.add_example(["a", "b"], 0);
+        w.add_example(["b", "c"], 1);
+        w.finalize();
+        assert_eq!(w.validate(), Ok(()));
+
+        let mut bad_label = w.clone();
+        bad_label.docs[1].1 = 7;
+        assert_eq!(
+            bad_label.validate(),
+            Err("example label 7 is not below num_labels 2".to_string())
+        );
+
+        let mut bad_dim = w.clone();
+        bad_dim.docs.clear();
+        bad_dim.examples[0].vector = SparseVector::from_pairs(vec![(u32::MAX, 1.0)]);
+        assert_eq!(
+            bad_dim.validate(),
+            Err("vector dimension 4294967295 is not below the vocabulary length 3".to_string())
+        );
+        // `finalize` gives such a dimension no slot rather than growing
+        // the index to reach it.
+        bad_dim.postings.clear();
+        bad_dim.finalize();
+        assert_eq!(bad_dim.postings.len(), 3);
     }
 
     #[test]
