@@ -16,11 +16,15 @@
 //! The auditor works on the artifact *text*, not on a deserialized
 //! `SavedModel` (`lsd-core` depends on this crate, not the other way
 //! around), which is also what lets diagnostics carry byte spans into the
-//! file for rustc-style caret rendering.
+//! file for rustc-style caret rendering. Where loading refuses a learner,
+//! the audit applies the same rule and reports `LSD207`: a learner kind
+//! this build does not have, or WHIRL state that `Whirl::validate`
+//! refuses.
 
 use crate::diagnostic::{Code, Diagnostic};
+use lsd_text::Whirl;
 use lsd_xml::Span;
-use serde::Value;
+use serde::{Deserialize, Value};
 
 /// What a snapshot audit could extract, whether or not the audit was
 /// clean — the cross-artifact context [`crate::audit_registry`] and the
@@ -125,6 +129,18 @@ pub fn audit_snapshot_with_summary(text: &str) -> (Vec<Diagnostic>, SnapshotSumm
         .map(|(j, l)| learner_kind(l).unwrap_or_else(|| format!("learner {j}")))
         .collect();
 
+    for (j, learner) in learners.iter().enumerate() {
+        if let Some(why) = unloadable_learner(learner) {
+            out.push(
+                Diagnostic::new(
+                    Code::MalformedSnapshot,
+                    format!("learner `{}` cannot be loaded: {why}", learner_names[j]),
+                )
+                .with_span(key_span(text, "learners"))
+                .with_help("retrain and re-save the model"),
+            );
+        }
+    }
     if summary.trained {
         for (j, learner) in learners.iter().enumerate() {
             if let Some(why) = degenerate_learner(learner) {
@@ -289,6 +305,31 @@ fn audit_mediated_dtd(text: &str, summary: &SnapshotSummary, out: &mut Vec<Diagn
     }
 }
 
+/// Why `Lsd::load_json` would refuse one serialized learner: its kind is
+/// not one this build has (the `Stats` and `Format` learners were
+/// removed), or its WHIRL state does not parse or fails
+/// [`Whirl::validate`].
+fn unloadable_learner(learner: &Value) -> Option<String> {
+    let Value::Map(entries) = learner else {
+        return None;
+    };
+    let (kind, body) = entries.first()?;
+    match kind.as_str() {
+        "Name" | "Content" => {
+            let whirl = match body {
+                Value::Map(body) => get(body, "whirl"),
+                _ => None,
+            };
+            match Whirl::from_value(whirl.unwrap_or(&Value::Null)) {
+                Ok(whirl) => whirl.validate().err(),
+                Err(e) => Some(format!("its WHIRL state does not parse: {e}")),
+            }
+        }
+        "NaiveBayes" | "Xml" | "CountyRecognizer" => None,
+        other => Some(format!("this build has no `{other}` learner")),
+    }
+}
+
 /// True when a trained learner's serialized state shows it never saw a
 /// training example. Returns a human-readable reason.
 fn degenerate_learner(learner: &Value) -> Option<String> {
@@ -314,14 +355,11 @@ fn degenerate_learner(learner: &Value) -> Option<String> {
                 .then(|| "its WHIRL vocabulary is empty (no stored examples)".to_string())
         }
         // Naive-Bayes-backed learners: zero observed documents.
-        "NaiveBayes" | "Xml" | "Format" => match get(body, "model") {
+        "NaiveBayes" | "Xml" => match get(body, "model") {
             Some(Value::Map(model)) => num_is_zero(get(model, "total_docs"))
                 .then(|| "its Naive Bayes model observed zero documents".to_string()),
             _ => None,
         },
-        // Gaussian stats learner: zero accumulated mass.
-        "Stats" => num_is_zero(get(body, "total"))
-            .then(|| "its value-statistics model observed zero values".to_string()),
         // Parameter-only learners (e.g. the county recognizer) have no
         // trained state to lose.
         _ => None,
@@ -390,7 +428,7 @@ mod tests {
   "version": 2,
   "mediated_dtd": "",
   "labels": ["A", "B", "OTHER"],
-  "learners": [{{"Stats": {{"num_labels": 3, "moments": [], "class_counts": [1.0], "total": 3.0}}}}],
+  "learners": [{{"NaiveBayes": {{"num_labels": 3, "model": {{"total_docs": 3.0}}}}}}],
   "xml_index": null,
   "constraints": [],
   "trained": {trained},
@@ -439,8 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_stats_learner_is_lsd204() {
-        let text = minimal(true).replace("\"total\": 3.0", "\"total\": 0");
+    fn degenerate_naive_bayes_learner_is_lsd204() {
+        let text = minimal(true).replace("\"total_docs\": 3.0", "\"total_docs\": 0");
         let diags = audit_snapshot(&text);
         assert_eq!(codes(&diags), ["LSD204"]);
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -448,19 +486,53 @@ mod tests {
 
     #[test]
     fn untrained_learners_are_not_flagged_on_untrained_snapshots() {
-        let text = minimal(false).replace("\"total\": 3.0", "\"total\": 0");
+        let text = minimal(false).replace("\"total_docs\": 3.0", "\"total_docs\": 0");
         assert_eq!(codes(&audit_snapshot(&text)), ["LSD201"]);
+    }
+
+    /// The fixture with its learner replaced by a content matcher over
+    /// `whirl`.
+    fn with_content_learner(whirl: &str) -> String {
+        minimal(true).replace(
+            r#"{"NaiveBayes": {"num_labels": 3, "model": {"total_docs": 3.0}}}"#,
+            &format!(r#"{{"Content": {{"num_labels": 3, "config": {{}}, "whirl": {whirl}}}}}"#),
+        )
+    }
+
+    fn empty_whirl() -> String {
+        let whirl = Whirl::new(3, lsd_text::WhirlConfig::default());
+        serde_json::to_string(&whirl).expect("serializes")
     }
 
     #[test]
     fn empty_whirl_vocabulary_is_lsd204() {
-        let text = minimal(true).replace(
-            r#"{"Stats": {"num_labels": 3, "moments": [], "class_counts": [1.0], "total": 3.0}}"#,
-            r#"{"Content": {"num_labels": 3, "config": {}, "whirl": {"docs": [], "examples": [], "num_labels": 3}}}"#,
-        );
-        let diags = audit_snapshot(&text);
+        let diags = audit_snapshot(&with_content_learner(&empty_whirl()));
         assert_eq!(codes(&diags), ["LSD204"]);
         assert!(diags[0].message.contains("WHIRL vocabulary"));
+    }
+
+    #[test]
+    fn whirl_state_that_loading_refuses_is_lsd207() {
+        let unparseable = with_content_learner(r#"{"docs": [], "examples": []}"#);
+        let diags = audit_snapshot(&unparseable);
+        assert!(codes(&diags).contains(&"LSD207"), "{diags:?}");
+        // A document labelled `num_labels`.
+        let bad_label = empty_whirl().replace(r#""docs":[]"#, r#""docs":[[["a"],3]]"#);
+        assert_ne!(bad_label, empty_whirl());
+        let diags = audit_snapshot(&with_content_learner(&bad_label));
+        assert_eq!(codes(&diags), ["LSD207"]);
+        assert!(diags[0].message.contains("example label 3"), "{diags:?}");
+    }
+
+    #[test]
+    fn a_learner_kind_this_build_lacks_is_lsd207() {
+        for kind in ["Stats", "Format"] {
+            let text = minimal(true).replace("\"NaiveBayes\"", &format!("\"{kind}\""));
+            let diags = audit_snapshot(&text);
+            assert_eq!(codes(&diags), ["LSD207"]);
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert!(diags[0].message.contains(&format!("`{kind}`")), "{diags:?}");
+        }
     }
 
     #[test]

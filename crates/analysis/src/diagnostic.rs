@@ -78,7 +78,8 @@ pub enum Code {
     /// names disagree with the stored label set.
     MediatedDtdMismatch,
     /// LSD207 — the snapshot is not a well-formed `SavedModel` document
-    /// (unparseable JSON, missing or mistyped required fields).
+    /// (unparseable JSON, missing or mistyped required fields, a learner
+    /// kind this build lacks, WHIRL state that loading refuses).
     MalformedSnapshot,
     /// LSD211 — a feedback WAL does not start with the `LSDWAL01` magic.
     WalBadMagic,

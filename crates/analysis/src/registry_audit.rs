@@ -225,7 +225,7 @@ mod tests {
   "version": {version},
   "mediated_dtd": {dtd:?},
   "labels": [{labels}],
-  "learners": [{{"Stats": {{"num_labels": 2, "moments": [], "class_counts": [1.0], "total": 3.0}}}}],
+  "learners": [{{"NaiveBayes": {{"num_labels": 2, "model": {{"total_docs": 3.0}}}}}}],
   "xml_index": null,
   "constraints": [],
   "trained": true,

@@ -9,7 +9,7 @@ use lsd_analysis::{
     audit_registry, audit_snapshot, audit_snapshot_with_summary, audit_wal, Diagnostic, Severity,
     WalAuditContext,
 };
-use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
+use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd_core::{Correction, FeedbackRecord, FeedbackWal, Lsd, LsdBuilder, Source, TrainedSource};
 use lsd_xml::{parse_dtd, parse_fragment};
 use serde::Value;
@@ -72,7 +72,6 @@ fn train_model() -> Lsd {
         .add_learner(Box::new(NameMatcher::new(n, HashMap::new())))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .build()
         .expect("builds");

@@ -4,8 +4,10 @@
 //! diagnostics, never a panic. The inputs are arbitrary bytes, and
 //! truncations and byte-level mutations of a real WAL (written by
 //! `FeedbackWal::append`) and a real snapshot (written by `Lsd::save_json`).
-//! A snapshot whose WHIRL state parses but cannot be served must be refused
-//! at load with a typed error, without an allocation sized by the bad value.
+//! A snapshot whose WHIRL state parses but cannot be served, or that names
+//! a learner kind this build does not have, must be refused at load with a
+//! typed error, without an allocation sized by the bad value, and the
+//! audit must report it as `LSD207`.
 
 use lsd_analysis::{audit_snapshot, audit_wal, Severity};
 use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
@@ -341,21 +343,37 @@ fn label_count(whirl: &mut Value) -> Value {
 }
 
 /// Loads `text` as a snapshot, through a file as the server does, and
-/// returns the refusal's reason.
-fn refusal(label: &str, text: &str) -> String {
+/// returns the error that refused it.
+fn load_error(label: &str, text: &str) -> PersistError {
     let dir = scratch_dir(label);
     let path = dir.join("model.json");
     std::fs::write(&path, text).expect("writes");
     let loaded = Lsd::load_json(&path);
     std::fs::remove_dir_all(&dir).ok();
     match loaded {
-        Err(PersistError::InvalidLearner { kind, reason }) => {
+        Err(e) => e,
+        Ok(_) => panic!("a snapshot that cannot be served loaded"),
+    }
+}
+
+/// [`load_error`]'s reason for refusing the content matcher, which the
+/// audit must report as `LSD207` with the same reason.
+fn refusal(label: &str, text: &str) -> String {
+    let reason = match load_error(label, text) {
+        PersistError::InvalidLearner { kind, reason } => {
             assert_eq!(kind, "Content");
             reason
         }
-        Err(e) => panic!("refused for another reason: {e}"),
-        Ok(_) => panic!("a snapshot that cannot be served loaded"),
-    }
+        e => panic!("refused for another reason: {e}"),
+    };
+    let diagnostics = audit_snapshot(text);
+    assert!(
+        diagnostics
+            .iter()
+            .any(|d| d.code.as_str() == "LSD207" && d.message.contains(&reason)),
+        "the audit does not report {reason:?}: {diagnostics:?}"
+    );
+    reason
 }
 
 /// A WHIRL label at or beyond the label count, in the document store or
@@ -398,4 +416,33 @@ fn whirl_dimension_beyond_the_vocabulary_is_refused_without_allocating_for_it() 
         largest < 64 << 20,
         "largest allocation request {largest} bytes"
     );
+}
+
+/// A snapshot holding a learner kind that was removed (`Stats`, `Format`)
+/// is refused at load with a typed error naming it, and audited as
+/// `LSD207` naming it.
+#[test]
+fn a_removed_learner_kind_is_refused_at_load_and_in_the_audit() {
+    for kind in ["Stats", "Format"] {
+        let mut value: Value = serde_json::from_str(snapshot()).expect("parses");
+        let Value::Seq(learners) = field(&mut value, "learners") else {
+            panic!("learners is not an array");
+        };
+        learners.push(Value::Map(vec![(
+            kind.to_string(),
+            Value::Map(vec![("num_labels".to_string(), Value::Int(4))]),
+        )]));
+        let text = serde_json::to_string(&value).expect("serializes");
+        match load_error(kind, &text) {
+            PersistError::Json(e) => assert!(e.to_string().contains(kind), "{e}"),
+            e => panic!("{kind}: refused for another reason: {e}"),
+        }
+        let diagnostics = audit_snapshot(&text);
+        assert!(
+            diagnostics
+                .iter()
+                .any(|d| d.code.as_str() == "LSD207" && d.message.contains(&format!("`{kind}`"))),
+            "{kind}: {diagnostics:?}"
+        );
+    }
 }

@@ -1,9 +1,7 @@
 //! Shared experiment machinery: system construction, splits, accuracy.
 
 use lsd_core::feedback::simulate_feedback_session;
-use lsd_core::learners::{
-    county_name_recognizer, ContentMatcher, FormatLearner, NaiveBayesLearner, NameMatcher,
-};
+use lsd_core::learners::paper_suite;
 use lsd_core::{Lsd, LsdBuilder, LsdConfig, MatchOutcome, Source, TrainedSource};
 use lsd_datagen::{DomainId, GeneratedDomain, GeneratedSource};
 use lsd_learn::{metrics, ExecPolicy};
@@ -11,7 +9,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Which base learners a configuration uses.
+/// Which of the paper's base learners ([`paper_suite`]) a configuration
+/// uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LearnerSet {
     /// The WHIRL name matcher.
@@ -23,18 +22,15 @@ pub struct LearnerSet {
     /// The county-name recognizer (only effective in domains with a
     /// COUNTY label).
     pub county_recognizer: bool,
-    /// The Section-7 format learner (extension; off in paper configs).
-    pub format_learner: bool,
 }
 
 impl LearnerSet {
-    /// The paper's base-learner suite (Section 3.3).
+    /// The whole suite (Section 3.3).
     pub const PAPER: LearnerSet = LearnerSet {
         name_matcher: true,
         content_matcher: true,
         naive_bayes: true,
         county_recognizer: true,
-        format_learner: false,
     };
 
     /// Exactly one learner enabled.
@@ -44,30 +40,33 @@ impl LearnerSet {
             content_matcher: false,
             naive_bayes: false,
             county_recognizer: false,
-            format_learner: false,
         };
-        match name {
-            "name-matcher" => set.name_matcher = true,
-            "content-matcher" => set.content_matcher = true,
-            "naive-bayes" => set.naive_bayes = true,
-            "county-recognizer" => set.county_recognizer = true,
-            "format-learner" => set.format_learner = true,
-            other => panic!("unknown learner {other}"),
-        }
+        *set.member(name) = true;
         set
     }
 
     /// The paper suite minus one learner (Figure 9a lesions).
     pub fn without(name: &str) -> LearnerSet {
         let mut set = LearnerSet::PAPER;
+        *set.member(name) = false;
+        set
+    }
+
+    /// Whether the set holds the learner named `name` (its
+    /// `BaseLearner::name`).
+    fn includes(mut self, name: &str) -> bool {
+        *self.member(name)
+    }
+
+    /// The flag of the learner named `name`.
+    fn member(&mut self, name: &str) -> &mut bool {
         match name {
-            "name-matcher" => set.name_matcher = false,
-            "content-matcher" => set.content_matcher = false,
-            "naive-bayes" => set.naive_bayes = false,
-            "county-recognizer" => set.county_recognizer = false,
+            "name-matcher" => &mut self.name_matcher,
+            "content-matcher" => &mut self.content_matcher,
+            "naive-bayes" => &mut self.naive_bayes,
+            "county-recognizer" => &mut self.county_recognizer,
             other => panic!("unknown learner {other}"),
         }
-        set
     }
 }
 
@@ -163,29 +162,14 @@ pub fn to_sources(gs: &GeneratedSource) -> Source {
 /// Builds an LSD system for a configuration over a generated domain.
 pub fn build_lsd(domain: &GeneratedDomain, setup: Setup, config: LsdConfig) -> Lsd {
     let mut builder = LsdBuilder::new(&domain.mediated).with_config(config);
-    let n = builder.labels().len();
-
-    if setup.learners.name_matcher {
-        let pairs: Vec<(&str, &str)> = domain
-            .synonyms
-            .iter()
-            .map(|(a, b)| (a.as_str(), b.as_str()))
-            .collect();
-        builder = builder.add_learner(Box::new(NameMatcher::with_synonym_pairs(n, pairs)));
-    }
-    if setup.learners.content_matcher {
-        builder = builder.add_learner(Box::new(ContentMatcher::new(n)));
-    }
-    if setup.learners.naive_bayes {
-        builder = builder.add_learner(Box::new(NaiveBayesLearner::new(n)));
-    }
-    if setup.learners.county_recognizer {
-        if let Some(county) = builder.labels().get("COUNTY") {
-            builder = builder.add_learner(Box::new(county_name_recognizer(n, county)));
+    let synonyms = domain
+        .synonyms
+        .iter()
+        .map(|(a, b)| (a.as_str(), b.as_str()));
+    for learner in paper_suite(builder.labels(), synonyms) {
+        if setup.learners.includes(learner.name()) {
+            builder = builder.add_learner(learner);
         }
-    }
-    if setup.learners.format_learner {
-        builder = builder.add_learner(Box::new(FormatLearner::new(n)));
     }
     if setup.xml_learner {
         builder = builder.with_xml_learner(None);
@@ -433,26 +417,14 @@ impl Config {
             ),
             Config::SchemaOnly => (
                 TrainKey {
-                    learners: LearnerSet {
-                        name_matcher: true,
-                        content_matcher: false,
-                        naive_bayes: false,
-                        county_recognizer: false,
-                        format_learner: false,
-                    },
+                    learners: LearnerSet::only("name-matcher"),
                     xml: false,
                 },
                 ConstraintMode::SchemaOnly,
             ),
             Config::DataOnly => (
                 TrainKey {
-                    learners: LearnerSet {
-                        name_matcher: false,
-                        content_matcher: true,
-                        naive_bayes: true,
-                        county_recognizer: true,
-                        format_learner: false,
-                    },
+                    learners: LearnerSet::without("name-matcher"),
                     xml: true,
                 },
                 ConstraintMode::DataOnly,

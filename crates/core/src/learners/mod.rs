@@ -6,24 +6,42 @@
 //! learners that have specific strengths in particular domains".
 
 mod content_matcher;
-mod format_learner;
 mod naive_bayes;
 mod name_matcher;
 mod recognizer;
-mod stats_learner;
 mod xml_learner;
 
 pub use content_matcher::ContentMatcher;
-pub use format_learner::FormatLearner;
 pub use naive_bayes::NaiveBayesLearner;
 pub use name_matcher::NameMatcher;
 pub use recognizer::{county_name_recognizer, Recognizer};
-pub use stats_learner::StatsLearner;
 pub use xml_learner::{XmlLearner, XmlTokenKinds};
 
 use crate::instance::Instance;
 use crate::persist::SavedLearner;
-use lsd_learn::Prediction;
+use lsd_learn::{LabelSet, Prediction};
+
+/// The paper's base learners (Section 3.3) for a mediated schema's
+/// `labels`, in combination order: the name matcher with the domain's
+/// `synonyms`, the content matcher, Naive Bayes and, when the labels
+/// include `COUNTY`, the county-name recognizer. The `lsd train` CLI and
+/// every experiment build their systems from this one suite; the XML
+/// learner (Section 5) joins it through [`crate::LsdBuilder::with_xml_learner`].
+pub fn paper_suite<'a>(
+    labels: &LabelSet,
+    synonyms: impl IntoIterator<Item = (&'a str, &'a str)>,
+) -> Vec<Box<dyn BaseLearner>> {
+    let n = labels.len();
+    let mut suite: Vec<Box<dyn BaseLearner>> = vec![
+        Box::new(NameMatcher::with_synonym_pairs(n, synonyms)),
+        Box::new(ContentMatcher::new(n)),
+        Box::new(NaiveBayesLearner::new(n)),
+    ];
+    if let Some(county) = labels.get("COUNTY") {
+        suite.push(Box::new(county_name_recognizer(n, county)));
+    }
+    suite
+}
 
 /// What part of an [`Instance`] a learner's prediction depends on — the
 /// contract that lets the matcher predict once per distinct input.
@@ -227,16 +245,6 @@ mod reads_contract {
     #[test]
     fn naive_bayes_reads_only_the_text() {
         assert_reads_only_text(Box::new(NaiveBayesLearner::new(N)));
-    }
-
-    #[test]
-    fn format_learner_reads_only_the_text() {
-        assert_reads_only_text(Box::new(FormatLearner::new(N)));
-    }
-
-    #[test]
-    fn stats_learner_reads_only_the_text() {
-        assert_reads_only_text(Box::new(StatsLearner::new(N)));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!    information: the [`learners::NameMatcher`] (WHIRL over tag names +
 //!    synonyms + root paths), the [`learners::ContentMatcher`] (WHIRL over
 //!    data content), the [`learners::NaiveBayesLearner`] (word frequencies),
-//!    the [`learners::XmlLearner`] (structure tokens, Section 5), dictionary
-//!    [`learners::Recognizer`]s such as the county-name recognizer, and the
-//!    [`learners::FormatLearner`] extension suggested in Section 7.
+//!    the [`learners::XmlLearner`] (structure tokens, Section 5) and
+//!    dictionary [`learners::Recognizer`]s such as the county-name
+//!    recognizer. [`learners::paper_suite`] declares the paper's set once.
 //! 2. **Combination** ([`combine_learners`]) — every base learner's
 //!    prediction for an instance, with equal weights. The paper's stacking
 //!    meta-learner (Section 3.1 step 5) is left out; DESIGN.md records why.
@@ -33,7 +33,6 @@ mod counties;
 mod error;
 pub mod explain;
 pub mod feedback;
-pub mod hierarchy;
 mod instance;
 pub mod learners;
 pub mod persist;
@@ -50,7 +49,6 @@ pub use explain::{
 pub use feedback::{
     simulate_feedback_session, Correction, CorrectionKind, Feedback, FeedbackOutcome, StallReason,
 };
-pub use hierarchy::{most_specific_unambiguous, PartialMatch};
 pub use instance::{Instance, SourceWalk};
 pub use persist::{PersistError, SavedLearner, SavedModel, SAVED_MODEL_VERSION};
 pub use readers::{

@@ -11,14 +11,17 @@
 //! They still load: unknown keys are ignored, so the model serves with
 //! equal learner weights, as every model now does.
 //!
+//! A snapshot holding a `Stats` or `Format` learner, kinds that were
+//! removed, fails to parse ([`PersistError::Json`] names the kind); retrain
+//! the model.
+//!
 //! Custom [`BaseLearner`] implementations added by downstream users are not
 //! serializable through this path (they are trait objects with arbitrary
 //! state); [`Lsd::to_saved`] reports them by name instead of silently
 //! dropping them.
 
 use crate::learners::{
-    county_name_recognizer, BaseLearner, ContentMatcher, FormatLearner, NaiveBayesLearner,
-    NameMatcher, StatsLearner, XmlLearner,
+    county_name_recognizer, BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner,
 };
 use crate::system::{Lsd, LsdConfig, SourceProvenance};
 use lsd_constraints::{ConstraintHandler, DomainConstraint};
@@ -103,10 +106,6 @@ pub enum SavedLearner {
     NaiveBayes(NaiveBayesLearner),
     /// Structure-token Naive Bayes (Section 5).
     Xml(XmlLearner),
-    /// Character-class format learner (Section 7 extension).
-    Format(FormatLearner),
-    /// Value-statistics learner.
-    Stats(StatsLearner),
     /// The county-name recognizer, reconstructed from its parameters (its
     /// dictionary is compiled in).
     CountyRecognizer {
@@ -126,8 +125,6 @@ impl SavedLearner {
             SavedLearner::Content(_) => "Content",
             SavedLearner::NaiveBayes(_) => "NaiveBayes",
             SavedLearner::Xml(_) => "Xml",
-            SavedLearner::Format(_) => "Format",
-            SavedLearner::Stats(_) => "Stats",
             SavedLearner::CountyRecognizer { .. } => "CountyRecognizer",
         }
     }
@@ -165,8 +162,6 @@ impl SavedLearner {
             }
             SavedLearner::NaiveBayes(l) => Box::new(l),
             SavedLearner::Xml(l) => Box::new(l),
-            SavedLearner::Format(l) => Box::new(l),
-            SavedLearner::Stats(l) => Box::new(l),
             SavedLearner::CountyRecognizer { num_labels, target } => {
                 Box::new(county_name_recognizer(num_labels, target))
             }
@@ -373,8 +368,6 @@ mod tests {
             )))
             .add_learner(Box::new(ContentMatcher::new(n)))
             .add_learner(Box::new(NaiveBayesLearner::new(n)))
-            .add_learner(Box::new(StatsLearner::new(n)))
-            .add_learner(Box::new(FormatLearner::new(n)))
             .with_xml_learner(None)
             .build()
             .unwrap();

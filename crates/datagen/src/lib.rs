@@ -17,7 +17,7 @@
 //! - label-indicative word frequencies in free-text fields (Naive Bayes,
 //!   content matcher);
 //! - formatted values — prices, phones, course codes — whose shape is the
-//!   signal (format learner, value distributions);
+//!   signal (content matcher, Naive Bayes);
 //! - nested agent/office/contact structure that flat bags of words confuse
 //!   but structure tokens separate (XML learner);
 //! - integrity regularities — keys, frequencies, nestings — for the

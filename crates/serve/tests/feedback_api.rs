@@ -4,7 +4,7 @@
 //! single failed request. Also covers the crash path: corrections acked to
 //! the WAL before a shutdown are replayed and folded on the next boot.
 
-use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
+use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd_core::{
     Correction, Feedback, FeedbackRecord, FeedbackWal, Lsd, LsdBuilder, Source, TrainedSource,
 };
@@ -69,7 +69,6 @@ fn train_model() -> Lsd {
         .add_learner(Box::new(NameMatcher::new(n, HashMap::new())))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .build()
         .expect("builds");

@@ -4,10 +4,7 @@
 //! wrapped so that it declares `Reads::Instance` (one call per instance)
 //! must serve byte-identical match and explain bodies.
 
-use lsd_core::learners::{
-    county_name_recognizer, BaseLearner, ContentMatcher, FormatLearner, NaiveBayesLearner,
-    NameMatcher, Reads, StatsLearner,
-};
+use lsd_core::learners::{paper_suite, BaseLearner, Reads};
 use lsd_core::{Instance, Lsd, LsdBuilder, Source, TrainedSource};
 use lsd_datagen::{DomainId, GeneratedDomain};
 use lsd_learn::Prediction;
@@ -48,7 +45,7 @@ fn source(domain: &GeneratedDomain, i: usize) -> Source {
     Source::from_xml(gs.name.clone(), gs.dtd.clone(), gs.listings.clone())
 }
 
-/// Every built-in learner plus the XML learner and the domain's
+/// The paper's learners plus the XML learner and the domain's
 /// constraints, trained on sources 0–2; `wrap` decides how each stage-1
 /// learner is added.
 fn trained(
@@ -56,23 +53,11 @@ fn trained(
     wrap: fn(Box<dyn BaseLearner>) -> Box<dyn BaseLearner>,
 ) -> Lsd {
     let mut builder = LsdBuilder::new(&domain.mediated);
-    let n = builder.labels().len();
-    let synonyms: Vec<(&str, &str)> = domain
+    let synonyms = domain
         .synonyms
         .iter()
-        .map(|(a, b)| (a.as_str(), b.as_str()))
-        .collect();
-    let mut learners: Vec<Box<dyn BaseLearner>> = vec![
-        Box::new(NameMatcher::with_synonym_pairs(n, synonyms)),
-        Box::new(ContentMatcher::new(n)),
-        Box::new(NaiveBayesLearner::new(n)),
-        Box::new(FormatLearner::new(n)),
-        Box::new(StatsLearner::new(n)),
-    ];
-    if let Some(county) = builder.labels().get("COUNTY") {
-        learners.push(Box::new(county_name_recognizer(n, county)));
-    }
-    for learner in learners {
+        .map(|(a, b)| (a.as_str(), b.as_str()));
+    for learner in paper_suite(builder.labels(), synonyms) {
         builder = builder.add_learner(wrap(learner));
     }
     let mut lsd = builder

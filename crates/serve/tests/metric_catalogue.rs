@@ -11,9 +11,7 @@
 //! It lives in its own file so it runs in its own process: recording is
 //! process-wide, and no other test's probes may land in its snapshots.
 
-use lsd_core::learners::{
-    ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner, XmlLearner,
-};
+use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner};
 use lsd_core::{Lsd, LsdBuilder, Source, TrainedSource};
 use lsd_obs::MetricsSnapshot;
 use lsd_serve::{ModelRegistry, ServeConfig, Server};
@@ -139,7 +137,6 @@ fn small_model() -> Lsd {
         .add_learner(Box::new(NameMatcher::new(n, HashMap::new())))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .build()
         .expect("builds");

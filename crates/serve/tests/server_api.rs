@@ -3,7 +3,7 @@
 //! guarantee (every request is served entirely by one model, byte-identical
 //! per model).
 
-use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
+use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd_core::{Lsd, LsdBuilder, Source, TrainedSource};
 use lsd_serve::{json, ModelRegistry, ServeConfig, Server, ServerHandle};
 use lsd_xml::{parse_dtd, parse_fragment};
@@ -55,7 +55,6 @@ fn train_model(rows: &[(&str, &str, &str)]) -> Lsd {
         .add_learner(Box::new(NameMatcher::new(n, HashMap::new())))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .build()
         .expect("builds");

@@ -4,7 +4,7 @@
 //! — and [`AuditMode::Warn`] (the library default) loads everything and
 //! only counts the findings.
 
-use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
+use lsd_core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd_core::{Correction, FeedbackRecord, FeedbackWal, Lsd, LsdBuilder, Source, TrainedSource};
 use lsd_serve::{AuditMode, ModelRegistry, ServeError};
 use lsd_xml::{parse_dtd, parse_fragment};
@@ -67,7 +67,6 @@ fn train_model() -> Lsd {
         .add_learner(Box::new(NameMatcher::new(n, HashMap::new())))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .build()
         .expect("builds");

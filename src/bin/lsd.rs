@@ -6,7 +6,8 @@
 //! # 1. Produce a demo workspace (or bring your own DTDs + data):
 //! lsd generate --domain re1 --listings 100 --seed 7 --out demo/
 //!
-//! # 2. Train on the user-mapped sources, save the model:
+//! # 2. Train the paper's learners (Sections 3.3 and 5) on the user-mapped
+//! #    sources, save the model:
 //! lsd train --mediated demo/mediated.dtd \
 //!           --source demo/homeseekers.com --source demo/texashomes.com \
 //!           --source demo/greathomes.com \
@@ -29,9 +30,7 @@
 //! `Vec<DomainConstraint>`.
 
 use lsd::constraints::DomainConstraint;
-use lsd::core::learners::{
-    ContentMatcher, FormatLearner, NaiveBayesLearner, NameMatcher, StatsLearner,
-};
+use lsd::core::learners::paper_suite;
 use lsd::core::{Correction, Feedback, Lsd, LsdBuilder, Source, TrainedSource};
 use lsd::datagen::DomainId;
 use lsd::xml::{parse_document, parse_dtd, write_element_pretty, Dtd, Element};
@@ -239,18 +238,12 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         .map(|dir| read_training_source(Path::new(dir)))
         .collect::<Result<_, _>>()?;
 
+    // The paper's system: its base learners and the XML learner.
     let builder = LsdBuilder::new(&mediated);
-    let n = builder.labels().len();
-    let pairs: Vec<(&str, &str)> = synonyms
-        .iter()
-        .map(|(a, b)| (a.as_str(), b.as_str()))
-        .collect();
-    let mut lsd = builder
-        .add_learner(Box::new(NameMatcher::with_synonym_pairs(n, pairs)))
-        .add_learner(Box::new(ContentMatcher::new(n)))
-        .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
-        .add_learner(Box::new(FormatLearner::new(n)))
+    let pairs = synonyms.iter().map(|(a, b)| (a.as_str(), b.as_str()));
+    let mut lsd = paper_suite(builder.labels(), pairs)
+        .into_iter()
+        .fold(builder, LsdBuilder::add_learner)
         .with_xml_learner(None)
         .with_constraints(constraints)
         .build()

@@ -8,7 +8,7 @@
 //! could leave stale. Listing counts stay below the per-tag subsampling cap
 //! so neither path draws from the RNG.
 
-use lsd::core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher, StatsLearner};
+use lsd::core::learners::{ContentMatcher, NaiveBayesLearner, NameMatcher};
 use lsd::core::{Lsd, LsdBuilder, LsdConfig, LsdError, Source, TrainedSource};
 use lsd::datagen::DomainId;
 
@@ -41,7 +41,6 @@ fn build(domain: &lsd::datagen::GeneratedDomain) -> Lsd {
         .add_learner(Box::new(NameMatcher::with_synonym_pairs(n, pairs)))
         .add_learner(Box::new(ContentMatcher::new(n)))
         .add_learner(Box::new(NaiveBayesLearner::new(n)))
-        .add_learner(Box::new(StatsLearner::new(n)))
         .with_xml_learner(None)
         .with_constraints(domain.constraints.clone())
         .build()
