@@ -7,20 +7,19 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsd_core::learners::{BaseLearner, ContentMatcher, NaiveBayesLearner, NameMatcher, XmlLearner};
 use lsd_core::{
-    Instance, LsdBuilder, LsdConfig, SearchAlgorithm, SearchConfig, Source, SourceWalk,
+    Instance, LsdBuilder, LsdConfig, SearchAlgorithm, SearchConfig, Source, SourceWalk, SubLabels,
     TrainedSource,
 };
 use lsd_datagen::{DomainId, GeneratedDomain};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 use std::hint::black_box;
 
-/// Labelled instances extracted from one generated source.
-fn labelled_instances(domain: &GeneratedDomain, source: usize) -> Vec<(Instance, usize)> {
+/// One generated source walked, with its tags' true labels.
+fn labelled_walk(domain: &GeneratedDomain, source: usize) -> (SourceWalk<'_>, SubLabels) {
     let gs = &domain.sources[source];
     let labels = lsd_learn::LabelSet::new(domain.mediated.element_names().map(str::to_string));
-    let tag_labels: HashMap<String, usize> = gs
+    let tag_labels: SubLabels = gs
         .dtd
         .element_names()
         .map(|t| {
@@ -32,12 +31,19 @@ fn labelled_instances(domain: &GeneratedDomain, source: usize) -> Vec<(Instance,
             (t.to_string(), l)
         })
         .collect();
-    let walk = SourceWalk::new(&gs.listings);
+    (SourceWalk::new(&gs.listings), tag_labels)
+}
+
+/// Every occurrence of a walked source as a labelled instance.
+fn labelled_instances<'w>(
+    walk: &'w SourceWalk<'_>,
+    tag_labels: &'w SubLabels,
+) -> Vec<(Instance<'w>, usize)> {
     let mut out = Vec::new();
     for tag in walk.tags() {
         let label = tag_labels[tag];
         for &id in walk.column(tag) {
-            out.push((walk.instance(id).with_sub_labels(tag_labels.clone()), label));
+            out.push((walk.instance(id).with_sub_labels(tag_labels), label));
         }
     }
     out
@@ -45,8 +51,9 @@ fn labelled_instances(domain: &GeneratedDomain, source: usize) -> Vec<(Instance,
 
 fn bench_learners(c: &mut Criterion) {
     let domain = DomainId::RealEstate1.generate(50, 1);
-    let examples = labelled_instances(&domain, 0);
-    let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
+    let (walk, tag_labels) = labelled_walk(&domain, 0);
+    let examples = labelled_instances(&walk, &tag_labels);
+    let refs = examples.as_slice();
     let n = domain.mediated.len() + 1;
     let pairs: Vec<(&str, &str)> = domain
         .synonyms
@@ -58,37 +65,37 @@ fn bench_learners(c: &mut Criterion) {
     group.bench_function("name_matcher", |b| {
         b.iter(|| {
             let mut l = NameMatcher::with_synonym_pairs(n, pairs.clone());
-            BaseLearner::train(&mut l, black_box(&refs));
+            BaseLearner::train(&mut l, black_box(refs));
             l
         })
     });
     group.bench_function("content_matcher", |b| {
         b.iter(|| {
             let mut l = ContentMatcher::new(n);
-            BaseLearner::train(&mut l, black_box(&refs));
+            BaseLearner::train(&mut l, black_box(refs));
             l
         })
     });
     group.bench_function("naive_bayes", |b| {
         b.iter(|| {
             let mut l = NaiveBayesLearner::new(n);
-            BaseLearner::train(&mut l, black_box(&refs));
+            BaseLearner::train(&mut l, black_box(refs));
             l
         })
     });
     group.bench_function("xml_learner", |b| {
         b.iter(|| {
             let mut l = XmlLearner::new(n);
-            BaseLearner::train(&mut l, black_box(&refs));
+            BaseLearner::train(&mut l, black_box(refs));
             l
         })
     });
     group.finish();
 
     let mut trained_nb = NaiveBayesLearner::new(n);
-    BaseLearner::train(&mut trained_nb, &refs);
+    BaseLearner::train(&mut trained_nb, refs);
     let mut trained_content = ContentMatcher::new(n);
-    BaseLearner::train(&mut trained_content, &refs);
+    BaseLearner::train(&mut trained_content, refs);
     let probe = &examples[examples.len() / 2].0;
 
     let mut group = c.benchmark_group("learner_predict");
@@ -187,7 +194,8 @@ fn bench_search_only(c: &mut Criterion) {
         .match_source(&to_sources(gs))
         .expect("datagen sources match");
     let schema = SchemaTree::from_dtd(&gs.dtd).expect("valid schema");
-    let data = SourceWalk::new(&gs.listings).source_data(outcome.tags.iter().map(String::as_str));
+    let walk = SourceWalk::new(&gs.listings);
+    let data = walk.source_data(outcome.tags.iter().map(String::as_str));
     let ctx = MatchingContext {
         labels: model.labels(),
         schema: &schema,
@@ -330,7 +338,8 @@ fn bench_evaluators(c: &mut Criterion) {
     let schema = SchemaTree::from_dtd(&gs.dtd).expect("valid schema");
     let labels = LabelSet::new(domain.mediated.element_names().map(str::to_string));
     let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
-    let data = SourceWalk::new(&gs.listings).source_data(tags.iter().map(String::as_str));
+    let walk = SourceWalk::new(&gs.listings);
+    let data = walk.source_data(tags.iter().map(String::as_str));
     let ctx = MatchingContext {
         labels: &labels,
         schema: &schema,
@@ -362,8 +371,8 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| lsd_xml::parse_fragment(black_box(&listing_xml)).expect("parses"))
     });
     // What matching does with a source's listings: one walk, a seeded
-    // subsample of each tag's occurrences, owned instances only for the
-    // kept ones, and the constraint data from the same walk.
+    // subsample of each tag's occurrences, instances for the kept ones,
+    // and the constraint data, all borrowing from the walk.
     let gs = &domain.sources[0];
     let tags: Vec<&str> = gs.dtd.element_names().collect();
     let cap = LsdConfig::default().max_match_instances_per_tag;
@@ -378,7 +387,8 @@ fn bench_substrates(c: &mut Criterion) {
                     ids.iter().map(|&id| walk.instance(id)).collect()
                 })
                 .collect();
-            (kept, walk.source_data(tags.iter().copied()))
+            black_box(&kept);
+            black_box(&walk.source_data(tags.iter().copied()));
         })
     });
     let stemmer = lsd_text::PorterStemmer::new();

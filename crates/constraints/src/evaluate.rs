@@ -37,7 +37,7 @@ pub struct MatchingContext<'a> {
     /// Prediction-converter output per tag.
     pub predictions: Vec<Prediction>,
     /// Extracted data, for column constraints.
-    pub data: &'a SourceData,
+    pub data: &'a SourceData<'a>,
     /// Weight α of the `−log prob(m)` term.
     pub alpha: f64,
 }
@@ -297,7 +297,7 @@ mod tests {
     struct Fixture {
         labels: LabelSet,
         schema: SchemaTree,
-        data: SourceData,
+        data: SourceData<'static>,
     }
 
     impl Fixture {

@@ -293,7 +293,7 @@ mod tests {
     struct Fixture {
         labels: LabelSet,
         schema: SchemaTree,
-        data: SourceData,
+        data: SourceData<'static>,
     }
 
     impl Fixture {

@@ -7,18 +7,24 @@
 //! different dependents refute an FD. The absence of a counterexample in
 //! the sample is treated as consistency (paper Section 4.1).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Extracted data for one source: per listing (row), the value of each
 /// source tag in that listing, if present.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "SourceDataParts", into = "SourceDataParts")]
-pub struct SourceData {
+///
+/// A cell borrows its value from the caller (the walk's joined listing
+/// text, when matching). Only a tag repeated within one listing owns its
+/// cell, which joins the values with `" | "`.
+#[derive(Debug, Clone, Default)]
+pub struct SourceData<'a> {
     tags: Vec<String>,
     tag_index: HashMap<String, usize>,
-    /// `rows[r][t]` — the text value of tag `t` in listing `r`.
-    rows: Vec<Vec<Option<String>>>,
+    /// Row-major cells: `cells[r * tags.len() + t]` is the value of tag
+    /// `t` in listing `r`.
+    cells: Vec<Option<Cow<'a, str>>>,
+    num_rows: usize,
 }
 
 /// The serialized shape of [`SourceData`]; the tag index is rebuilt on
@@ -29,32 +35,44 @@ struct SourceDataParts {
     rows: Vec<Vec<Option<String>>>,
 }
 
-impl From<SourceDataParts> for SourceData {
-    fn from(parts: SourceDataParts) -> Self {
-        let tag_index = parts
-            .tags
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.clone(), i))
-            .collect();
-        SourceData {
-            tags: parts.tags,
-            tag_index,
-            rows: parts.rows,
-        }
-    }
-}
-
-impl From<SourceData> for SourceDataParts {
-    fn from(data: SourceData) -> Self {
+impl Serialize for SourceData<'_> {
+    fn to_value(&self) -> Value {
         SourceDataParts {
-            tags: data.tags,
-            rows: data.rows,
+            tags: self.tags.clone(),
+            rows: (0..self.num_rows)
+                .map(|r| {
+                    self.row(r)
+                        .iter()
+                        .map(|cell| cell.as_deref().map(str::to_string))
+                        .collect()
+                })
+                .collect(),
         }
+        .to_value()
     }
 }
 
-impl SourceData {
+impl Deserialize for SourceData<'static> {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let parts = SourceDataParts::from_value(value)?;
+        let mut data = SourceData::new(parts.tags);
+        for row in parts.rows {
+            if row.len() != data.tags.len() {
+                return Err(Error::custom(format!(
+                    "row has {} cells for {} tags",
+                    row.len(),
+                    data.tags.len()
+                )));
+            }
+            data.cells
+                .extend(row.into_iter().map(|cell| cell.map(Cow::Owned)));
+            data.num_rows += 1;
+        }
+        Ok(data)
+    }
+}
+
+impl<'a> SourceData<'a> {
     /// Creates an empty store for the given source tags.
     pub fn new<I, S>(tags: I) -> Self
     where
@@ -70,8 +88,14 @@ impl SourceData {
         SourceData {
             tags,
             tag_index,
-            rows: Vec::new(),
+            cells: Vec::new(),
+            num_rows: 0,
         }
+    }
+
+    /// The column index of `tag`, as [`Self::push_cells`] takes it.
+    pub fn tag_index(&self, tag: &str) -> Option<usize> {
+        self.tag_index.get(tag).copied()
     }
 
     /// Appends one listing given `(tag, value)` pairs; tags not present in
@@ -79,20 +103,46 @@ impl SourceData {
     /// several times in one listing, its values are joined with `" | "`
     /// into a single cell (a repeated tag is one listing-level fact for
     /// column-constraint purposes).
-    pub fn push_row<'a>(&mut self, values: impl IntoIterator<Item = (&'a str, &'a str)>) {
-        let mut row: Vec<Option<String>> = vec![None; self.tags.len()];
+    pub fn push_row<'t>(&mut self, values: impl IntoIterator<Item = (&'t str, &'a str)>) {
+        let start = self.open_row();
         for (tag, value) in values {
             if let Some(&i) = self.tag_index.get(tag) {
-                match &mut row[i] {
-                    Some(existing) => {
-                        existing.push_str(" | ");
-                        existing.push_str(value);
-                    }
-                    slot => *slot = Some(value.to_string()),
-                }
+                put(&mut self.cells[start + i], value);
             }
         }
-        self.rows.push(row);
+    }
+
+    /// [`Self::push_row`] with the tags given by their [`Self::tag_index`]:
+    /// each cell borrows its value unless its tag repeats in the row.
+    ///
+    /// # Panics
+    /// If an index is not below the number of tags.
+    pub fn push_cells(&mut self, values: impl IntoIterator<Item = (usize, &'a str)>) {
+        let width = self.tags.len();
+        let start = self.open_row();
+        for (i, value) in values {
+            assert!(i < width, "tag index {i} out of range for {width} tags");
+            put(&mut self.cells[start + i], value);
+        }
+    }
+
+    /// Appends an empty row; returns the position of its first cell.
+    fn open_row(&mut self) -> usize {
+        let start = self.cells.len();
+        self.cells.resize(start + self.tags.len(), None);
+        self.num_rows += 1;
+        start
+    }
+
+    /// The cells of row `r`, one per tag.
+    fn row(&self, r: usize) -> &[Option<Cow<'a, str>>] {
+        let width = self.tags.len();
+        &self.cells[r * width..(r + 1) * width]
+    }
+
+    /// Tag `i`'s cells, present or not, in row order.
+    fn cells_of(&self, i: usize) -> impl Iterator<Item = Option<&str>> + '_ {
+        (0..self.num_rows).map(move |r| self.row(r)[i].as_deref())
     }
 
     /// The tags this store tracks.
@@ -102,7 +152,7 @@ impl SourceData {
 
     /// Number of listings.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.num_rows
     }
 
     /// Non-missing values of one tag, in row order. Placeholder values
@@ -112,9 +162,8 @@ impl SourceData {
     pub fn column(&self, tag: &str) -> Vec<&str> {
         match self.tag_index.get(tag) {
             Some(&i) => self
-                .rows
-                .iter()
-                .filter_map(|r| r[i].as_deref())
+                .cells_of(i)
+                .flatten()
                 .filter(|v| !is_placeholder(v))
                 .collect(),
             None => Vec::new(),
@@ -144,7 +193,8 @@ impl SourceData {
             return false;
         };
         let mut seen: HashMap<Vec<&str>, &str> = HashMap::new();
-        for row in &self.rows {
+        for r in 0..self.num_rows {
+            let row = self.row(r);
             let key: Option<Vec<&str>> = det_idx
                 .iter()
                 .map(|&i| row[i].as_deref().filter(|v| !is_placeholder(v)))
@@ -188,12 +238,7 @@ impl SourceData {
         let mut seen = HashSet::new();
         let mut duplicates = false;
         let (mut values, mut numeric) = (0usize, 0usize);
-        for v in self
-            .rows
-            .iter()
-            .filter_map(|r| r[i].as_deref())
-            .filter(|v| !is_placeholder(v))
-        {
+        for v in self.cells_of(i).flatten().filter(|v| !is_placeholder(v)) {
             values += 1;
             numeric += usize::from(is_numeric_value(v));
             duplicates = duplicates || !seen.insert(v);
@@ -202,6 +247,19 @@ impl SourceData {
             duplicates,
             (values > 0).then(|| numeric as f64 / values as f64),
         )
+    }
+}
+
+/// Fills one cell: borrowed on first write, joined with `" | "` (and so
+/// owned) when the tag repeats in the row.
+fn put<'a>(slot: &mut Option<Cow<'a, str>>, value: &'a str) {
+    match slot {
+        Some(existing) => {
+            let joined = existing.to_mut();
+            joined.push_str(" | ");
+            joined.push_str(value);
+        }
+        None => *slot = Some(Cow::Borrowed(value)),
     }
 }
 
@@ -248,7 +306,7 @@ pub(crate) fn is_numeric_value(value: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn sample() -> SourceData {
+    fn sample() -> SourceData<'static> {
         let mut d = SourceData::new(["id", "beds", "price", "city", "zip"]);
         d.push_row([
             ("id", "1"),
@@ -340,8 +398,8 @@ mod tests {
             let mut d = SourceData::new(["a", "b"]);
             for _ in 0..rng.gen_range(0..6) {
                 let a = VALUES[rng.gen_range(0..VALUES.len())];
-                let b = format!("v{}", rng.gen_range(0..4));
-                let row: Vec<(&str, &str)> = [("a", a), ("b", b.as_str())]
+                let b = ["v0", "v1", "v2", "v3"][rng.gen_range(0..4)];
+                let row: Vec<(&str, &str)> = [("a", a), ("b", b)]
                     .into_iter()
                     .filter(|_| rng.gen_bool(0.8))
                     .collect();
@@ -352,7 +410,7 @@ mod tests {
                     d.key_and_numeric(tag),
                     (d.has_duplicates(tag), d.numeric_fraction(tag)),
                     "{tag} over {:?}",
-                    d.rows
+                    d.cells
                 );
             }
         }

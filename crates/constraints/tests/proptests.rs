@@ -33,7 +33,7 @@ fn schema() -> SchemaTree {
     SchemaTree::from_dtd(&dtd).expect("closed DTD")
 }
 
-fn data() -> SourceData {
+fn data() -> SourceData<'static> {
     let mut d = SourceData::new(TAGS.iter().map(|t| t.to_string()).collect::<Vec<_>>());
     d.push_row([
         ("t1", "1"),

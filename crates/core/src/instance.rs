@@ -3,9 +3,9 @@
 //! In the matching phase "LSD extracts data from the source, and creates for
 //! each source-schema element a column of XML elements that belong to it"
 //! (Section 3). An [`Instance`] is one such element occurrence plus the
-//! context the learners need: the tag path from the listing root and — for
-//! the XML learner — the (true or currently-predicted) labels of the tags
-//! below it.
+//! context the learners need: the tag path from the listing root, the
+//! subtree text and — for the XML learner — the (true or currently-predicted)
+//! labels of the tags below it. It borrows all of them.
 
 use lsd_constraints::SourceData;
 use lsd_xml::{Element, Node};
@@ -13,55 +13,66 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 use std::collections::HashMap;
 
-/// One occurrence of a source tag in a listing.
-#[derive(Debug, Clone)]
-pub struct Instance {
+/// Per source tag, a label index (see [`Instance::sub_labels`]).
+pub type SubLabels = HashMap<String, usize>;
+
+/// One occurrence of a source tag in a listing, borrowed from its listing
+/// and from the [`SourceWalk`] that found it.
+#[derive(Debug, Clone, Copy)]
+pub struct Instance<'a> {
     /// The element subtree (the element itself plus everything below it).
-    pub element: Element,
+    pub element: &'a Element,
     /// Tag names from the listing root down to this element, inclusive —
     /// the name matcher learns from the whole path (Section 3.3: the tag
     /// name is "expanded with … all tag names leading to this element from
     /// the root element").
-    pub path: Vec<String>,
+    pub path: &'a [&'a str],
+    /// All text in the subtree, as [`Element::deep_text`] joins it.
+    pub text: &'a str,
     /// Per source tag, the label index of that tag — the true labels during
     /// training, or LSD's first-pass predictions during matching. Consumed
     /// by the XML learner (Section 5) to turn non-leaf descendants into
-    /// node/edge tokens. Empty when structure labels are unavailable.
-    pub sub_labels: HashMap<String, usize>,
+    /// node/edge tokens. `None` when structure labels are unavailable.
+    pub sub_labels: Option<&'a SubLabels>,
 }
 
-impl Instance {
-    /// Creates an instance with no structure-label context.
-    pub fn new(element: Element, path: Vec<String>) -> Self {
+impl<'a> Instance<'a> {
+    /// An instance with no structure-label context. `text` must be
+    /// `element`'s [`Element::deep_text`]: learners read it instead of
+    /// joining the subtree's text again.
+    pub fn new(element: &'a Element, path: &'a [&'a str], text: &'a str) -> Self {
         Instance {
             element,
             path,
-            sub_labels: HashMap::new(),
+            text,
+            sub_labels: None,
         }
     }
 
     /// The tag name of the instance's element.
-    pub fn tag(&self) -> &str {
+    pub fn tag(&self) -> &'a str {
         &self.element.name
     }
 
-    /// All text in the instance's subtree.
-    pub fn text(&self) -> String {
-        self.element.deep_text()
-    }
-
-    /// Returns a copy with the given structure labels attached.
-    pub fn with_sub_labels(mut self, sub_labels: HashMap<String, usize>) -> Self {
-        self.sub_labels = sub_labels;
-        self
+    /// The instance with the given structure labels attached.
+    pub fn with_sub_labels(self, sub_labels: &'a SubLabels) -> Self {
+        Instance {
+            sub_labels: Some(sub_labels),
+            ..self
+        }
     }
 }
 
 /// One borrowed pass over a source's listings: every element occurrence,
-/// with its tag, root path and deep text, and no element cloned. Matching,
-/// training and the constraint [`SourceData`] all read the same walk;
-/// only the occurrences that subsampling keeps become owned [`Instance`]s
-/// (see [`SourceWalk::sample`] and [`SourceWalk::instance`]).
+/// with its tag, root path and deep text, and no element or string cloned.
+/// Matching, training and the constraint [`SourceData`] all read the same
+/// walk, and the [`Instance`]s it hands out borrow from it.
+///
+/// All text of the listings is joined once, into one string, the way
+/// [`Element::deep_text`] joins runs: trimmed, empty runs skipped, one
+/// space between runs. An occurrence's deep text is then the slice from
+/// its subtree's first run to its last. The root paths share one arena
+/// the same way.
 ///
 /// Occurrences are identified by `usize` ids. Each column lists its ids in
 /// *extraction order*: listing by listing, a stack-based depth-first walk
@@ -72,31 +83,42 @@ pub struct SourceWalk<'a> {
     nodes: Vec<WalkNode<'a>>,
     /// The id of each listing's root occurrence.
     roots: Vec<usize>,
-    /// Per tag, its occurrence ids in extraction order.
-    columns: HashMap<&'a str, Vec<usize>>,
+    /// Per tag, its column: an index into `columns`.
+    index: HashMap<&'a str, usize>,
+    /// Per column, its tag and its occurrence ids in extraction order.
+    columns: Vec<(&'a str, Vec<usize>)>,
+    /// Every text run of every listing, joined.
+    text: String,
+    /// Every occurrence's root path, back to back.
+    paths: Vec<&'a str>,
 }
 
 struct WalkNode<'a> {
     element: &'a Element,
-    parent: Option<usize>,
+    /// The occurrence's column (its tag).
+    column: usize,
     /// One past the id of this subtree's last occurrence.
     end: usize,
-    /// All text in the subtree, as [`Element::deep_text`] joins it.
-    text: String,
+    /// The subtree's deep text: a byte range of the joined text.
+    text: (usize, usize),
+    /// The root path: a range of the path arena.
+    path: (usize, usize),
 }
 
 impl<'a> SourceWalk<'a> {
-    /// Walks `listings` once. Each occurrence's deep text is joined from
-    /// its direct text runs and its children's deep texts, so a listing's
-    /// text is joined once rather than once per ancestor.
+    /// Walks `listings` once.
     pub fn new(listings: &'a [Element]) -> Self {
         let mut walk = SourceWalk {
             nodes: Vec::new(),
             roots: Vec::with_capacity(listings.len()),
-            columns: HashMap::new(),
+            index: HashMap::new(),
+            columns: Vec::new(),
+            text: String::new(),
+            paths: Vec::new(),
         };
+        let mut ancestors = Vec::new();
         for listing in listings {
-            let root = walk.push(listing, None);
+            let root = walk.push(listing, &mut ancestors);
             walk.roots.push(root);
         }
         let mut stack = Vec::new();
@@ -104,10 +126,7 @@ impl<'a> SourceWalk<'a> {
             stack.push(root);
             while let Some(id) = stack.pop() {
                 let node = &walk.nodes[id];
-                walk.columns
-                    .entry(node.element.name.as_str())
-                    .or_default()
-                    .push(id);
+                walk.columns[node.column].1.push(id);
                 // Children in document order, so the last one pops first.
                 let mut child = id + 1;
                 while child < node.end {
@@ -119,41 +138,70 @@ impl<'a> SourceWalk<'a> {
         walk
     }
 
-    /// Appends `element`'s subtree in document pre-order; returns its id.
-    fn push(&mut self, element: &'a Element, parent: Option<usize>) -> usize {
+    /// Appends `element`'s subtree in document pre-order, below the path
+    /// `ancestors`; returns its id.
+    fn push(&mut self, element: &'a Element, ancestors: &mut Vec<&'a str>) -> usize {
         let id = self.nodes.len();
+        let columns = &mut self.columns;
+        let column = *self.index.entry(element.name.as_str()).or_insert_with(|| {
+            columns.push((element.name.as_str(), Vec::new()));
+            columns.len() - 1
+        });
+        ancestors.push(&element.name);
+        let path_start = self.paths.len();
+        self.paths.extend_from_slice(ancestors);
         self.nodes.push(WalkNode {
             element,
-            parent,
+            column,
             end: 0,
-            text: String::new(),
+            text: (0, 0),
+            path: (path_start, self.paths.len()),
         });
-        let mut text = String::new();
+        let text_start = self.text.len();
         for child in &element.children {
             match child {
-                Node::Text(run) => push_text_part(&mut text, run),
+                Node::Text(run) => self.push_run(run),
                 Node::Element(e) => {
-                    let child_id = self.push(e, Some(id));
-                    push_text_part(&mut text, &self.nodes[child_id].text);
+                    self.push(e, ancestors);
                 }
             }
         }
-        let end = self.nodes.len();
+        ancestors.pop();
+        let (end, text_end) = (self.nodes.len(), self.text.len());
         let node = &mut self.nodes[id];
         node.end = end;
-        node.text = text;
+        if text_end > text_start {
+            // The first run of the subtree follows a separating space
+            // unless it opens the joined text.
+            node.text = (text_start + usize::from(text_start > 0), text_end);
+        }
         id
     }
 
-    /// The tags that occur at least once, in no particular order.
+    /// Appends one text run the way [`Element::deep_text`] joins runs:
+    /// trimmed, skipped when empty, separated by one space.
+    fn push_run(&mut self, run: &str) {
+        let run = run.trim();
+        if run.is_empty() {
+            return;
+        }
+        if !self.text.is_empty() {
+            self.text.push(' ');
+        }
+        self.text.push_str(run);
+    }
+
+    /// The tags that occur at least once, in order of first occurrence.
     pub fn tags(&self) -> impl Iterator<Item = &'a str> + '_ {
-        self.columns.keys().copied()
+        self.columns.iter().map(|&(tag, _)| tag)
     }
 
     /// The occurrence ids of `tag` in extraction order (empty if it never
     /// occurs).
     pub fn column(&self, tag: &str) -> &[usize] {
-        self.columns.get(tag).map_or(&[], Vec::as_slice)
+        self.index
+            .get(tag)
+            .map_or(&[], |&c| self.columns[c].1.as_slice())
     }
 
     /// `tag`'s column cut to at most `cap` uniformly chosen occurrences
@@ -170,52 +218,58 @@ impl<'a> SourceWalk<'a> {
         ids
     }
 
-    /// The occurrence's deep text (the same string [`Instance::text`]
-    /// returns for its instance).
+    /// The occurrence's deep text (the same string as its
+    /// [`Instance::text`]).
     pub fn text(&self, id: usize) -> &str {
-        &self.nodes[id].text
+        let (start, end) = self.nodes[id].text;
+        &self.text[start..end]
     }
 
-    /// The occurrence as an owned [`Instance`]: its element subtree and
-    /// root path are cloned here, and only here.
-    pub fn instance(&self, id: usize) -> Instance {
-        let mut path = Vec::new();
-        let mut at = Some(id);
-        while let Some(i) = at {
-            path.push(self.nodes[i].element.name.clone());
-            at = self.nodes[i].parent;
-        }
-        path.reverse();
-        Instance::new(self.nodes[id].element.clone(), path)
+    /// The occurrence as an [`Instance`] borrowing its element, root path
+    /// and text from this walk.
+    pub fn instance(&self, id: usize) -> Instance<'_> {
+        let node = &self.nodes[id];
+        let (start, end) = node.path;
+        Instance::new(node.element, &self.paths[start..end], self.text(id))
     }
 
     /// The row-aligned [`SourceData`] used by column constraints: one row
-    /// per listing, each tag's cell holding the text of that tag's
-    /// occurrences in the listing (joined in document order when repeated).
-    pub fn source_data<'t>(&self, tags: impl IntoIterator<Item = &'t str>) -> SourceData {
+    /// per listing, each tag's cell borrowing the text of that tag's
+    /// occurrence in the listing (joined in document order when repeated).
+    pub fn source_data<'t>(&self, tags: impl IntoIterator<Item = &'t str>) -> SourceData<'_> {
         let mut data = SourceData::new(tags);
+        let cells: Vec<Option<usize>> = self
+            .columns
+            .iter()
+            .map(|&(tag, _)| data.tag_index(tag))
+            .collect();
         for &root in &self.roots {
-            data.push_row(
-                self.nodes[root..self.nodes[root].end]
-                    .iter()
-                    .map(|n| (n.element.name.as_str(), n.text.as_str())),
+            data.push_cells(
+                (root..self.nodes[root].end)
+                    .filter_map(|id| Some((cells[self.nodes[id].column]?, self.text(id)))),
             );
         }
         data
     }
 }
 
-/// Appends one text part the way [`Element::deep_text`] joins runs:
-/// trimmed, skipped when empty, separated by one space.
-fn push_text_part(out: &mut String, part: &str) {
-    let part = part.trim();
-    if part.is_empty() {
-        return;
-    }
-    if !out.is_empty() {
-        out.push(' ');
-    }
-    out.push_str(part);
+/// A stand-alone instance for unit tests: its element, path and deep text
+/// are leaked so that it borrows nothing from the test's stack.
+#[cfg(test)]
+pub(crate) fn leaked(element: Element, path: &[&str]) -> Instance<'static> {
+    let element: &'static Element = Box::leak(Box::new(element));
+    let path: Vec<&'static str> = path
+        .iter()
+        .map(|tag| &*Box::leak(Box::<str>::from(*tag)))
+        .collect();
+    let text = Box::leak(element.deep_text().into_boxed_str());
+    Instance::new(element, Box::leak(path.into_boxed_slice()), text)
+}
+
+/// Structure labels leaked for a [`leaked`] instance.
+#[cfg(test)]
+pub(crate) fn leaked_labels(labels: SubLabels) -> &'static SubLabels {
+    Box::leak(Box::new(labels))
 }
 
 #[cfg(test)]
@@ -254,31 +308,35 @@ mod tests {
         let listings = listings();
         let walk = SourceWalk::new(&listings);
         let phone = walk.instance(walk.column("phone")[0]);
-        assert_eq!(phone.path, vec!["listing", "contact", "phone"]);
+        assert_eq!(phone.path, ["listing", "contact", "phone"]);
         let root = walk.instance(walk.column("listing")[0]);
-        assert_eq!(root.path, vec!["listing"]);
+        assert_eq!(root.path, ["listing"]);
     }
 
     #[test]
     fn instance_text_is_subtree_text() {
         let listings = listings();
         let walk = SourceWalk::new(&listings);
-        let contact_texts: Vec<String> = walk
+        let contact_texts: Vec<&str> = walk
             .column("contact")
             .iter()
-            .map(|&id| walk.instance(id).text())
+            .map(|&id| walk.instance(id).text)
             .collect();
-        assert!(contact_texts.contains(&"Kate (305) 111 2222".to_string()));
-        for &id in walk.column("contact") {
-            assert_eq!(walk.text(id), walk.instance(id).text());
+        assert!(contact_texts.contains(&"Kate (305) 111 2222"));
+        for tag in walk.tags() {
+            for &id in walk.column(tag) {
+                let instance = walk.instance(id);
+                assert_eq!(instance.text, instance.element.deep_text());
+                assert_eq!(walk.text(id), instance.text);
+            }
         }
     }
 
     #[test]
     fn source_data_rows_align_with_listings() {
         let listings = listings();
-        let data =
-            SourceWalk::new(&listings).source_data(["listing", "area", "contact", "name", "phone"]);
+        let walk = SourceWalk::new(&listings);
+        let data = walk.source_data(["listing", "area", "contact", "name", "phone"]);
         assert_eq!(data.num_rows(), 2);
         let areas = data.column("area");
         assert_eq!(areas.len(), 2);
@@ -291,10 +349,11 @@ mod tests {
     fn sub_labels_attach() {
         let listings = listings();
         let walk = SourceWalk::new(&listings);
+        let labels = SubLabels::from([("name".to_string(), 3usize)]);
         let inst = walk
             .instance(walk.column("contact")[0])
-            .with_sub_labels(HashMap::from([("name".to_string(), 3usize)]));
-        assert_eq!(inst.sub_labels.get("name"), Some(&3));
+            .with_sub_labels(&labels);
+        assert_eq!(inst.sub_labels.and_then(|l| l.get("name")), Some(&3));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::instance::Instance;
 use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
-use lsd_text::{for_each_token, tokenize, TokenizeOptions, Whirl, WhirlConfig};
+use lsd_text::{for_each_token, TokenizeOptions, Whirl, WhirlConfig};
 
 /// WHIRL over the tokens of the instance's subtree text.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -44,10 +44,11 @@ impl ContentMatcher {
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.whirl.validate()
     }
+}
 
-    fn tokens(instance: &Instance) -> Vec<String> {
-        tokenize(&instance.text())
-    }
+/// Passes the tokens of the instance's subtree text to `sink`.
+fn feed(instance: &Instance, sink: &mut dyn FnMut(&str)) {
+    for_each_token(instance.text, TokenizeOptions::default(), sink);
 }
 
 impl BaseLearner for ContentMatcher {
@@ -59,11 +60,10 @@ impl BaseLearner for ContentMatcher {
         "content-matcher"
     }
 
-    fn train(&mut self, examples: &[(&Instance, usize)]) {
+    fn train(&mut self, examples: &[(Instance, usize)]) {
         let mut whirl = Whirl::new(self.num_labels, self.config);
         for (instance, label) in examples {
-            let toks = Self::tokens(instance);
-            whirl.add_example(toks.iter().map(String::as_str), *label);
+            whirl.add_example_with(|sink| feed(instance, sink), *label);
         }
         whirl.finalize();
         self.whirl = whirl;
@@ -73,25 +73,20 @@ impl BaseLearner for ContentMatcher {
         self.whirl.retains_documents()
     }
 
-    fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, examples: &[(Instance, usize)]) -> bool {
         if !self.whirl.retains_documents() {
             return false;
         }
         for (instance, label) in examples {
-            let toks = Self::tokens(instance);
             self.whirl
-                .add_example(toks.iter().map(String::as_str), *label);
+                .add_example_with(|sink| feed(instance, sink), *label);
         }
         self.whirl.finalize();
         true
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
-        let text = instance.text();
-        Prediction::from_scores(
-            self.whirl
-                .classify_with(|sink| for_each_token(&text, TokenizeOptions::default(), sink)),
-        )
+        Prediction::from_scores(self.whirl.classify_with(|sink| feed(instance, sink)))
     }
 
     /// Predicts from the instance text alone.
@@ -103,10 +98,11 @@ impl BaseLearner for ContentMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::leaked;
     use lsd_xml::Element;
 
-    fn inst(tag: &str, text: &str) -> Instance {
-        Instance::new(Element::text_leaf(tag, text), vec![tag.to_string()])
+    fn inst(tag: &str, text: &str) -> Instance<'static> {
+        leaked(Element::text_leaf(tag, text), &[tag])
     }
 
     /// Labels: 0 DESCRIPTION, 1 ADDRESS, 2 COLOR.
@@ -123,8 +119,7 @@ mod tests {
             (inst("color", "blue"), 2),
             (inst("paint", "green"), 2),
         ];
-        let refs: Vec<(&Instance, usize)> = ex.iter().map(|(i, l)| (i, *l)).collect();
-        m.train(&refs);
+        m.train(&ex);
         m
     }
 
@@ -157,7 +152,7 @@ mod tests {
             "<info><line1>great view</line1><line2>fantastic yard</line2></info>",
         )
         .unwrap();
-        let p = m.predict(&Instance::new(element, vec!["info".into()]));
+        let p = m.predict(&leaked(element, &["info"]));
         assert_eq!(p.best_label(), 0);
     }
 }

@@ -56,7 +56,7 @@ pub enum Reads {
     Path,
     /// Only the subtree text ([`Instance::text`]).
     Text,
-    /// Anything: the element subtree, its path and `sub_labels`.
+    /// Anything: the element subtree, its path, its text and `sub_labels`.
     Instance,
 }
 
@@ -73,7 +73,7 @@ pub trait BaseLearner: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Trains from scratch on the given examples.
-    fn train(&mut self, examples: &[(&Instance, usize)]);
+    fn train(&mut self, examples: &[(Instance, usize)]);
 
     /// Predicts the label distribution for one instance.
     fn predict(&self, instance: &Instance) -> Prediction;
@@ -111,7 +111,7 @@ pub trait BaseLearner: Send + Sync {
     /// unchanged) when warm-starting is unsupported — callers should check
     /// [`Self::supports_warm_start`] on every learner *before* mutating any
     /// of them, to keep incremental training all-or-nothing.
-    fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, examples: &[(Instance, usize)]) -> bool {
         let _ = examples;
         false
     }
@@ -122,31 +122,28 @@ pub trait BaseLearner: Send + Sync {
 #[cfg(test)]
 mod reads_contract {
     use super::*;
+    use crate::instance::{leaked, leaked_labels, SubLabels};
     use lsd_xml::{parse_fragment, Element};
     use std::collections::HashMap;
 
     /// Labels: 0 ADDRESS, 1 PHONE, 2 DESCRIPTION, 3 CONTACT, 4 OTHER.
     const N: usize = 5;
 
-    fn path(tags: &[&str]) -> Vec<String> {
-        tags.iter().map(|t| t.to_string()).collect()
-    }
-
-    fn leaf(tags: &[&str], text: &str) -> Instance {
+    fn leaf(tags: &[&str], text: &str) -> Instance<'static> {
         let tag = tags.last().expect("non-empty path");
-        Instance::new(Element::text_leaf(*tag, text), path(tags))
+        leaked(Element::text_leaf(*tag, text), tags)
     }
 
-    fn nested(tags: &[&str], xml: &str) -> Instance {
-        Instance::new(parse_fragment(xml).expect("well-formed"), path(tags))
+    fn nested(tags: &[&str], xml: &str) -> Instance<'static> {
+        leaked(parse_fragment(xml).expect("well-formed"), tags)
     }
 
-    fn labels() -> HashMap<String, usize> {
-        HashMap::from([
+    fn labels() -> &'static SubLabels {
+        leaked_labels(SubLabels::from([
             ("location".to_string(), 0),
             ("phone".to_string(), 1),
             ("comments".to_string(), 2),
-        ])
+        ]))
     }
 
     fn trained(mut learner: Box<dyn BaseLearner>) -> Box<dyn BaseLearner> {
@@ -171,8 +168,7 @@ mod reads_contract {
             (contact("Mike Smith", "(512) 555 6666"), 3),
             (leaf(&["house", "id"], "A-17"), 4),
         ];
-        let refs: Vec<(&Instance, usize)> = data.iter().map(|(i, l)| (i, *l)).collect();
-        learner.train(&refs);
+        learner.train(&data);
         learner
     }
 
@@ -261,9 +257,12 @@ mod reads_contract {
     fn xml_learner_reads_a_leaf_only_by_its_text() {
         let learner = trained(Box::new(XmlLearner::new(N)));
         assert_eq!(learner.reads(), Reads::Instance);
+        let other_labels = leaked_labels(SubLabels::from([
+            ("location".to_string(), 2),
+            ("x".to_string(), 1),
+        ]));
         for text in TEXTS {
             let base = bits(learner.as_ref(), &leaf(&["house", "location"], text));
-            let other_labels = HashMap::from([("location".to_string(), 2), ("x".to_string(), 1)]);
             let variants = [
                 leaf(&["listing", "contact", "phone"], text),
                 leaf(&["x"], text).with_sub_labels(labels()),
@@ -274,16 +273,16 @@ mod reads_contract {
             }
         }
         // A non-leaf is read through its children's labels.
-        let contact = |labels: HashMap<String, usize>| {
-            nested(
-                &["house", "contact"],
-                "<contact><name>Kate</name><phone>(305) 111 2222</phone></contact>",
-            )
-            .with_sub_labels(labels)
-        };
+        let contact = nested(
+            &["house", "contact"],
+            "<contact><name>Kate</name><phone>(305) 111 2222</phone></contact>",
+        );
         assert_ne!(
-            bits(learner.as_ref(), &contact(labels())),
-            bits(learner.as_ref(), &contact(HashMap::new()))
+            bits(learner.as_ref(), &contact.with_sub_labels(labels())),
+            bits(
+                learner.as_ref(),
+                &contact.with_sub_labels(leaked_labels(SubLabels::new()))
+            )
         );
     }
 }

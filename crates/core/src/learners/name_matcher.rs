@@ -10,7 +10,9 @@
 use crate::instance::Instance;
 use crate::learners::{BaseLearner, Reads};
 use lsd_learn::Prediction;
-use lsd_text::{char_ngrams, tokenize_name, NeighborCombination, Whirl, WhirlConfig};
+use lsd_text::{
+    char_ngrams, for_each_token, NeighborCombination, TokenizeOptions, Whirl, WhirlConfig,
+};
 use std::collections::HashMap;
 
 /// WHIRL over name tokens: path tags split into words, each word expanded
@@ -71,43 +73,48 @@ impl NameMatcher {
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.whirl.validate()
     }
+}
 
-    /// The feature tokens of one instance: every word of every path tag,
-    /// plus synonyms. Two refinements over a naive path bag:
-    ///
-    /// - The element's own tag words are included twice, so the local name
-    ///   outweighs ancestor context.
-    /// - The *root* tag is dropped from the ancestor context of non-root
-    ///   elements: it is identical for every element of a source, so it
-    ///   says nothing about which tag this is — but, being the only
-    ///   guaranteed in-vocabulary token, it would otherwise make every
-    ///   unseen tag name look exactly like the root element.
-    fn tokens(&self, instance: &Instance) -> Vec<String> {
-        let mut out = Vec::new();
-        for (i, tag) in instance.path.iter().enumerate() {
-            let is_last = i + 1 == instance.path.len();
-            if i == 0 && !is_last {
-                continue; // root as ancestor context: uninformative
+/// Passes the feature tokens of one root path to `sink`: every word of
+/// every path tag, plus its `synonyms`. Two refinements over a naive path
+/// bag:
+///
+/// - The element's own tag words are included twice, so the local name
+///   outweighs ancestor context.
+/// - The *root* tag is dropped from the ancestor context of non-root
+///   elements: it is identical for every element of a source, so it says
+///   nothing about which tag this is — but, being the only guaranteed
+///   in-vocabulary token, it would otherwise make every unseen tag name
+///   look exactly like the root element.
+fn feed(synonyms: &HashMap<String, Vec<String>>, path: &[&str], sink: &mut dyn FnMut(&str)) {
+    let mut gram = String::new();
+    for (i, tag) in path.iter().enumerate() {
+        let is_last = i + 1 == path.len();
+        if i == 0 && !is_last {
+            continue; // root as ancestor context: uninformative
+        }
+        for_each_token(tag, TokenizeOptions::NAME, |word| {
+            for synonym in synonyms.get(word).into_iter().flatten() {
+                sink(synonym);
             }
-            for word in tokenize_name(tag) {
-                if let Some(syns) = self.synonyms.get(&word) {
-                    out.extend(syns.iter().cloned());
-                }
-                if is_last {
-                    out.push(word.clone());
-                    // Character trigrams of the element's own name bridge
-                    // fused spellings ("zipcode" ↔ "zip-code") and shared
-                    // prefixes ("sqft" ↔ "sq-ft") that word tokens and the
-                    // synonym table miss. Prefixed so they never collide
-                    // with word tokens.
-                    if word.len() > 3 {
-                        out.extend(char_ngrams(&word, 3).into_iter().map(|g| format!("#{g}")));
+            if is_last {
+                sink(word);
+                // Character trigrams of the element's own name bridge
+                // fused spellings ("zipcode" ↔ "zip-code") and shared
+                // prefixes ("sqft" ↔ "sq-ft") that word tokens and the
+                // synonym table miss. Prefixed so they never collide
+                // with word tokens.
+                if word.len() > 3 {
+                    for g in char_ngrams(word, 3) {
+                        gram.clear();
+                        gram.push('#');
+                        gram.push_str(g);
+                        sink(&gram);
                     }
                 }
-                out.push(word);
             }
-        }
-        out
+            sink(word);
+        });
     }
 }
 
@@ -120,11 +127,10 @@ impl BaseLearner for NameMatcher {
         "name-matcher"
     }
 
-    fn train(&mut self, examples: &[(&Instance, usize)]) {
+    fn train(&mut self, examples: &[(Instance, usize)]) {
         let mut whirl = Whirl::new(self.num_labels, self.whirl_config);
         for (instance, label) in examples {
-            let toks = self.tokens(instance);
-            whirl.add_example(toks.iter().map(String::as_str), *label);
+            whirl.add_example_with(|sink| feed(&self.synonyms, instance.path, sink), *label);
         }
         whirl.finalize();
         self.whirl = whirl;
@@ -134,22 +140,23 @@ impl BaseLearner for NameMatcher {
         self.whirl.retains_documents()
     }
 
-    fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, examples: &[(Instance, usize)]) -> bool {
         if !self.whirl.retains_documents() {
             return false;
         }
         for (instance, label) in examples {
-            let toks = self.tokens(instance);
             self.whirl
-                .add_example(toks.iter().map(String::as_str), *label);
+                .add_example_with(|sink| feed(&self.synonyms, instance.path, sink), *label);
         }
         self.whirl.finalize();
         true
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
-        let toks = self.tokens(instance);
-        Prediction::from_scores(self.whirl.classify(toks.iter().map(String::as_str)))
+        Prediction::from_scores(
+            self.whirl
+                .classify_with(|sink| feed(&self.synonyms, instance.path, sink)),
+        )
     }
 
     /// Predicts from the tag path alone.
@@ -161,11 +168,12 @@ impl BaseLearner for NameMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::leaked;
+    use lsd_text::tokenize_name;
     use lsd_xml::Element;
 
-    fn inst(path: &[&str]) -> Instance {
-        let element = Element::text_leaf(*path.last().unwrap(), "x");
-        Instance::new(element, path.iter().map(|s| s.to_string()).collect())
+    fn inst(path: &[&str]) -> Instance<'static> {
+        leaked(Element::text_leaf(*path.last().unwrap(), "x"), path)
     }
 
     /// Labels: 0 ADDRESS, 1 AGENT-PHONE, 2 PRICE.
@@ -179,8 +187,7 @@ mod tests {
             (inst(&["listing", "listed-price"]), 2),
             (inst(&["listing", "price"]), 2),
         ];
-        let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
-        m.train(&refs);
+        m.train(&examples);
         m
     }
 
@@ -224,5 +231,66 @@ mod tests {
         let p = m.predict(&inst(&["zzz", "qqq"]));
         let s = p.scores();
         assert!(s.iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-6), "{s:?}");
+    }
+
+    /// The token list before the sink: one `Vec<String>` per call and one
+    /// `format!` per trigram.
+    fn reference_tokens(m: &NameMatcher, path: &[&str]) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, tag) in path.iter().enumerate() {
+            let is_last = i + 1 == path.len();
+            if i == 0 && !is_last {
+                continue;
+            }
+            for word in tokenize_name(tag) {
+                if let Some(syns) = m.synonyms.get(&word) {
+                    out.extend(syns.iter().cloned());
+                }
+                if is_last {
+                    out.push(word.clone());
+                    if word.len() > 3 {
+                        let chars: Vec<char> = word.chars().collect();
+                        if chars.len() <= 3 {
+                            out.push(format!("#{word}"));
+                        } else {
+                            out.extend(
+                                chars
+                                    .windows(3)
+                                    .map(|w| format!("#{}", w.iter().collect::<String>())),
+                            );
+                        }
+                    }
+                }
+                out.push(word);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fed_tokens_match_the_collected_list() {
+        let m = NameMatcher::with_synonym_pairs(
+            3,
+            [
+                ("location", "address"),
+                ("phone", "contact"),
+                ("zip", "postal"),
+            ],
+        );
+        let paths: [&[&str]; 8] = [
+            &["listing"],
+            &["listing", "location"],
+            &["listing", "contact", "agentPhone2"],
+            &["house", "zip-code", "ZIPCODE"],
+            &["root", "éé"],
+            &["root", "straße_größe"],
+            &["a", "b", "c", "d"],
+            &[],
+        ];
+        for path in paths {
+            let mut fed = Vec::new();
+            feed(&m.synonyms, path, &mut |t| fed.push(t.to_string()));
+            assert_eq!(fed, reference_tokens(&m, path), "{path:?}");
+        }
     }
 }

@@ -62,7 +62,7 @@ impl BaseLearner for Recognizer {
     }
 
     /// Recognizers are knowledge-based, not trained.
-    fn train(&mut self, _examples: &[(&Instance, usize)]) {}
+    fn train(&mut self, _examples: &[(Instance, usize)]) {}
 
     fn supports_warm_start(&self) -> bool {
         true
@@ -70,13 +70,13 @@ impl BaseLearner for Recognizer {
 
     /// Knowledge-based: additional examples change nothing, trivially
     /// satisfying the warm-start contract.
-    fn warm_train(&mut self, _examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, _examples: &[(Instance, usize)]) -> bool {
         true
     }
 
     fn predict(&self, instance: &Instance) -> Prediction {
         let n = self.num_labels;
-        let hit = (self.test)(&instance.text());
+        let hit = (self.test)(instance.text);
         let mut scores = vec![0.0; n];
         if hit {
             let rest = (1.0 - self.hit_confidence) / (n - 1) as f64;
@@ -123,10 +123,11 @@ pub fn county_name_recognizer(num_labels: usize, county_label: usize) -> Recogni
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::leaked;
     use lsd_xml::Element;
 
-    fn inst(text: &str) -> Instance {
-        Instance::new(Element::text_leaf("t", text), vec!["t".to_string()])
+    fn inst(text: &str) -> Instance<'static> {
+        leaked(Element::text_leaf("t", text), &["t"])
     }
 
     #[test]
@@ -158,8 +159,7 @@ mod tests {
     #[test]
     fn training_is_a_noop() {
         let mut r = county_name_recognizer(3, 0);
-        let i = inst("whatever");
-        r.train(&[(&i, 2)]);
+        r.train(&[(inst("whatever"), 2)]);
         assert_eq!(r.predict(&inst("King")).best_label(), 0);
     }
 }

@@ -18,12 +18,11 @@
 //!
 //! The bag of all three token kinds feeds a multinomial Naive Bayes model.
 
-use crate::instance::Instance;
+use crate::instance::{Instance, SubLabels};
 use crate::learners::BaseLearner;
 use lsd_learn::{NaiveBayes, NaiveBayesConfig, Prediction};
 use lsd_text::{for_each_token, PorterStemmer, TokenizeOptions};
-use lsd_xml::Element;
-use std::collections::HashMap;
+use lsd_xml::{Element, Node};
 use std::fmt::Write;
 
 /// Which structure-token kinds the learner generates; all on by default.
@@ -120,9 +119,9 @@ impl TreeTokens {
         let mut token = String::new();
         let mut stem = String::new();
         self.walk(
-            &instance.element,
+            instance.element,
             None,
-            &instance.sub_labels,
+            instance.sub_labels,
             &mut token,
             &mut stem,
             sink,
@@ -134,33 +133,40 @@ impl TreeTokens {
         self,
         element: &Element,
         node: Option<usize>,
-        sub_labels: &HashMap<String, usize>,
+        sub_labels: Option<&SubLabels>,
         token: &mut String,
         stem: &mut String,
         sink: &mut dyn FnMut(&str),
     ) {
-        // Direct text words hang below this node.
-        for_each_token(&element.direct_text(), TokenizeOptions::default(), |word| {
-            self.stemmer.stem_into(word, stem);
-            if self.kinds.text {
-                token.clear();
-                token.push_str("w:");
-                token.push_str(stem);
-                sink(token);
-            }
-            if self.kinds.edges {
-                token.clear();
-                token.push_str("e:");
-                push_node_id(token, node);
-                token.push_str(">w:");
-                token.push_str(stem);
-                sink(token);
-            }
-        });
+        // Direct text words hang below this node. Tokenizing each run
+        // gives the tokens of the joined direct text: the join only adds
+        // separators.
+        for run in element.children.iter().filter_map(Node::as_text) {
+            for_each_token(run, TokenizeOptions::default(), |word| {
+                self.stemmer.stem_into(word, stem);
+                if self.kinds.text {
+                    token.clear();
+                    token.push_str("w:");
+                    token.push_str(stem);
+                    sink(token);
+                }
+                if self.kinds.edges {
+                    token.clear();
+                    token.push_str("e:");
+                    push_node_id(token, node);
+                    token.push_str(">w:");
+                    token.push_str(stem);
+                    sink(token);
+                }
+            });
+        }
         for child in element.child_elements() {
             // Unknown tags (no first-pass label yet) fall back to the
             // OTHER slot.
-            let label = sub_labels.get(&child.name).copied().unwrap_or(self.other);
+            let label = sub_labels
+                .and_then(|labels| labels.get(&child.name))
+                .copied()
+                .unwrap_or(self.other);
             if self.kinds.nodes {
                 token.clear();
                 token.push_str("n:");
@@ -189,7 +195,7 @@ impl BaseLearner for XmlLearner {
         "xml-learner"
     }
 
-    fn train(&mut self, examples: &[(&Instance, usize)]) {
+    fn train(&mut self, examples: &[(Instance, usize)]) {
         let tokens = self.tree_tokens();
         let mut model = NaiveBayes::new(self.num_labels, NaiveBayesConfig::default());
         for (instance, label) in examples {
@@ -202,7 +208,7 @@ impl BaseLearner for XmlLearner {
         true
     }
 
-    fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, examples: &[(Instance, usize)]) -> bool {
         let tokens = self.tree_tokens();
         for (instance, label) in examples {
             self.model
@@ -220,38 +226,39 @@ impl BaseLearner for XmlLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{leaked, leaked_labels};
     use lsd_xml::parse_fragment;
 
     /// Labels: 0 CONTACT-INFO, 1 DESCRIPTION, 2 AGENT-NAME, 3 OFFICE-NAME,
     /// 4 OTHER.
     const N: usize = 5;
 
-    fn labels() -> HashMap<String, usize> {
-        HashMap::from([
+    fn labels() -> &'static SubLabels {
+        leaked_labels(SubLabels::from([
             ("name".to_string(), 2usize),
             ("firm".to_string(), 3usize),
             ("agent".to_string(), 2usize),
             ("office".to_string(), 3usize),
-        ])
+        ]))
     }
 
-    fn contact(name: &str, firm: &str) -> Instance {
+    fn contact(name: &str, firm: &str) -> Instance<'static> {
         let el = parse_fragment(&format!(
             "<contact><name>{name}</name><firm>{firm}</firm></contact>"
         ))
         .unwrap();
-        Instance::new(el, vec!["contact".into()]).with_sub_labels(labels())
+        leaked(el, &["contact"]).with_sub_labels(labels())
     }
 
-    fn description(text: &str) -> Instance {
+    fn description(text: &str) -> Instance<'static> {
         let el = parse_fragment(&format!("<description>{text}</description>")).unwrap();
-        Instance::new(el, vec!["description".into()]).with_sub_labels(labels())
+        leaked(el, &["description"]).with_sub_labels(labels())
     }
 
     /// The paper's Figure 7 pair: a CONTACT-INFO element and a DESCRIPTION
     /// element that share all their words. Flat NB cannot separate them;
     /// the XML learner must.
-    fn figure7_training() -> Vec<(Instance, usize)> {
+    fn figure7_training() -> Vec<(Instance<'static>, usize)> {
         vec![
             (contact("Gail Murphy", "MAX Realtors"), 0),
             (contact("Jane Kendall", "ACME Homes"), 0),
@@ -270,9 +277,7 @@ mod tests {
 
     fn trained(kinds: XmlTokenKinds) -> XmlLearner {
         let mut m = XmlLearner::with_token_kinds(N, kinds);
-        let data = figure7_training();
-        let refs: Vec<(&Instance, usize)> = data.iter().map(|(i, l)| (i, *l)).collect();
-        m.train(&refs);
+        m.train(&figure7_training());
         m
     }
 
@@ -325,7 +330,7 @@ mod tests {
     fn unknown_child_tags_fall_back_to_other() {
         let m = XmlLearner::new(N);
         let el = parse_fragment("<x><mystery>v</mystery></x>").unwrap();
-        let inst = Instance::new(el, vec!["x".into()]); // no sub_labels
+        let inst = leaked(el, &["x"]); // no sub_labels
         let toks = m.tokens(&inst);
         assert!(toks.contains(&format!("n:L{}", N - 1)), "{toks:?}");
     }
@@ -345,7 +350,7 @@ mod tests {
             m: &XmlLearner,
             element: &Element,
             parent_id: &str,
-            sub_labels: &HashMap<String, usize>,
+            sub_labels: Option<&SubLabels>,
             out: &mut Vec<String>,
         ) {
             for word in lsd_text::tokenize(&element.direct_text()) {
@@ -359,7 +364,7 @@ mod tests {
             }
             for child in element.child_elements() {
                 let label = sub_labels
-                    .get(&child.name)
+                    .and_then(|labels| labels.get(&child.name))
                     .copied()
                     .unwrap_or(m.num_labels - 1);
                 let child_id = format!("L{label}");
@@ -373,7 +378,7 @@ mod tests {
             }
         }
         let mut out = Vec::new();
-        walk(m, &instance.element, "d", &instance.sub_labels, &mut out);
+        walk(m, instance.element, "d", instance.sub_labels, &mut out);
         out
     }
 
@@ -385,7 +390,7 @@ mod tests {
              <office>MAX Realtors, Seattle</office> trailing café</house>",
         )
         .unwrap();
-        let inst = Instance::new(el, vec!["house".into()]).with_sub_labels(labels());
+        let inst = leaked(el, &["house"]).with_sub_labels(labels());
         for bits in 0..8u8 {
             let kinds = XmlTokenKinds {
                 text: bits & 1 != 0,

@@ -49,7 +49,7 @@ pub use explain::{
 pub use feedback::{
     simulate_feedback_session, Correction, CorrectionKind, Feedback, FeedbackOutcome, StallReason,
 };
-pub use instance::{Instance, SourceWalk};
+pub use instance::{Instance, SourceWalk, SubLabels};
 pub use persist::{PersistError, SavedLearner, SavedModel, SAVED_MODEL_VERSION};
 pub use readers::{
     synthesize_dtd, CsvReader, JsonReader, ReadError, SourceContents, SourceFormat, SourceReader,

@@ -545,10 +545,8 @@ mod tests {
             target: 2,
         };
         let learner = saved.restore();
-        let instance = crate::Instance::new(
-            lsd_xml::Element::text_leaf("c", "King County"),
-            vec!["c".into()],
-        );
+        let instance =
+            crate::instance::leaked(lsd_xml::Element::text_leaf("c", "King County"), &["c"]);
         assert_eq!(learner.predict(&instance).best_label(), 2);
     }
 

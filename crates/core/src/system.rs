@@ -24,7 +24,7 @@ use crate::converter::{combine_learners, convert_column};
 use crate::error::LsdError;
 use crate::explain::RejectionReason;
 use crate::feedback::Feedback;
-use crate::instance::{Instance, SourceWalk};
+use crate::instance::{Instance, SourceWalk, SubLabels};
 use crate::learners::{BaseLearner, Reads, XmlLearner};
 use crate::readers::{ReadError, SourceFormat, SourceReader};
 use crate::report::{MatchReport, TrainReport};
@@ -498,7 +498,8 @@ impl Lsd {
             return Err(LsdError::Analysis { diagnostics });
         }
         record_diagnostics(&diagnostics);
-        let examples = self.training_examples(sources);
+        let walks = self.labelled_walks(sources);
+        let examples = self.training_examples(&walks);
         if examples.is_empty() {
             return Err(LsdError::NoTrainingData);
         }
@@ -506,17 +507,16 @@ impl Lsd {
             lsd_obs::counter_add("train.sources", "", sources.len() as u64);
             lsd_obs::counter_add("train.examples", "", examples.len() as u64);
         }
-        let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
 
         // Train every base learner on its full example set, one scoped
         // thread per learner (they are independent and `train` needs
         // `&mut`, so this fans out over `iter_mut` rather than
         // `parallel_map`).
-        let train_timed = |learner: &mut Box<dyn BaseLearner>, refs: &[(&Instance, usize)]| {
+        let train_timed = |learner: &mut Box<dyn BaseLearner>, examples: &[(Instance, usize)]| {
             let name = learner.name();
             let _span = lsd_obs::span!("learner.train", name);
             let t0 = lsd_obs::enabled().then(Instant::now);
-            learner.train(refs);
+            learner.train(examples);
             if let Some(t0) = t0 {
                 lsd_obs::record_duration("learner.train_ns", name, t0.elapsed());
             }
@@ -524,20 +524,20 @@ impl Lsd {
         {
             let _stage = lsd_obs::span!("train.base_learners");
             if self.learners.len() > 1 {
-                let refs = &refs;
+                let examples = &examples;
                 // Each worker flushes its metric shard: the scope's implicit
                 // wait can return before a worker's TLS destructor merges it.
                 std::thread::scope(|scope| {
                     for learner in &mut self.learners {
                         scope.spawn(move || {
-                            train_timed(learner, refs);
+                            train_timed(learner, examples);
                             lsd_obs::flush();
                         });
                     }
                 });
             } else {
                 for learner in &mut self.learners {
-                    train_timed(learner, &refs);
+                    train_timed(learner, &examples);
                 }
             }
         }
@@ -621,7 +621,8 @@ impl Lsd {
                 learner: learner.name().to_string(),
             });
         }
-        let examples = self.training_examples(additional);
+        let walks = self.labelled_walks(additional);
+        let examples = self.training_examples(&walks);
         if examples.is_empty() {
             return Err(LsdError::NoTrainingData);
         }
@@ -629,12 +630,11 @@ impl Lsd {
             lsd_obs::counter_add("train.incremental_sources", "", additional.len() as u64);
             lsd_obs::counter_add("train.incremental_examples", "", examples.len() as u64);
         }
-        let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
-        let warm_timed = |learner: &mut Box<dyn BaseLearner>, refs: &[(&Instance, usize)]| {
+        let warm_timed = |learner: &mut Box<dyn BaseLearner>, examples: &[(Instance, usize)]| {
             let name = learner.name();
             let _span = lsd_obs::span!("learner.warm_train", name);
             let t0 = lsd_obs::enabled().then(Instant::now);
-            let ok = learner.warm_train(refs);
+            let ok = learner.warm_train(examples);
             debug_assert!(ok, "supports_warm_start was checked for every learner");
             if let Some(t0) = t0 {
                 lsd_obs::record_duration("learner.warm_train_ns", name, t0.elapsed());
@@ -642,18 +642,18 @@ impl Lsd {
         };
         let _stage = lsd_obs::span!("train.incremental_learners");
         if self.learners.len() > 1 {
-            let refs = &refs;
+            let examples = &examples;
             std::thread::scope(|scope| {
                 for learner in &mut self.learners {
                     scope.spawn(move || {
-                        warm_timed(learner, refs);
+                        warm_timed(learner, examples);
                         lsd_obs::flush();
                     });
                 }
             });
         } else {
             for learner in &mut self.learners {
-                warm_timed(learner, &refs);
+                warm_timed(learner, &examples);
             }
         }
         self.provenance
@@ -682,30 +682,42 @@ impl Lsd {
         self.feedback_applied = applied;
     }
 
-    /// Creates the labelled training instances for all sources: one example
-    /// per extracted element occurrence, labelled via the user mapping
-    /// (`OTHER` when unmapped), with true structure labels attached for the
-    /// XML learner.
-    fn training_examples(&self, sources: &[TrainedSource]) -> Vec<(Instance, usize)> {
+    /// Walks each source once and labels its tags via the user mapping
+    /// (`OTHER` when unmapped): what [`Self::training_examples`] borrows.
+    fn labelled_walks<'s>(&self, sources: &'s [TrainedSource]) -> Vec<(SourceWalk<'s>, SubLabels)> {
+        sources
+            .iter()
+            .map(|ts| {
+                let tag_labels: SubLabels = ts
+                    .source
+                    .dtd
+                    .element_names()
+                    .map(|tag| {
+                        let label = ts
+                            .mapping
+                            .get(tag)
+                            .and_then(|name| self.labels.get(name))
+                            .unwrap_or_else(|| self.labels.other());
+                        (tag.to_string(), label)
+                    })
+                    .collect();
+                (SourceWalk::new(&ts.source.listings), tag_labels)
+            })
+            .collect()
+    }
+
+    /// The labelled training instances of the walked sources: one example
+    /// per extracted element occurrence (subsampled per tag), with the true
+    /// structure labels attached for the XML learner.
+    fn training_examples<'w>(
+        &self,
+        walks: &'w [(SourceWalk<'_>, SubLabels)],
+    ) -> Vec<(Instance<'w>, usize)> {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut examples = Vec::new();
-        for ts in sources {
-            let tag_labels: HashMap<String, usize> = ts
-                .source
-                .dtd
-                .element_names()
-                .map(|tag| {
-                    let label = ts
-                        .mapping
-                        .get(tag)
-                        .and_then(|name| self.labels.get(name))
-                        .unwrap_or_else(|| self.labels.other());
-                    (tag.to_string(), label)
-                })
-                .collect();
-            // Sort columns by tag name: HashMap iteration order would make
-            // example order — and every downstream RNG draw — nondeterministic.
-            let walk = SourceWalk::new(&ts.source.listings);
+        for (walk, tag_labels) in walks {
+            // Columns in tag-name order: the subsample draws, and so the
+            // kept examples, follow it.
             let mut tags: Vec<&str> = walk.tags().collect();
             tags.sort_unstable();
             for tag in tags {
@@ -714,7 +726,7 @@ impl Lsd {
                 };
                 let kept = walk.sample(tag, self.config.max_train_instances_per_tag, &mut rng);
                 for id in kept {
-                    examples.push((walk.instance(id).with_sub_labels(tag_labels.clone()), label));
+                    examples.push((walk.instance(id).with_sub_labels(tag_labels), label));
                 }
             }
         }
@@ -839,22 +851,19 @@ impl Lsd {
         })?;
         let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
 
-        // Walk the listings once, (deterministically) subsample each tag's
-        // occurrences in schema order, and own only the kept instances.
-        // Their texts, and the constraint data, come from the same walk.
+        // Walk the listings once and (deterministically) subsample each
+        // tag's occurrences in schema order. The kept instances, and the
+        // constraint data, borrow from the same walk.
         let walk = SourceWalk::new(&source.listings);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let kept: Vec<Vec<usize>> = tags
+        let columns: Vec<Vec<Instance>> = tags
             .iter()
-            .map(|tag| walk.sample(tag, self.config.max_match_instances_per_tag, &mut rng))
-            .collect();
-        let mut columns: Vec<Vec<Instance>> = kept
-            .iter()
-            .map(|ids| ids.iter().map(|&id| walk.instance(id)).collect())
-            .collect();
-        let texts: Vec<Vec<&str>> = kept
-            .iter()
-            .map(|ids| ids.iter().map(|&id| walk.text(id)).collect())
+            .map(|tag| {
+                walk.sample(tag, self.config.max_match_instances_per_tag, &mut rng)
+                    .into_iter()
+                    .map(|id| walk.instance(id))
+                    .collect()
+            })
             .collect();
 
         // Per-learner wall-time accumulators, flushed once per source so
@@ -894,18 +903,17 @@ impl Lsd {
                 .iter()
                 .map(|_| PredictMemo::default())
                 .collect();
-            for (instances, texts) in columns.iter().zip(&texts) {
+            for instances in &columns {
                 instances_examined.push(instances.len());
                 let per_instance: Vec<Vec<Prediction>> = instances
                     .iter()
-                    .zip(texts)
-                    .map(|(inst, text)| {
+                    .map(|inst| {
                         stage1_learners
                             .iter()
                             .zip(&stage1_reads)
                             .zip(&mut stage1_memos)
                             .map(|((&j, &reads), memo)| {
-                                memo.predict(reads, inst, text, || timed_predict(j, inst))
+                                memo.predict(reads, inst, || timed_predict(j, inst))
                             })
                             .collect()
                     })
@@ -926,7 +934,7 @@ impl Lsd {
         let mut xml_instance_preds: Vec<Vec<Prediction>> = vec![Vec::new(); tags.len()];
         if let Some(xml_idx) = self.xml_index {
             let _stage = lsd_obs::span!("match.stage2");
-            let mut stage1_labels: HashMap<String, usize> = tags
+            let stage1_labels: SubLabels = tags
                 .iter()
                 .zip(&tag_predictions)
                 .map(|(t, p)| (t.clone(), p.best_label()))
@@ -936,24 +944,18 @@ impl Lsd {
             // the labels without child elements), so leaves are memoised
             // by text.
             let mut leaf_memo = PredictMemo::default();
-            for (ti, (instances, texts)) in columns.iter_mut().zip(&texts).enumerate() {
+            for (ti, instances) in columns.iter().enumerate() {
                 let stage1 = &stage1_instance_preds[ti];
                 let mut xml_preds: Vec<Prediction> = Vec::with_capacity(instances.len());
                 let combined: Vec<Prediction> = instances
-                    .iter_mut()
-                    .zip(texts)
+                    .iter()
                     .zip(stage1)
-                    .map(|((inst, text), s1_preds)| {
+                    .map(|(inst, s1_preds)| {
                         let xml_pred = if inst.element.is_leaf() {
-                            leaf_memo
-                                .predict(Reads::Text, inst, text, || timed_predict(xml_idx, inst))
+                            leaf_memo.predict(Reads::Text, inst, || timed_predict(xml_idx, inst))
                         } else {
-                            // Lend the one label map to this instance for
-                            // the call instead of copying it per instance.
-                            inst.sub_labels = std::mem::take(&mut stage1_labels);
-                            let pred = timed_predict(xml_idx, inst);
-                            stage1_labels = std::mem::take(&mut inst.sub_labels);
-                            pred
+                            // Every non-leaf borrows the one label map.
+                            timed_predict(xml_idx, &inst.with_sub_labels(&stage1_labels))
                         };
                         // Reassemble the full prediction vector in learner
                         // order (stage-1 learners + XML learner).
@@ -975,11 +977,8 @@ impl Lsd {
             }
         }
 
-        // Nothing below reads the instances or the walk: free them now, not
-        // after the constraint search, to keep peak memory down.
+        // The constraint data borrows its cells from the walk.
         let data = walk.source_data(tags.iter().map(String::as_str));
-        drop((columns, texts));
-        drop(walk);
 
         // Per-learner tag-level views: each learner's instance column run
         // through the same converter as the combined pipeline. This is the
@@ -1228,46 +1227,37 @@ pub struct TagExplanation {
 }
 
 /// One learner's predictions within a match, keyed by what it reads (see
-/// [`Reads`]): a repeated path or text reuses the first prediction.
+/// [`Reads`]): a repeated path or text reuses the first prediction. The
+/// keys borrow from the source's walk.
 #[derive(Default)]
-struct PredictMemo {
-    by_path: HashMap<Vec<String>, Prediction>,
-    by_text: HashMap<String, Prediction>,
+struct PredictMemo<'a> {
+    by_path: HashMap<&'a [&'a str], Prediction>,
+    by_text: HashMap<&'a str, Prediction>,
 }
 
-impl PredictMemo {
-    /// The prediction for `inst` (whose text is `text`): memoised under
-    /// `reads`, made by `predict` on a miss.
+impl<'a> PredictMemo<'a> {
+    /// The prediction for `inst`: memoised under `reads`, made by
+    /// `predict` on a miss.
     fn predict(
         &mut self,
         reads: Reads,
-        inst: &Instance,
-        text: &str,
+        inst: &Instance<'a>,
         predict: impl FnOnce() -> Prediction,
     ) -> Prediction {
         match reads {
-            Reads::Path => memoised(&mut self.by_path, inst.path.as_slice(), predict),
-            Reads::Text => memoised(&mut self.by_text, text, predict),
+            Reads::Path => memoised(&mut self.by_path, inst.path, predict),
+            Reads::Text => memoised(&mut self.by_text, inst.text, predict),
             Reads::Instance => predict(),
         }
     }
 }
 
-fn memoised<K, Q>(
+fn memoised<K: std::hash::Hash + Eq>(
     memo: &mut HashMap<K, Prediction>,
-    key: &Q,
+    key: K,
     predict: impl FnOnce() -> Prediction,
-) -> Prediction
-where
-    K: std::borrow::Borrow<Q> + std::hash::Hash + Eq,
-    Q: ToOwned<Owned = K> + std::hash::Hash + Eq + ?Sized,
-{
-    if let Some(pred) = memo.get(key) {
-        return pred.clone();
-    }
-    let pred = predict();
-    memo.insert(key.to_owned(), pred.clone());
-    pred
+) -> Prediction {
+    memo.entry(key).or_insert_with(predict).clone()
 }
 
 #[cfg(test)]

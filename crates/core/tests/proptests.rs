@@ -1,7 +1,7 @@
 //! Property-based tests for the core pipeline's building blocks:
 //! instance extraction, the learner combination and the converter.
 
-use lsd_core::{combine_learners, convert_column, Instance, SourceData, SourceWalk};
+use lsd_core::{combine_learners, convert_column, SourceData, SourceWalk};
 use lsd_learn::Prediction;
 use lsd_xml::{Element, Node};
 use proptest::prelude::*;
@@ -25,17 +25,28 @@ fn arb_listing() -> impl Strategy<Value = Element> {
     })
 }
 
+/// One occurrence as the extraction before the walk owned it: the element
+/// subtree and its root path, cloned.
+#[derive(Clone)]
+struct OwnedInstance {
+    element: Element,
+    path: Vec<String>,
+}
+
 /// The extraction the walk replaced, kept as an oracle: every occurrence
 /// cloned, in stack-based depth-first order (last child first).
-fn oracle_extract(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
-    let mut columns: HashMap<String, Vec<Instance>> = HashMap::new();
+fn oracle_extract(listings: &[Element]) -> HashMap<String, Vec<OwnedInstance>> {
+    let mut columns: HashMap<String, Vec<OwnedInstance>> = HashMap::new();
     for listing in listings {
         let mut stack: Vec<(Vec<String>, &Element)> = vec![(vec![listing.name.clone()], listing)];
         while let Some((path, element)) = stack.pop() {
             columns
                 .entry(element.name.clone())
                 .or_default()
-                .push(Instance::new(element.clone(), path.clone()));
+                .push(OwnedInstance {
+                    element: element.clone(),
+                    path: path.clone(),
+                });
             for child in element.child_elements() {
                 let mut child_path = path.clone();
                 child_path.push(child.name.clone());
@@ -47,7 +58,7 @@ fn oracle_extract(listings: &[Element]) -> HashMap<String, Vec<Instance>> {
 }
 
 /// The owned-column subsample the walk replaced: shuffle, then truncate.
-fn oracle_subsample(instances: &mut Vec<Instance>, cap: usize, rng: &mut ChaCha8Rng) {
+fn oracle_subsample(instances: &mut Vec<OwnedInstance>, cap: usize, rng: &mut ChaCha8Rng) {
     if cap == 0 || instances.len() <= cap {
         return;
     }
@@ -56,8 +67,8 @@ fn oracle_subsample(instances: &mut Vec<Instance>, cap: usize, rng: &mut ChaCha8
 }
 
 /// The `visit`-based constraint data the walk replaced.
-fn oracle_source_data(tags: &[&str], listings: &[Element]) -> SourceData {
-    let mut data = SourceData::new(tags.iter().copied());
+fn oracle_source_data(tags: &[&str], listings: &[Element]) -> String {
+    let mut rows: Vec<Vec<(String, String)>> = Vec::new();
     for listing in listings {
         let mut values: Vec<(String, String)> = Vec::new();
         listing.visit(&mut |e| {
@@ -67,9 +78,13 @@ fn oracle_source_data(tags: &[&str], listings: &[Element]) -> SourceData {
                 values.push((e.name.clone(), e.deep_text()));
             }
         });
+        rows.push(values);
+    }
+    let mut data = SourceData::new(tags.iter().copied());
+    for values in &rows {
         data.push_row(values.iter().map(|(t, v)| (t.as_str(), v.as_str())));
     }
-    data
+    serde_json::to_string(&data).expect("serializes")
 }
 
 /// A text run: empty, whitespace-only (ASCII and Unicode), or words with
@@ -135,11 +150,11 @@ proptest! {
                 prop_assert_eq!(kept.len(), old.len(), "tag {} cap {}", tag, cap);
                 for (&id, old) in kept.iter().zip(&old) {
                     let new = walk.instance(id);
-                    prop_assert_eq!(&new.element, &old.element);
-                    prop_assert_eq!(&new.path, &old.path);
-                    let old_text = old.text();
+                    prop_assert_eq!(new.element, &old.element);
+                    prop_assert_eq!(new.path, old.path.as_slice());
+                    let old_text = old.element.deep_text();
                     prop_assert_eq!(walk.text(id), old_text.as_str());
-                    prop_assert_eq!(new.text(), old_text);
+                    prop_assert_eq!(new.text, old_text.as_str());
                 }
             }
         }
@@ -150,13 +165,12 @@ proptest! {
             prop_assert_eq!(column.len(), old.len());
             for (&id, old) in column.iter().zip(old) {
                 let new = walk.instance(id);
-                prop_assert_eq!(&new.element, &old.element);
-                prop_assert_eq!(&new.path, &old.path);
+                prop_assert_eq!(new.element, &old.element);
+                prop_assert_eq!(new.path, old.path.as_slice());
             }
         }
-        let cells = |data: &SourceData| serde_json::to_string(data).expect("serializes");
-        let expected = cells(&oracle_source_data(&tags, &listings));
-        prop_assert_eq!(cells(&walk.source_data(tags)), expected);
+        let cells = serde_json::to_string(&walk.source_data(tags)).expect("serializes");
+        prop_assert_eq!(cells, oracle_source_data(&tags, &listings));
     }
 
     /// Extraction is exhaustive and faithful: each element occurrence of
@@ -174,8 +188,8 @@ proptest! {
             for &id in walk.column(tag) {
                 let instance = walk.instance(id);
                 prop_assert_eq!(instance.element.name.as_str(), tag);
-                prop_assert_eq!(instance.path.last().map(String::as_str), Some(tag));
-                prop_assert!(roots.contains(instance.path[0].as_str()));
+                prop_assert_eq!(instance.path.last().copied(), Some(tag));
+                prop_assert!(roots.contains(instance.path[0]));
             }
         }
     }

@@ -56,8 +56,8 @@ proptest! {
         for source in &domain.sources {
             let schema = SchemaTree::from_dtd(&source.dtd).expect("valid schema");
             let tags: Vec<String> = schema.tag_names().map(str::to_string).collect();
-            let data = lsd_core::SourceWalk::new(&source.listings)
-                .source_data(tags.iter().map(String::as_str));
+            let walk = lsd_core::SourceWalk::new(&source.listings);
+            let data = walk.source_data(tags.iter().map(String::as_str));
             let ctx = MatchingContext {
                 labels: &labels,
                 schema: &schema,

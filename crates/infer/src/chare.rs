@@ -11,7 +11,7 @@
 //! 1-unambiguous for free.
 
 use lsd_xml::Occurrence;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The chain over a non-empty alphabet, in Kahn order with lexicographic
 /// ties. `None` when no linear order agrees with every sequence (two
@@ -19,75 +19,78 @@ use std::collections::{BTreeMap, BTreeSet};
 /// caller then uses the catch-all `(a | b | …)*`.
 pub(crate) fn chare<'a>(
     names: &BTreeSet<&'a str>,
-    seqs: &'a BTreeSet<Vec<String>>,
+    seqs: &BTreeSet<Vec<&'a str>>,
 ) -> Option<Vec<(&'a str, Occurrence)>> {
-    // Per-name (min, max) occurrences over all sequences (0 when absent).
-    let mut bounds: BTreeMap<&str, (usize, usize)> =
-        names.iter().map(|&n| (n, (usize::MAX, 0))).collect();
-    // `a` observed (somewhere) before `b`.
-    let mut before: BTreeSet<(&'a str, &'a str)> = BTreeSet::new();
+    // The alphabet, interned in lexicographic order, so that id order is
+    // name order.
+    let alphabet: Vec<&'a str> = names.iter().copied().collect();
+    let n = alphabet.len();
+    // Per name, its (min, max) occurrences over all sequences (0 when
+    // absent).
+    let mut bounds = vec![(usize::MAX, 0usize); n];
+    // `before[a * n + b]`: `a` observed (somewhere) before `b`.
+    let mut before = vec![false; n * n];
+    let mut counts = vec![0usize; n];
+    // The distinct names of the sequence so far, in order of appearance.
+    let mut seen: Vec<usize> = Vec::new();
 
     for seq in seqs {
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        counts.fill(0);
+        seen.clear();
         for name in seq {
-            *counts.entry(name.as_str()).or_insert(0) += 1;
-        }
-        for (name, (min, max)) in &mut bounds {
-            let c = counts.get(name).copied().unwrap_or(0);
-            *min = (*min).min(c);
-            *max = (*max).max(c);
-        }
-        for (i, a) in seq.iter().enumerate() {
-            for b in &seq[i + 1..] {
+            let b = alphabet
+                .binary_search(name)
+                .expect("every sequence name is in the alphabet");
+            if counts[b] == 0 {
+                seen.push(b);
+            }
+            counts[b] += 1;
+            for &a in &seen {
                 if a != b {
-                    before.insert((a.as_str(), b.as_str()));
+                    before[a * n + b] = true;
                 }
             }
         }
+        for ((min, max), &c) in bounds.iter_mut().zip(&counts) {
+            *min = (*min).min(c);
+            *max = (*max).max(c);
+        }
     }
 
-    let order = topo_sort(names, &before)?;
+    let order = topo_sort(n, &before)?;
     Some(
         order
             .into_iter()
-            .map(|name| {
-                let (min, max) = bounds[name];
-                (name, occurrence(min, max))
+            .map(|a| {
+                let (min, max) = bounds[a];
+                (alphabet[a], occurrence(min, max))
             })
             .collect(),
     )
 }
 
-/// Kahn's algorithm with a lexicographic frontier, so ties between names
-/// that never co-occur are broken deterministically. `None` on a cycle,
-/// a 2-cycle (two names seen in both orders) included.
-fn topo_sort<'a>(
-    names: &BTreeSet<&'a str>,
-    before: &BTreeSet<(&'a str, &'a str)>,
-) -> Option<Vec<&'a str>> {
-    let mut indegree: BTreeMap<&str, usize> = names.iter().map(|&n| (n, 0)).collect();
-    for &(_, b) in before {
-        *indegree.entry(b).or_insert(0) += 1;
-    }
-    let mut frontier: BTreeSet<&str> = indegree
-        .iter()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(&n, _)| n)
+/// Kahn's algorithm over the `n × n` precedence matrix, with the smallest
+/// id (the lexicographically first name) taken first, so ties between
+/// names that never co-occur are broken deterministically. `None` on a
+/// cycle, a 2-cycle (two names seen in both orders) included.
+fn topo_sort(n: usize, before: &[bool]) -> Option<Vec<usize>> {
+    let mut indegree: Vec<usize> = (0..n)
+        .map(|b| (0..n).filter(|&a| before[a * n + b]).count())
         .collect();
-    let mut order = Vec::with_capacity(names.len());
+    let mut frontier: BTreeSet<usize> = (0..n).filter(|&b| indegree[b] == 0).collect();
+    let mut order = Vec::with_capacity(n);
     while let Some(next) = frontier.pop_first() {
         order.push(next);
-        for &(a, b) in before {
-            if a == next {
-                let d = indegree.entry(b).or_insert(0);
-                *d -= 1;
-                if *d == 0 {
+        for b in 0..n {
+            if before[next * n + b] {
+                indegree[b] -= 1;
+                if indegree[b] == 0 {
                     frontier.insert(b);
                 }
             }
         }
     }
-    (order.len() == names.len()).then_some(order)
+    (order.len() == n).then_some(order)
 }
 
 /// Maps observed per-sequence bounds to a DTD occurrence factor.
@@ -106,11 +109,8 @@ mod tests {
     use lsd_xml::ContentModel;
 
     fn render(rows: &[&[&str]]) -> Option<String> {
-        let seqs: BTreeSet<Vec<String>> = rows
-            .iter()
-            .map(|row| row.iter().map(|s| s.to_string()).collect())
-            .collect();
-        let names: BTreeSet<&str> = seqs.iter().flatten().map(String::as_str).collect();
+        let seqs: BTreeSet<Vec<&str>> = rows.iter().map(|row| row.to_vec()).collect();
+        let names: BTreeSet<&str> = seqs.iter().flatten().copied().collect();
         chare(&names, &seqs).map(|chain| {
             chain
                 .iter()

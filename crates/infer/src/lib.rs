@@ -49,7 +49,9 @@
 
 mod chare;
 
-use lsd_xml::{AttDef, AttlistDecl, ContentModel, Dtd, Element, ElementDecl, Occurrence, Span};
+use lsd_xml::{
+    AttDef, AttlistDecl, ContentModel, Dtd, Element, ElementDecl, Node, Occurrence, Span,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -101,15 +103,16 @@ impl fmt::Display for InferError {
 
 impl std::error::Error for InferError {}
 
-/// Per-element evidence aggregated over the corpus.
+/// Per-element evidence aggregated over the corpus, borrowing every name
+/// from it.
 #[derive(Default)]
-struct Facts {
+struct Facts<'a> {
     support: usize,
     /// Distinct observed child-name sequences. A *set*, so inference is
     /// independent of instance order and multiplicity.
-    seqs: BTreeSet<Vec<String>>,
+    seqs: BTreeSet<Vec<&'a str>>,
     has_text: bool,
-    attrs: BTreeSet<String>,
+    attrs: BTreeSet<&'a str>,
 }
 
 /// Learns a deterministic DTD from raw XML instances.
@@ -128,24 +131,33 @@ pub fn infer_dtd(instances: &[Element]) -> Result<Inference, InferError> {
         return Err(InferError::EmptyCorpus);
     }
 
-    let mut roots: BTreeSet<String> = BTreeSet::new();
-    let mut facts: BTreeMap<String, Facts> = BTreeMap::new();
+    let mut roots: BTreeSet<&str> = BTreeSet::new();
+    let mut facts: BTreeMap<&str, Facts> = BTreeMap::new();
+    // One child sequence, reused: a sequence already seen is not copied.
+    let mut seq: Vec<&str> = Vec::new();
     for instance in instances {
-        roots.insert(instance.name.clone());
+        roots.insert(&instance.name);
         instance.visit(&mut |e| {
-            let f = facts.entry(e.name.clone()).or_default();
+            let f = facts.entry(&e.name).or_default();
             f.support += 1;
-            f.seqs
-                .insert(e.child_elements().map(|c| c.name.clone()).collect());
-            f.has_text |= !e.direct_text().is_empty();
-            f.attrs.extend(e.attributes.iter().map(|(k, _)| k.clone()));
+            seq.clear();
+            seq.extend(e.child_elements().map(|c| c.name.as_str()));
+            if !f.seqs.contains(seq.as_slice()) {
+                f.seqs.insert(seq.clone());
+            }
+            f.has_text |= e
+                .children
+                .iter()
+                .filter_map(Node::as_text)
+                .any(|run| !run.trim().is_empty());
+            f.attrs.extend(e.attributes.iter().map(|(k, _)| k.as_str()));
         });
     }
 
-    let ordered: Vec<String> = roots
+    let ordered: Vec<&str> = roots
         .iter()
-        .cloned()
-        .chain(facts.keys().filter(|k| !roots.contains(*k)).cloned())
+        .copied()
+        .chain(facts.keys().copied().filter(|k| !roots.contains(k)))
         .collect();
 
     let mut stats = InferenceStats {
@@ -154,25 +166,25 @@ pub fn infer_dtd(instances: &[Element]) -> Result<Inference, InferError> {
     };
     let mut decls = Vec::with_capacity(ordered.len());
     let mut attlists = Vec::new();
-    for name in &ordered {
+    for name in ordered {
         let f = &facts[name];
         let model = infer_content(f, &mut stats);
-        decls.push(ElementDecl::new(name.clone(), model));
+        decls.push(ElementDecl::new(name, model));
         if !f.attrs.is_empty() {
             attlists.push(AttlistDecl {
-                element: name.clone(),
+                element: name.to_string(),
                 attrs: f
                     .attrs
                     .iter()
                     .map(|a| AttDef {
-                        name: a.clone(),
+                        name: a.to_string(),
                         span: Span::SYNTHETIC,
                     })
                     .collect(),
                 span: Span::SYNTHETIC,
             });
         }
-        stats.element_support.insert(name.clone(), f.support);
+        stats.element_support.insert(name.to_string(), f.support);
     }
     stats.elements = decls.len();
 
@@ -187,7 +199,7 @@ pub fn infer_dtd(instances: &[Element]) -> Result<Inference, InferError> {
 
 /// Infers one element's content model from its aggregated evidence.
 fn infer_content(f: &Facts, stats: &mut InferenceStats) -> ContentModel {
-    let names: BTreeSet<&str> = f.seqs.iter().flatten().map(String::as_str).collect();
+    let names: BTreeSet<&str> = f.seqs.iter().flatten().copied().collect();
     if names.is_empty() {
         // Leaf element: text content (or nothing — `(#PCDATA)` accepts
         // the empty string too).

@@ -3,12 +3,14 @@
 //! training instance and (b) passes the static schema lints with zero
 //! errors, in particular the Glushkov 1-unambiguity check; (c) it is
 //! stable, byte-identical regardless of instance order and
-//! `LSD_THREADS`; and (d) an element gets the catch-all exactly when no
-//! linear order of its child names fits every observed sequence.
+//! `LSD_THREADS`; (d) an element gets the catch-all exactly when no
+//! linear order of its child names fits every observed sequence; and (e)
+//! it is the DTD, with the same statistics, that the name-cloning
+//! inference it replaced learned.
 
 use lsd_datagen::DomainId;
-use lsd_infer::infer_dtd;
-use lsd_xml::{ContentModel, Element};
+use lsd_infer::{infer_dtd, InferenceStats};
+use lsd_xml::{ContentModel, Dtd, Element, ElementDecl, Node, Occurrence};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -226,4 +228,271 @@ fn inference_is_stable_under_lsd_threads() {
     std::env::remove_var("LSD_THREADS");
     assert_eq!(renderings[0], renderings[1]);
     assert_eq!(renderings[1], renderings[2]);
+}
+
+/// The inference before it borrowed names and interned the alphabet, kept
+/// as an oracle: every tag and attribute name cloned into `String`-keyed
+/// ordered maps, `before` as a set of name pairs.
+mod oracle {
+    use super::*;
+
+    #[derive(Default)]
+    struct Facts {
+        support: usize,
+        seqs: BTreeSet<Vec<String>>,
+        has_text: bool,
+        attrs: BTreeSet<String>,
+    }
+
+    /// What the oracle learns from a corpus.
+    pub(super) struct Learned {
+        /// The DTD's element declarations, in declaration order.
+        pub(super) decls: Vec<ElementDecl>,
+        /// Per element with attributes, their names.
+        pub(super) attlists: Vec<(String, Vec<String>)>,
+        pub(super) stats: InferenceStats,
+    }
+
+    pub(super) fn infer(instances: &[Element]) -> Learned {
+        let mut roots: BTreeSet<String> = BTreeSet::new();
+        let mut facts: BTreeMap<String, Facts> = BTreeMap::new();
+        for instance in instances {
+            roots.insert(instance.name.clone());
+            instance.visit(&mut |e| {
+                let f = facts.entry(e.name.clone()).or_default();
+                f.support += 1;
+                f.seqs
+                    .insert(e.child_elements().map(|c| c.name.clone()).collect());
+                f.has_text |= !e.direct_text().is_empty();
+                f.attrs.extend(e.attributes.iter().map(|(k, _)| k.clone()));
+            });
+        }
+        let ordered: Vec<String> = roots
+            .iter()
+            .cloned()
+            .chain(facts.keys().filter(|k| !roots.contains(*k)).cloned())
+            .collect();
+        let mut stats = InferenceStats {
+            corpus_size: instances.len(),
+            ..InferenceStats::default()
+        };
+        let mut decls = Vec::new();
+        let mut attlists = Vec::new();
+        for name in &ordered {
+            let f = &facts[name];
+            decls.push(ElementDecl::new(name.clone(), content(f, &mut stats)));
+            if !f.attrs.is_empty() {
+                attlists.push((name.clone(), f.attrs.iter().cloned().collect()));
+            }
+            stats.element_support.insert(name.clone(), f.support);
+        }
+        stats.elements = decls.len();
+        Learned {
+            decls,
+            attlists,
+            stats,
+        }
+    }
+
+    fn content(f: &Facts, stats: &mut InferenceStats) -> ContentModel {
+        let names: BTreeSet<&str> = f.seqs.iter().flatten().map(String::as_str).collect();
+        if names.is_empty() {
+            return ContentModel::Pcdata;
+        }
+        if f.has_text {
+            return ContentModel::Mixed(names.iter().map(|n| n.to_string()).collect());
+        }
+        let Some(chain) = chare(&names, &f.seqs) else {
+            stats.fallbacks += 1;
+            let parts = names
+                .iter()
+                .map(|n| ContentModel::Name(n.to_string(), Occurrence::One))
+                .collect();
+            return ContentModel::Choice(parts, Occurrence::ZeroOrMore);
+        };
+        stats.generalizations += chain
+            .iter()
+            .filter(|(_, occ)| *occ != Occurrence::One)
+            .count();
+        let mut parts: Vec<ContentModel> = chain
+            .into_iter()
+            .map(|(name, occ)| ContentModel::Name(name.to_string(), occ))
+            .collect();
+        if parts.len() == 1 {
+            parts.remove(0)
+        } else {
+            ContentModel::Seq(parts, Occurrence::One)
+        }
+    }
+
+    fn chare<'a>(
+        names: &BTreeSet<&'a str>,
+        seqs: &'a BTreeSet<Vec<String>>,
+    ) -> Option<Vec<(&'a str, Occurrence)>> {
+        let mut bounds: BTreeMap<&str, (usize, usize)> =
+            names.iter().map(|&n| (n, (usize::MAX, 0))).collect();
+        let mut before: BTreeSet<(&'a str, &'a str)> = BTreeSet::new();
+        for seq in seqs {
+            let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+            for name in seq {
+                *counts.entry(name.as_str()).or_insert(0) += 1;
+            }
+            for (name, (min, max)) in &mut bounds {
+                let c = counts.get(name).copied().unwrap_or(0);
+                *min = (*min).min(c);
+                *max = (*max).max(c);
+            }
+            for (i, a) in seq.iter().enumerate() {
+                for b in &seq[i + 1..] {
+                    if a != b {
+                        before.insert((a.as_str(), b.as_str()));
+                    }
+                }
+            }
+        }
+        let order = topo_sort(names, &before)?;
+        Some(
+            order
+                .into_iter()
+                .map(|name| {
+                    let (min, max) = bounds[name];
+                    let occ = match (min, max) {
+                        (0, 1) => Occurrence::Optional,
+                        (0, _) => Occurrence::ZeroOrMore,
+                        (_, 1) => Occurrence::One,
+                        _ => Occurrence::OneOrMore,
+                    };
+                    (name, occ)
+                })
+                .collect(),
+        )
+    }
+
+    fn topo_sort<'a>(
+        names: &BTreeSet<&'a str>,
+        before: &BTreeSet<(&'a str, &'a str)>,
+    ) -> Option<Vec<&'a str>> {
+        let mut indegree: BTreeMap<&str, usize> = names.iter().map(|&n| (n, 0)).collect();
+        for &(_, b) in before {
+            *indegree.entry(b).or_insert(0) += 1;
+        }
+        let mut frontier: BTreeSet<&str> = indegree
+            .iter()
+            .filter(|&(_, &d)| d == 0)
+            .map(|(&n, _)| n)
+            .collect();
+        let mut order = Vec::with_capacity(names.len());
+        while let Some(next) = frontier.pop_first() {
+            order.push(next);
+            for &(a, b) in before {
+                if a == next {
+                    let d = indegree.entry(b).or_insert(0);
+                    *d -= 1;
+                    if *d == 0 {
+                        frontier.insert(b);
+                    }
+                }
+            }
+        }
+        (order.len() == names.len()).then_some(order)
+    }
+}
+
+/// A text run: empty, ASCII or Unicode whitespace only, or words among
+/// whitespace.
+fn arb_run() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[ \t\n]{1,3}",
+        Just("\u{a0}\u{2003}\u{3000}".to_string()),
+        "[ \u{a0}]{0,2}[a-cé0-9]{1,4}[ \u{3000}]{0,2}",
+    ]
+}
+
+/// An element over the names `a`–`e` (so names repeat, nest in
+/// themselves and come in inconsistent orders), with attributes from a
+/// small set and text runs mixed among its children.
+fn arb_element() -> impl Strategy<Value = Element> {
+    let name = || prop_oneof![Just("a"), Just("b"), Just("c"), Just("d"), Just("e")];
+    let attrs = || prop::collection::vec(prop_oneof![Just("id"), Just("lang"), Just("ref")], 0..3);
+    let with_attrs = |mut e: Element, attrs: Vec<&str>| {
+        for a in attrs {
+            e = e.with_attr(a, "v");
+        }
+        e
+    };
+    let leaf = (name(), attrs(), prop::collection::vec(arb_run(), 0..2)).prop_map(
+        move |(name, attrs, runs)| {
+            let mut e = with_attrs(Element::new(name), attrs);
+            for run in runs {
+                e.push_text(run);
+            }
+            e
+        },
+    );
+    leaf.prop_recursive(3, 32, 5, move |inner| {
+        let child = prop_oneof![
+            arb_run().prop_map(Node::Text),
+            inner.clone().prop_map(Node::Element),
+            inner.prop_map(Node::Element),
+        ];
+        (name(), attrs(), prop::collection::vec(child, 0..6)).prop_map(
+            move |(name, attrs, children)| {
+                let mut e = with_attrs(Element::new(name), attrs);
+                e.children = children;
+                e
+            },
+        )
+    })
+}
+
+/// Per element with attributes, their names: the oracle's shape of a
+/// learned DTD's attribute lists.
+fn attlists(dtd: &Dtd) -> Vec<(String, Vec<String>)> {
+    dtd.attlists()
+        .iter()
+        .map(|list| {
+            let names = list.attrs.iter().map(|a| a.name.clone()).collect();
+            (list.element.clone(), names)
+        })
+        .collect()
+}
+
+/// Infers `corpus` both ways and requires the same DTD, attribute lists
+/// and statistics.
+fn assert_matches_oracle(corpus: &[Element]) -> Result<(), TestCaseError> {
+    let inferred = infer_dtd(corpus).expect("non-empty corpus infers");
+    let expected = oracle::infer(corpus);
+    let expected_dtd = Dtd::new(expected.decls).expect("unique declarations");
+    prop_assert_eq!(inferred.dtd.to_dtd_syntax(), expected_dtd.to_dtd_syntax());
+    prop_assert_eq!(attlists(&inferred.dtd), expected.attlists);
+    prop_assert_eq!(inferred.stats, expected.stats);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Invariant (e): over arbitrary corpora (attributes, mixed and
+    /// Unicode-whitespace text, repeated names, inconsistent orders,
+    /// several roots) the borrowing inference learns the oracle's DTD,
+    /// attribute lists and statistics.
+    #[test]
+    fn inference_matches_the_name_cloning_oracle(
+        corpus in prop::collection::vec(arb_element(), 1..6),
+    ) {
+        assert_matches_oracle(&corpus)?;
+    }
+
+    /// Invariant (e) on the generated domains' corpora.
+    #[test]
+    fn domain_inference_matches_the_name_cloning_oracle(
+        id in arb_domain(),
+        listings in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        for corpus in corpora(id, listings, seed) {
+            assert_matches_oracle(&corpus)?;
+        }
+    }
 }

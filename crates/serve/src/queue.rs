@@ -402,10 +402,10 @@ mod tests {
             "panics-on-boom"
         }
 
-        fn train(&mut self, _examples: &[(&lsd_core::Instance, usize)]) {}
+        fn train(&mut self, _examples: &[(lsd_core::Instance, usize)]) {}
 
         fn predict(&self, instance: &lsd_core::Instance) -> lsd_learn::Prediction {
-            assert!(instance.text() != "boom", "learner hit a boom");
+            assert!(instance.text != "boom", "learner hit a boom");
             lsd_learn::Prediction::uniform(2)
         }
     }

@@ -19,7 +19,7 @@ impl BaseLearner for Unmemoized {
         self.0.name()
     }
 
-    fn train(&mut self, examples: &[(&Instance, usize)]) {
+    fn train(&mut self, examples: &[(Instance, usize)]) {
         self.0.train(examples);
     }
 
@@ -35,7 +35,7 @@ impl BaseLearner for Unmemoized {
         self.0.supports_warm_start()
     }
 
-    fn warm_train(&mut self, examples: &[(&Instance, usize)]) -> bool {
+    fn warm_train(&mut self, examples: &[(Instance, usize)]) -> bool {
         self.0.warm_train(examples)
     }
 }

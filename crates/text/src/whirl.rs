@@ -124,8 +124,15 @@ impl Whirl {
     /// finalize; the next finalize folds them in under the updated corpus
     /// statistics.
     pub fn add_example<'a>(&mut self, tokens: impl IntoIterator<Item = &'a str>, label: usize) {
+        self.add_example_with(|sink| tokens.into_iter().for_each(sink), label);
+    }
+
+    /// Adds the training example whose tokens `feed` passes, one at a
+    /// time, to the sink it is given (see [`Self::add_example`]).
+    pub fn add_example_with(&mut self, feed: impl FnOnce(&mut dyn FnMut(&str)), label: usize) {
         debug_assert!(label < self.num_labels, "label out of range");
-        let toks: Vec<String> = tokens.into_iter().map(str::to_string).collect();
+        let mut toks: Vec<String> = Vec::new();
+        feed(&mut |token| toks.push(token.to_string()));
         self.model.add_document(toks.iter().map(String::as_str));
         self.docs.push((toks, label));
     }

@@ -6,7 +6,7 @@ use lsd::core::learners::{
 };
 use lsd::core::{combine_learners, Instance, LsdBuilder, Source, SourceWalk, TrainedSource};
 use lsd::learn::{LabelSet, Prediction};
-use lsd::xml::{parse_dtd, parse_fragment};
+use lsd::xml::{parse_dtd, parse_fragment, Element};
 use std::collections::HashMap;
 
 /// Figure 5: two training sources (realestate.com, homeseekers.com), three
@@ -28,7 +28,7 @@ fn figure5_training_walkthrough() {
         ("Seattle, WA", "Fantastic house", "(206) 753 2605"),
         ("Portland, OR", "Great yard", "(515) 273 4312"),
     ];
-    let mut examples: Vec<(Instance, usize)> = Vec::new();
+    let mut listings = Vec::new();
     for (tags, rows) in [
         (["location", "comments", "contact"], &realestate),
         (["house-addr", "detailed-desc", "phone"], &homeseekers),
@@ -41,13 +41,20 @@ fn figure5_training_walkthrough() {
                 t2 = tags[2]
             ))
             .expect("well-formed");
-            let walk = SourceWalk::new(std::slice::from_ref(&root));
-            for (tag, label) in tags.iter().zip(0..3) {
-                let column = walk.column(tag);
-                assert!(!column.is_empty(), "column present");
-                for &id in column {
-                    examples.push((walk.instance(id), label));
-                }
+            listings.push((tags, root));
+        }
+    }
+    let walks: Vec<_> = listings
+        .iter()
+        .map(|(tags, root)| (tags, SourceWalk::new(std::slice::from_ref(root))))
+        .collect();
+    let mut examples: Vec<(Instance, usize)> = Vec::new();
+    for (tags, walk) in &walks {
+        for (tag, label) in tags.iter().zip(0..3) {
+            let column = walk.column(tag);
+            assert!(!column.is_empty(), "column present");
+            for &id in column {
+                examples.push((walk.instance(id), label));
             }
         }
     }
@@ -55,17 +62,15 @@ fn figure5_training_walkthrough() {
     assert_eq!(examples.len(), 12);
 
     // Steps 3–4 — train the base learners on their training data.
-    let refs: Vec<(&Instance, usize)> = examples.iter().map(|(i, l)| (i, *l)).collect();
     let mut name = NameMatcher::with_synonym_pairs(labels.len(), []);
     let mut nb = NaiveBayesLearner::new(labels.len());
-    BaseLearner::train(&mut name, &refs);
-    BaseLearner::train(&mut nb, &refs);
+    BaseLearner::train(&mut name, &examples);
+    BaseLearner::train(&mut nb, &examples);
 
     // Each trained learner predicts a distribution over the three labels.
-    let area = Instance::new(
-        parse_fragment("<area>Orlando, FL</area>").expect("ok"),
-        vec!["home".into(), "area".into()],
-    );
+    let area_element = parse_fragment("<area>Orlando, FL</area>").expect("ok");
+    let area_text = area_element.deep_text();
+    let area = Instance::new(&area_element, &["home", "area"], &area_text);
     let predictions = [
         BaseLearner::predict(&name, &area),
         BaseLearner::predict(&nb, &area),
@@ -188,25 +193,17 @@ fn figure7_xml_beats_flat_naive_bayes() {
         ("name".to_string(), 5usize.min(n - 1)),
         ("firm".to_string(), n - 1),
     ]);
-    let mk_contact = |person: &str, firm: &str| {
-        Instance::new(
-            parse_fragment(&format!(
-                "<contact><name>{person}</name><firm>{firm}</firm></contact>"
-            ))
-            .expect("ok"),
-            vec!["contact".into()],
-        )
-        .with_sub_labels(sub_labels.clone())
+    let contact = |person: &str, firm: &str| {
+        parse_fragment(&format!(
+            "<contact><name>{person}</name><firm>{firm}</firm></contact>"
+        ))
+        .expect("ok")
     };
-    let mk_desc = |person: &str, firm: &str| {
-        Instance::new(
-            parse_fragment(&format!(
-                "<description>Lovely place, call {person} at {firm} today</description>"
-            ))
-            .expect("ok"),
-            vec!["description".into()],
-        )
-        .with_sub_labels(sub_labels.clone())
+    let description = |person: &str, firm: &str| {
+        parse_fragment(&format!(
+            "<description>Lovely place, call {person} at {firm} today</description>"
+        ))
+        .expect("ok")
     };
     let people = [
         ("Gail Murphy", "MAX Realtors"),
@@ -215,25 +212,39 @@ fn figure7_xml_beats_flat_naive_bayes() {
         ("Laura Davis", "Century 21"),
         ("Paul Walker", "Redfin Realty"),
     ];
-    let mut data: Vec<(Instance, usize)> = Vec::new();
-    for (person, firm) in &people[..4] {
-        data.push((mk_contact(person, firm), 0));
-        data.push((mk_desc(person, firm), 1));
-    }
-    let refs: Vec<(&Instance, usize)> = data.iter().map(|(i, l)| (i, *l)).collect();
+    // A contact and a description per person, each with its root path and
+    // label.
+    let elements: Vec<(Element, [&str; 1], usize)> = people
+        .iter()
+        .flat_map(|&(person, firm)| {
+            [
+                (contact(person, firm), ["contact"], 0),
+                (description(person, firm), ["description"], 1),
+            ]
+        })
+        .collect();
+    let texts: Vec<String> = elements.iter().map(|(e, _, _)| e.deep_text()).collect();
+    let data: Vec<(Instance, usize)> = elements
+        .iter()
+        .zip(&texts)
+        .map(|((element, path, label), text)| {
+            let instance = Instance::new(element, path, text).with_sub_labels(&sub_labels);
+            (instance, *label)
+        })
+        .collect();
+    // The first four people train; the fifth is held out.
+    let (train, held_out) = data.split_at(8);
 
     let mut xml = XmlLearner::new(n);
     let mut nb = NaiveBayesLearner::new(n);
-    BaseLearner::train(&mut xml, &refs);
-    BaseLearner::train(&mut nb, &refs);
+    BaseLearner::train(&mut xml, train);
+    BaseLearner::train(&mut nb, train);
 
     // Held-out pair (unseen person/firm): every content word is shared
     // between the two classes, so only structure separates them.
-    let (person, firm) = people[4];
-    let test_contact = mk_contact(person, firm);
-    let test_desc = mk_desc(person, firm);
-    let xml_correct = usize::from(BaseLearner::predict(&xml, &test_contact).best_label() == 0)
-        + usize::from(BaseLearner::predict(&xml, &test_desc).best_label() == 1);
+    let (test_contact, test_desc) = (&held_out[0].0, &held_out[1].0);
+    let xml_correct = usize::from(BaseLearner::predict(&xml, test_contact).best_label() == 0)
+        + usize::from(BaseLearner::predict(&xml, test_desc).best_label() == 1);
     assert_eq!(
         xml_correct, 2,
         "the XML learner must separate the Figure 7 pair"
